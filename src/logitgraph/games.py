@@ -130,6 +130,27 @@ class MixedProfile:
         return len(self.vectors)
 
 
+def _check_rows(form, payoffs, vectors, first=0):
+    """The Game and MixedProfile checks over a leading sample axis, one array per player.
+
+    Payoffs must be finite; each probability vector finite, nonnegative and
+    summing to 1 within PROBABILITY_TOL. Raises for the first failing sample,
+    numbered from ``first``.
+    """
+    bad = np.zeros(len(vectors[0]), dtype=bool)
+    for p in payoffs:
+        bad |= ~np.isfinite(p).all(axis=1)
+    for v in vectors:
+        bad |= ~np.isfinite(v).all(axis=1)
+        bad |= v.min(axis=1) < -PROBABILITY_TOL
+        bad |= np.abs(v.sum(axis=1) - 1.0) > PROBABILITY_TOL
+    if bad.any():
+        raise InvalidInputError(
+            f"sample {first + int(np.flatnonzero(bad)[0])}: reconstructed payoffs are not"
+            " finite or a profile vector is off the probability simplex"
+        )
+
+
 def _profile_vectors(form, x):
     """Accept a MixedProfile or any sequence of per-player vectors; check shapes only."""
     vectors = x.vectors if isinstance(x, MixedProfile) else tuple(np.asarray(v, dtype=float) for v in x)
@@ -144,12 +165,25 @@ def _profile_vectors(form, x):
 
 
 def _deviation_from_flat(form, flat, player, vectors):
-    """Expected value of a flat tensor at (a_i, x_{-i}) for each own action a_i."""
+    """Expected value of a flat tensor at (a_i, x_{-i}) for each own action a_i.
+
+    A 2-d ``flat`` of shape ``(samples, |A|)`` with ``(samples, m_j)`` vectors
+    contracts every sample at once and returns ``(samples, m_i)``.
+    """
     d = form.num_players
-    tensor = np.asarray(flat, dtype=float).reshape(form.action_counts, order="F")
+    flat = np.asarray(flat, dtype=float)
     letters = _AXES[:d]
     others = [j for j in range(d) if j != player]
-    eq = letters + "".join("," + letters[j] for j in others) + "->" + letters[player]
+    if flat.ndim == 1:
+        tensor = flat.reshape(form.action_counts, order="F")
+        eq = letters + "".join("," + letters[j] for j in others) + "->" + letters[player]
+    else:
+        # C order over the reversed action axes is the column-major profile order
+        tensor = flat.reshape(flat.shape[:1] + form.action_counts[::-1])
+        eq = (
+            "Z" + letters[::-1] + "".join(",Z" + letters[j] for j in others)
+            + "->Z" + letters[player]
+        )
     return np.einsum(eq, tensor, *[vectors[j] for j in others])
 
 
@@ -195,6 +229,15 @@ def nash_residual(game, x):
         value = float(np.dot(vectors[i], dev))
         worst = max(worst, float(dev.max()) - value)
     return max(0.0, worst)
+
+
+def _nash_gap_rows(form, payoffs, vectors):
+    """``nash_residual`` of every sample, for payoffs and profiles with a leading sample axis."""
+    worst = np.zeros(len(vectors[0]))
+    for i in range(form.num_players):
+        dev = _deviation_from_flat(form, payoffs[i], i, vectors)
+        worst = np.maximum(worst, dev.max(axis=1) - (vectors[i] * dev).sum(axis=1))
+    return worst
 
 
 def logit_residual(game, x, n):
@@ -268,23 +311,29 @@ def _max_abs_opponent_mean(form, flat, player):
 
 
 def _split_payoff(form, flat, player):
-    """Return (tilde_flat, bar_vector) for one player's flat payoff tensor."""
-    tensor = np.asarray(flat, dtype=float).reshape(form.action_counts, order="F")
-    axes = tuple(j for j in range(form.num_players) if j != player)
-    bar = tensor.mean(axis=axes)
-    shape = [1] * form.num_players
-    shape[player] = form.action_counts[player]
-    tilde = tensor - bar.reshape(shape)
-    return tilde.ravel(order="F"), np.asarray(bar, dtype=float).reshape(-1)
+    """Return (tilde_flat, bar_vector) for one player's flat payoff tensor.
+
+    Leading axes of ``flat`` are carried through: ``(samples, |A|)`` gives
+    ``(samples, |A|)`` and ``(samples, m_i)``.
+    """
+    flat = np.asarray(flat, dtype=float)
+    lead, d = flat.shape[:-1], form.num_players
+    # C order over the reversed action axes is the column-major profile order
+    tensor = flat.reshape(lead + form.action_counts[::-1])
+    axes = tuple(len(lead) + d - 1 - j for j in range(d) if j != player)
+    bar = tensor.mean(axis=axes, keepdims=True)
+    return (tensor - bar).reshape(flat.shape), bar.reshape(lead + (form.action_counts[player],))
 
 
 def _lift_bar(form, bar, player):
-    """Broadcast a per-action vector to a flat tensor over all profiles."""
-    shape = [1] * form.num_players
-    shape[player] = form.action_counts[player]
+    """Broadcast a per-action vector (leading axes allowed) to a flat tensor over all profiles."""
+    bar = np.asarray(bar, dtype=float)
+    lead, d = bar.shape[:-1], form.num_players
+    shape = [1] * d
+    shape[d - 1 - player] = form.action_counts[player]
     return np.broadcast_to(
-        np.asarray(bar, dtype=float).reshape(shape), form.action_counts
-    ).ravel(order="F")
+        bar.reshape(lead + tuple(shape)), lead + form.action_counts[::-1]
+    ).reshape(lead + (form.profile_count,))
 
 
 def km_decompose(game):
@@ -299,12 +348,6 @@ def km_decompose(game):
 
 def km_recompose(rep):
     """Exact inverse of ``km_decompose``: add the lifted means back to the remainder."""
-    for i, t in enumerate(rep.tilde_u):
-        worst = _max_abs_opponent_mean(rep.form, t, i)
-        if worst > 1e-6:
-            raise InvalidInputError(
-                f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed 1e-6"
-            )
     payoffs = tuple(
         np.asarray(t, dtype=float) + _lift_bar(rep.form, b, i)
         for i, (t, b) in enumerate(zip(rep.tilde_u, rep.bar_u))

@@ -5,7 +5,8 @@ reconstructs the unique graph point from any target; ``phi_n``/``phi_n_inv``
 do the same for the logit graph at precision ``n``. Both inverses work one
 player at a time: the profile comes straight out of the player's ``y_bar``
 coordinate, then the mean payoffs are back-solved, so there is no fixed-point
-coupling anywhere in the inverse direction.
+coupling anywhere in the inverse direction. The reconstructions run on arrays
+with a leading sample axis; the public inverses are batches of one.
 """
 
 from __future__ import annotations
@@ -14,20 +15,27 @@ import numpy as np
 
 from .errors import InvalidInputError, NotOnGraphError
 from .games import (
+    Game,
     GraphPoint,
-    KMRepresentation,
     MixedProfile,
     TargetPoint,
     _deviation_from_flat,
+    _lift_bar,
     _logit_gap,
     _profile_vectors,
     deviation_payoffs,
     km_decompose,
-    km_recompose,
     logit_residual,
     nash_residual,
 )
-from .maps import g_map, h_exact, h_numeric, softmax
+from .maps import (
+    _check_inverse_args,
+    _invert_rows,
+    _softmax_rows,
+    _stall_error,
+    _water_level,
+    g_map,
+)
 
 GRAPH_RESIDUAL_TOL = 1e-8
 
@@ -87,14 +95,47 @@ def phi_n(n, point, tol=GRAPH_RESIDUAL_TOL):
     )
 
 
-def _reconstruct(form, tilde_u, values, x_vectors):
-    """Back out mean payoffs so each player's deviation payoffs equal ``values``."""
-    bar_u = tuple(
-        values[i] - _deviation_from_flat(form, tilde_u[i], i, x_vectors)
+def _payoff_rows(form, tilde_u, values, x_vectors):
+    """Payoffs ``tilde_u[i] + lift(bar_u[i])`` whose deviation payoffs at ``x_vectors`` equal ``values``.
+
+    Every argument carries a leading sample axis, one array per player.
+    """
+    return tuple(
+        tilde_u[i] + _lift_bar(form, values[i] - _deviation_from_flat(form, tilde_u[i], i, x_vectors), i)
         for i in range(form.num_players)
     )
-    rep = KMRepresentation(form=form, tilde_u=tilde_u, bar_u=bar_u)
-    return km_recompose(rep)
+
+
+def _nash_rows(form, tilde_u, y_bar):
+    """``phi_inv`` of every sample: returns (payoffs, profile vectors), one array per player."""
+    values = tuple(np.minimum(b, _water_level(b)[:, None]) for b in y_bar)
+    x_vectors = tuple(b - h for b, h in zip(y_bar, values))
+    return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors
+
+
+def _logit_rows(n, form, tilde_u, y_bar, tol):
+    """``phi_n_inv`` of every sample: returns (payoffs, profile vectors, failure).
+
+    ``failure`` is None when every inversion reached ``tol``, else
+    ``(sample, error)`` for the first failing sample, with the ConvergenceError
+    ``h_numeric`` raises for its first failing player. The displacement
+    ``y_bar - w`` equals ``softmax(n*w)`` up to the solve tolerance; the
+    softmax form avoids cancellation and keeps tiny probabilities positive.
+    """
+    solved = [_invert_rows(n, b, tol) for b in y_bar]
+    failure = None
+    failed = np.array([r > tol for _, r in solved])  # (players, samples)
+    if failed.any():
+        row = int(np.flatnonzero(failed.any(axis=0))[0])
+        w, r = solved[int(np.flatnonzero(failed[:, row])[0])]
+        failure = (row, _stall_error(w[row], r[row], tol))
+    values = tuple(w for w, _ in solved)
+    x_vectors = tuple(_softmax_rows(n * w) for w in values)
+    return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
+
+
+def _one_row(vectors):
+    return tuple(v[None] for v in vectors)
 
 
 def phi_inv(t):
@@ -105,11 +146,9 @@ def phi_inv(t):
     (the clipped vector); the construction is total and the result's residual
     is exactly zero up to rounding.
     """
-    splits = [h_exact(b) for b in t.y_bar]
-    x_vectors = tuple(s.residual for s in splits)
-    values = tuple(s.h_value for s in splits)
-    game = _reconstruct(t.form, t.tilde_u, values, x_vectors)
-    profile = MixedProfile(x_vectors)
+    payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
+    game = Game(t.form, tuple(p[0] for p in payoffs))
+    profile = MixedProfile(tuple(x[0] for x in x_vectors))
     residual = nash_residual(game, profile)
     if residual > 1e-9:
         raise NotOnGraphError(f"reconstruction left nash residual {residual:.3e}")
@@ -119,18 +158,17 @@ def phi_inv(t):
 def phi_n_inv(n, t, tol=1e-12):
     """Reconstruct the logit graph point at precision ``n`` mapped to ``t``.
 
-    Per player, ``h_numeric`` inverts the softmax displacement of ``y_bar``;
-    the displacement itself is the (strictly positive) probability vector.
-    Convergence failures from the inner inversion propagate unchanged.
+    Per player, the softmax-displacement inverse of ``y_bar`` (the row kernel
+    of ``h_numeric``) gives the deviation-payoff values; their softmax is the
+    (strictly positive) probability vector. A failed inversion raises the
+    ConvergenceError ``h_numeric`` would raise for the first failing player.
     """
-    if not n > 0:
-        raise InvalidInputError(f"n must be positive, got {n}")
-    values = tuple(h_numeric(n, b, tol=tol) for b in t.y_bar)
-    # the displacement y_bar - w equals softmax(n*w) up to the solve tolerance;
-    # the softmax form avoids cancellation and keeps tiny probabilities positive
-    x_vectors = tuple(softmax(n * w) for w in values)
-    game = _reconstruct(t.form, t.tilde_u, values, x_vectors)
-    profile = MixedProfile(x_vectors)
+    _check_inverse_args(n, tol)
+    payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.y_bar), tol)
+    if failure:
+        raise failure[1]
+    game = Game(t.form, tuple(p[0] for p in payoffs))
+    profile = MixedProfile(tuple(x[0] for x in x_vectors))
     residual = _logit_gap(game, profile.vectors, n)
     return GraphPoint(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
 

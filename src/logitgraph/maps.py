@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 
+MAX_INVERSE_ITER = 200  # Newton iterations per row of the softmax-displacement inverse
+
 
 def _as_vector(v, name="v"):
     arr = np.asarray(v, dtype=float)
@@ -83,12 +85,23 @@ def alpha_star(y):
     is then the Euclidean projection of ``y`` onto the probability simplex.
     """
     y = _as_vector(y, "y")
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, y.size + 1)
-    thresholds = (css - 1.0) / ks
-    k = int(np.nonzero(u > thresholds)[0].max()) + 1
-    return float(thresholds[k - 1])
+    return float(_water_level(y[None])[0])
+
+
+def _water_level(y):
+    """Row-wise ``alpha_star`` of a ``(rows, d)`` array, by the same sort rule."""
+    u = np.sort(y, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    thresholds = (css - 1.0) / np.arange(1, y.shape[1] + 1)
+    # the largest k with u_(k) > threshold_k: the first hit scanning from the right
+    k = y.shape[1] - 1 - np.argmax((u > thresholds)[:, ::-1], axis=1)
+    return thresholds[np.arange(y.shape[0]), k]
+
+
+def _softmax_rows(v):
+    """``softmax`` applied to each row of a ``(rows, d)`` array."""
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,62 +125,106 @@ def h_exact(y):
     return SimplexProjection(alpha_star=a, h_value=h, residual=y - h)
 
 
-def h_numeric(n, y, tol=1e-10, max_iter=200):
-    """Invert ``g_map``: find ``x`` with ``max|g_map(n, x) - y| <= tol``.
-
-    Damped Newton iteration with backtracking on the residual norm. The
-    Jacobian is symmetric positive definite, so the Newton direction is always
-    a descent direction for the residual and the iteration converges from any
-    start; the water-filling value warm-starts it for ``n >= 1``.
-
-    Raises ConvergenceError (carrying the best iterate and its residual) if the
-    tolerance is not reached within ``max_iter`` iterations.
-    """
-    y = _as_vector(y, "y")
+def _check_inverse_args(n, tol):
     if not (n > 0 and math.isfinite(n)):
         raise InvalidInputError(f"n must be positive and finite, got {n}")
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
 
-    d = y.size
-    x = h_exact(y).h_value.copy() if n >= 1.0 else y - 1.0 / d
-    r = y - g_map(n, x)
-    best_x, best_res = x, float(np.abs(r).max())
 
-    for iteration in range(max_iter):
-        res_inf = float(np.abs(r).max())
-        if res_inf < best_res:
-            best_x, best_res = x, res_inf
-        if res_inf <= tol:
-            return x
-        jac = g_jacobian(n, x)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            step = r
-        r_norm = float(np.linalg.norm(r))
-        t = 1.0
-        while True:
-            x_new = x + t * step
-            r_new = y - g_map(n, x_new)
-            if float(np.linalg.norm(r_new)) <= (1.0 - 1e-4 * t) * r_norm or t < 1e-12:
-                break
-            t *= 0.5
-        if t < 1e-12 and float(np.linalg.norm(r_new)) >= r_norm:
-            break  # at the floating-point floor for this y
-        x, r = x_new, r_new
-
-    res_inf = float(np.abs(r).max())
-    if res_inf <= tol:
-        return x
-    if res_inf < best_res:
-        best_x, best_res = x, res_inf
-    raise ConvergenceError(
-        f"softmax-displacement inversion stalled at residual {best_res:.3e} (tol {tol:.3e})",
-        best=best_x,
-        residual=best_res,
+def _stall_error(best, residual, tol, max_iter=MAX_INVERSE_ITER):
+    return ConvergenceError(
+        f"softmax-displacement inversion stalled at residual {residual:.3e} (tol {tol:.3e})",
+        best=best,
+        residual=float(residual),
         iterations=max_iter,
     )
+
+
+def h_numeric(n, y, tol=1e-10, max_iter=MAX_INVERSE_ITER):
+    """Invert ``g_map``: find ``x`` with ``max|g_map(n, x) - y| <= tol``.
+
+    Validates its arguments once, then runs the row kernel on ``y`` as a batch
+    of one. The kernel is a damped Newton iteration with Armijo backtracking
+    on the Euclidean residual norm. The Jacobian ``I + n*diag(s) - n*s s^T``
+    is a diagonal plus a rank-one term, so each Newton step is solved in
+    closed form by the Sherman-Morrison formula in O(d), without forming the
+    matrix. The Jacobian is symmetric positive definite, so the Newton
+    direction is always a descent direction for the residual and the
+    iteration converges from any start; the water-filling value warm-starts
+    it for ``n >= 1``.
+
+    Raises ConvergenceError (carrying the best iterate and its residual) if the
+    tolerance is not reached within ``max_iter`` iterations.
+    """
+    y = _as_vector(y, "y")
+    _check_inverse_args(n, tol)
+    x, residual = _invert_rows(n, y[None], tol, max_iter)
+    if residual[0] > tol:
+        raise _stall_error(x[0], residual[0], tol, max_iter)
+    return x[0]
+
+
+def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
+    """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
+
+    ``y`` is a finite ``(rows, d)`` array; ``n`` and ``tol`` are trusted.
+    Rows iterate independently and leave the live set once their sup-norm
+    residual is at most ``tol``, once backtracking finds no decrease (the
+    floating-point floor for that row), or when ``max_iter`` runs out.
+    Returns ``(x, residual)``: per row the first iterate within ``tol``, or
+    else the best iterate seen, and its sup-norm residual. A row converged
+    exactly when its residual is at most ``tol``.
+    """
+    x = np.minimum(y, _water_level(y)[:, None]) if n >= 1.0 else y - 1.0 / y.shape[1]
+    s = _softmax_rows(n * x)
+    r = y - (x + s)
+    norm = np.sqrt((r * r).sum(axis=1))
+    out_x, out_res = np.empty_like(y), np.empty(y.shape[0])
+    live, target = np.arange(y.shape[0]), y
+    best_x, best_res = x.copy(), np.abs(r).max(axis=1)  # per live row
+    stuck = False
+    for iteration in range(max_iter + 1):
+        res = np.abs(r).max(axis=1)
+        better = res < best_res
+        if better.any():
+            best_x[better] = x[better]
+            best_res[better] = res[better]
+        leave = (res <= tol) | stuck | (iteration == max_iter)
+        if leave.any():
+            out_x[live[leave]] = best_x[leave]
+            out_res[live[leave]] = best_res[leave]
+            keep = ~leave
+            if not keep.any():
+                break
+            live, target, x, s, r, norm = (v[keep] for v in (live, target, x, s, r, norm))
+            best_x, best_res = best_x[keep], best_res[keep]
+        # Newton step J^{-1} r with J = diag(a) - n s s^T, a = 1 + n s; the
+        # Sherman-Morrison denominator 1 - n s.(s/a) equals sum(s/a) > 0
+        a = 1.0 + n * s
+        u = s / a
+        step = r / a + u * (n * (u * r).sum(axis=1) / u.sum(axis=1))[:, None]
+        x_new = x + step
+        s_new = _softmax_rows(n * x_new)
+        r_new = target - (x_new + s_new)
+        new_norm = np.sqrt((r_new * r_new).sum(axis=1))
+        retry = np.flatnonzero(new_norm > (1.0 - 1e-4) * norm)
+        stuck = False
+        if retry.size:  # Armijo backtracking, halving t per row
+            t = np.ones(live.size)
+            while retry.size:
+                t[retry] *= 0.5
+                x_new[retry] = x[retry] + t[retry, None] * step[retry]
+                s_new[retry] = _softmax_rows(n * x_new[retry])
+                r_new[retry] = target[retry] - (x_new[retry] + s_new[retry])
+                new_norm[retry] = np.sqrt((r_new[retry] * r_new[retry]).sum(axis=1))
+                done = new_norm[retry] <= (1.0 - 1e-4 * t[retry]) * norm[retry]
+                retry = retry[~(done | (t[retry] < 1e-12))]
+            stuck = (t < 1e-12) & (new_norm >= norm)  # at the floor: keep x, then leave
+            for new, old in ((x_new, x), (s_new, s), (r_new, r), (new_norm, norm)):
+                new[stuck] = old[stuck]
+        x, s, r, norm = x_new, s_new, r_new, new_norm
+    return out_x, out_res
 
 
 @dataclass(frozen=True)
@@ -203,7 +260,9 @@ def epsilon_bound(n):
         raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
     if n == 0:
         return ConvergenceBound(n=0.0, epsilon_star=0.5)
-    lo, hi = 1e-300, 0.5
+    # f(1/(n+2)) < 1 for every n > 0, and f((1 + log n)/n) > e for n > 1
+    lo = 1.0 / (n + 2.0)
+    hi = min(0.5, (1.0 + math.log(n)) / n) if n > 1.0 else 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

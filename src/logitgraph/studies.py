@@ -13,13 +13,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
-from .games import StrategicGameForm, TargetPoint, _lift_bar, _split_payoff
-from .graph_maps import graph_point_gap, phi_inv, phi_n_inv
+from .errors import ConvergenceError, InvalidInputError, NotOnGraphError
+from .games import (
+    StrategicGameForm,
+    TargetPoint,
+    _check_rows,
+    _lift_bar,
+    _nash_gap_rows,
+    _split_payoff,
+)
+from .graph_maps import _logit_rows, _nash_rows, phi_n_inv
 from .maps import epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
 RANK_SOLVE_TOL = 1e-13  # inner inversion tolerance, kept far below fd_step
+STUDY_BLOCK = 1024  # samples a study reconstructs at once; bounds its working set
+STUDY_TOL = 1e-12  # inversion tolerance of the study's logit reconstructions
+
+
+def _target_blocks(form, samples, seed, bound_box, block):
+    """Yield ``(first sample index, tilde rows, y_bar rows)`` for consecutive blocks of samples.
+
+    Each block is one uniform draw of shape ``(rows, k*|A| + sum(m_i))``:
+    per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
+    vectors, in the order a per-sample draw would take them from the stream.
+    The raw tensors are projected to zero opponent means.
+    """
+    if samples < 1:
+        raise InvalidInputError(f"samples must be >= 1, got {samples}")
+    if not bound_box > 0:
+        raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
+    rng = np.random.default_rng(seed)
+    size, k = form.profile_count, form.num_players
+    edges = np.cumsum((0, k * size) + form.action_counts)
+    for start in range(0, samples, block):
+        raw = rng.uniform(
+            -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
+        )
+        tilde = tuple(
+            _split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0] for i in range(k)
+        )
+        yield start, tilde, tuple(raw[:, a:b] for a, b in zip(edges[1:], edges[2:]))
 
 
 def sample_target_points(form, samples, seed, bound_box):
@@ -28,21 +62,15 @@ def sample_target_points(form, samples, seed, bound_box):
     The zero-mean components are projected exactly after sampling, so every
     draw is a valid TargetPoint. Deterministic in ``seed``.
     """
-    if samples < 1:
-        raise InvalidInputError(f"samples must be >= 1, got {samples}")
-    if not bound_box > 0:
-        raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(samples):
-        tilde = []
-        for i in range(form.num_players):
-            raw = rng.uniform(-bound_box, bound_box, size=form.profile_count)
-            zero_mean, _ = _split_payoff(form, raw, i)
-            tilde.append(zero_mean)
-        y_bar = tuple(rng.uniform(-bound_box, bound_box, size=m) for m in form.action_counts)
-        points.append(TargetPoint(form=form, tilde_u=tuple(tilde), y_bar=y_bar))
-    return points
+    _, tilde, y_bar = next(_target_blocks(form, samples, seed, bound_box, samples))
+    return [
+        TargetPoint(
+            form=form,
+            tilde_u=tuple(t[s] for t in tilde),
+            y_bar=tuple(b[s] for b in y_bar),
+        )
+        for s in range(samples)
+    ]
 
 
 @dataclass(frozen=True)
@@ -87,35 +115,49 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     Euclidean gap over all payoff and probability coordinates, and
     ``lemma_bound`` the proven ceiling ``max_i |A_i| * epsilon_star(n)`` for
     the profile part. Deterministic in ``seed``.
+
+    Targets are reconstructed in blocks of ``STUDY_BLOCK`` samples, each block
+    at every ``n`` as one batch. A failed logit reconstruction raises
+    ConvergenceError naming the seed, ``n`` and the first failing sample of
+    the first block that fails, with that sample's best iterate.
     """
     n_list = [float(n) for n in n_list]
     if not n_list:
         raise InvalidInputError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] <= 0:
         raise InvalidInputError("n_list must be positive and strictly ascending")
-    points = sample_target_points(form, samples, seed, bound_box)
-    nash_points = [phi_inv(t) for t in points]
-    rows = []
-    for n in n_list:
-        bound = max(form.action_counts) * epsilon_bound(n).epsilon_star
-        sup_x, sup_full = 0.0, 0.0
-        for index, (t, p_nash) in enumerate(zip(points, nash_points)):
-            try:
-                p_logit = phi_n_inv(n, t, tol=1e-12)
-            except ConvergenceError as exc:
+    bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in n_list]
+    sup_x = [0.0] * len(n_list)
+    sup_full = [0.0] * len(n_list)
+    for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, STUDY_BLOCK):
+        nash_payoffs, nash_x = _nash_rows(form, tilde, y_bar)
+        _check_rows(form, nash_payoffs, nash_x, start)
+        residual = _nash_gap_rows(form, nash_payoffs, nash_x)
+        if residual.max() > 1e-9:
+            raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
+        for j, n in enumerate(n_list):
+            payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
+            if failure:
+                row, stall = failure
                 raise ConvergenceError(
-                    f"logit reconstruction failed (seed={seed}, sample={index}, n={n})",
-                    best=exc.best,
-                    residual=exc.residual,
-                    iterations=exc.iterations,
-                ) from exc
-            gap_x = max(
-                float(np.abs(a - b).max())
-                for a, b in zip(p_nash.profile.vectors, p_logit.profile.vectors)
+                    f"logit reconstruction failed (seed={seed}, sample={start + row}, n={n})",
+                    best=stall.best,
+                    residual=stall.residual,
+                    iterations=stall.iterations,
+                ) from stall
+            _check_rows(form, payoffs, x, start)
+            gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
+            # row-wise np.dot via matmul, summed in graph_point_gap's order
+            squares = sum(
+                (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+                for d in (a - b for a, b in zip(nash_payoffs + nash_x, payoffs + x))
             )
-            sup_x = max(sup_x, gap_x)
-            sup_full = max(sup_full, graph_point_gap(p_nash, p_logit))
-        rows.append(ReportRow(n=n, sup_gap_x=sup_x, sup_gap_full=sup_full, lemma_bound=bound))
+            sup_x[j] = max(sup_x[j], float(gap_x.max()))
+            sup_full[j] = max(sup_full[j], float(np.sqrt(squares).max()))
+    rows = [
+        ReportRow(n=n, sup_gap_x=gx, sup_gap_full=gf, lemma_bound=bound)
+        for n, gx, gf, bound in zip(n_list, sup_x, sup_full, bounds)
+    ]
     return ConvergenceReport(form=form, seed=int(seed), samples=int(samples), rows=tuple(rows))
 
 

@@ -259,10 +259,11 @@ class TestCli:
         assert code == 1 and "payoffs[0]" in err
 
     def test_convergence_failure_exits_two(self, tmp_path):
-        # the inner Newton inversion bottoms out near 1e-16, so 1e-30 must fail
+        # an interior solution at n = 1e6: one ulp of w moves softmax(n*w) by
+        # about 1e-11, so the inner Newton inversion bottoms out near 1e-12
         path = tmp_path / "target.json"
-        path.write_text(TARGET_JSON)
-        code, _, err = invoke(["invert-logit", "--n", "5", str(path), "--tol", "1e-30"])
+        path.write_text('{"tilde_u": [[0, 0]], "y_bar": [[1.3, 0.7]]}')
+        code, _, err = invoke(["invert-logit", "--n", "1e6", str(path), "--tol", "1e-30"])
         assert code == 2 and "convergence failure" in err
 
     def test_global_flags_before_subcommand(self, tmp_path):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,35 @@ class TestEpsilonBound:
     def test_negative_precision_rejected(self):
         with pytest.raises(InvalidInputError):
             epsilon_bound(-1.0)
+
+    @staticmethod
+    def linear_bisection(n):
+        """The earlier bisection over [1e-300, 0.5]; reaches adjacent doubles for n <= 1e40."""
+        def log_equation(eps):
+            t = eps * n
+            return math.log(eps) + (t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t)))
+
+        lo, hi = 1e-300, 0.5
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if log_equation(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return min((lo, hi), key=lambda e: abs(math.expm1(log_equation(e))))
+
+    def test_matches_linear_bisection_up_to_1e40(self):
+        grid = [1.0, 10.0, 100.0, 1000.0, 0.25, 4.0, 6.0] + list(np.logspace(-3, 40, 400))
+        for n in grid:
+            assert epsilon_bound(float(n)).epsilon_star == self.linear_bisection(float(n)), n
+
+    def test_huge_precision(self):
+        ns = [1e40, 1e50, 1e60, 1e100, 1e300, sys.float_info.max]
+        values = [epsilon_bound(n).epsilon_star for n in ns]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        for n, eps in zip(ns, values):
+            t = eps * n
+            log_defect = math.log(eps) + t + math.log1p(math.exp(-t))
+            assert abs(log_defect) <= 1e-12, (n, log_defect)
