@@ -261,11 +261,31 @@ def logit_residual(game, x, n):
 
 
 def _logit_gap(game, vectors, n):
-    worst = 0.0
-    for i in range(game.form.num_players):
-        dev = deviation_payoffs(game, i, vectors)
-        worst = max(worst, float(np.abs(vectors[i] - softmax(n * dev)).max()))
-    return worst
+    responses, _ = _payoff_kernel(game, vectors, n)
+    return max(float(np.abs(v - s).max()) for v, s in zip(vectors, responses))
+
+
+def _payoff_kernel(game, vectors, n, jacobian=False):
+    """``(s, blocks)``: responses ``s_i = softmax(n*w_i)`` to raw, trusted ``vectors``.
+
+    ``w_i`` is computed as in ``deviation_payoffs``. With ``jacobian``, ``blocks[i, j]``
+    is ``dw_i/dx_j``: player i's tensor contracted over everyone except i and j, one
+    einsum per ordered pair; ``w_i`` is then one block times ``x_j``. Else ``blocks`` is None.
+    """
+    form, letters = game.form, _AXES[: game.form.num_players]
+    responses, blocks = [], {} if jacobian else None
+    for i, flat in enumerate(game.payoffs):
+        others = [j for j in range(form.num_players) if j != i]
+        if not (jacobian and others):
+            responses.append(softmax(n * _deviation_from_flat(form, flat, i, vectors)))
+            continue
+        tensor = flat.reshape(form.action_counts, order="F")
+        for j in others:
+            rest = [k for k in others if k != j]
+            eq = letters + "".join("," + letters[k] for k in rest) + "->" + letters[i] + letters[j]
+            blocks[i, j] = np.einsum(eq, tensor, *[vectors[k] for k in rest])
+        responses.append(softmax(n * (blocks[i, j] @ vectors[j])))
+    return responses, blocks
 
 
 @dataclass(frozen=True, eq=False)

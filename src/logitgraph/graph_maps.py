@@ -29,7 +29,7 @@ from .games import (
     nash_residual,
 )
 from .maps import (
-    _check_inverse_args,
+    _check_n_tol,
     _invert_rows,
     _softmax_rows,
     _stall_error,
@@ -163,7 +163,7 @@ def phi_n_inv(n, t, tol=1e-12):
     (strictly positive) probability vector. A failed inversion raises the
     ConvergenceError ``h_numeric`` would raise for the first failing player.
     """
-    _check_inverse_args(n, tol)
+    _check_n_tol(n, tol)
     payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.y_bar), tol)
     if failure:
         raise failure[1]

@@ -125,7 +125,7 @@ def h_exact(y):
     return SimplexProjection(alpha_star=a, h_value=h, residual=y - h)
 
 
-def _check_inverse_args(n, tol):
+def _check_n_tol(n, tol):
     if not (n > 0 and math.isfinite(n)):
         raise InvalidInputError(f"n must be positive and finite, got {n}")
     if not tol > 0:
@@ -158,7 +158,7 @@ def h_numeric(n, y, tol=1e-10, max_iter=MAX_INVERSE_ITER):
     tolerance is not reached within ``max_iter`` iterations.
     """
     y = _as_vector(y, "y")
-    _check_inverse_args(n, tol)
+    _check_n_tol(n, tol)
     x, residual = _invert_rows(n, y[None], tol, max_iter)
     if residual[0] > tol:
         raise _stall_error(x[0], residual[0], tol, max_iter)

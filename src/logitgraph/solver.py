@@ -9,25 +9,14 @@ precision multiplicatively with an adaptive step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, PathFailureError
-from .games import (
-    Game,
-    MixedProfile,
-    _logit_gap,
-    _profile_vectors,
-    deviation_payoffs,
-    nash_residual,
-)
-from .maps import softmax
-
-
-def _response(n, game, vectors):
-    """Softmax response of every player to the others' mixtures; uniform at n = 0."""
-    return [softmax(n * deviation_payoffs(game, i, vectors)) for i in range(game.form.num_players)]
+from .games import Game, MixedProfile, _logit_gap, _payoff_kernel, _profile_vectors, nash_residual
+from .maps import _check_n_tol
 
 
 def logit_response(n, game, x):
@@ -36,14 +25,10 @@ def logit_response(n, game, x):
     ``n = 0`` returns the uniform profile for any game. The output is strictly
     positive and on the simplex.
     """
-    if n < 0:
-        raise InvalidInputError(f"n must be nonnegative, got {n}")
-    vectors = _profile_vectors(game.form, x)
-    return MixedProfile(tuple(_response(n, game, vectors)))
-
-
-def _stack(vectors):
-    return np.concatenate(vectors)
+    if not (n >= 0 and math.isfinite(n)):
+        raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
+    responses, _ = _payoff_kernel(game, _profile_vectors(game.form, x), n)
+    return MixedProfile(tuple(responses))
 
 
 def _unstack(form, flat):
@@ -54,17 +39,15 @@ def _unstack(form, flat):
     return out
 
 
-def _response_jacobian_fd(n, game, vectors, fd_step):
-    """Central-difference Jacobian of the stacked response map."""
-    base = _stack(vectors)
-    size = base.size
-    jac = np.empty((size, size))
-    for k in range(size):
-        bump = np.zeros(size)
-        bump[k] = fd_step
-        plus = _stack(_response(n, game, _unstack(game.form, base + bump)))
-        minus = _stack(_response(n, game, _unstack(game.form, base - bump)))
-        jac[:, k] = (plus - minus) / (2.0 * fd_step)
+def _response_jacobian(n, form, responses, blocks):
+    """Stacked response Jacobian: block (i, j) is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``."""
+    edges = np.cumsum((0,) + form.action_counts)
+    jac = np.zeros((edges[-1], edges[-1]))
+    for (i, j), block in blocks.items():
+        s = responses[i]
+        jac[edges[i] : edges[i + 1], edges[j] : edges[j + 1]] = n * (
+            s[:, None] * block - np.outer(s, s @ block)
+        )
     return jac
 
 
@@ -76,12 +59,13 @@ def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
     """
     if not (0.0 < damping <= 1.0):
         raise InvalidInputError(f"damping must be in (0, 1], got {damping}")
-    if not (n > 0 and tol > 0 and max_iter > 0):
-        raise InvalidInputError("n, tol, and max_iter must be positive")
+    _check_n_tol(n, tol)
+    if not max_iter > 0:
+        raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
     vectors = [np.array(v, dtype=float) for v in _profile_vectors(game.form, x0)]
     best_vecs, best_gap = vectors, np.inf
     for iteration in range(max_iter + 1):
-        resp = _response(n, game, vectors)
+        resp, _ = _payoff_kernel(game, vectors, n)
         gap = max(float(np.abs(v - r).max()) for v, r in zip(vectors, resp))
         if gap < best_gap:
             best_vecs, best_gap = vectors, gap
@@ -98,63 +82,64 @@ def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
     )
 
 
-def _newton_solve(n, game, vectors, tol, max_iter, fd_step, damping):
+def _newton_solve(n, game, vectors, tol, max_iter, damping):
     """Newton on the fixed-point gap with damped-response fallback steps.
 
-    Returns (vectors, iterations used). Raises ConvergenceError on budget
-    exhaustion.
+    Arguments are trusted raw arrays. The response and gap of an accepted
+    line-search candidate carry over to the next iteration. Returns (vectors,
+    iterations used, gap). Raises ConvergenceError on budget exhaustion.
     """
-    vectors = [np.array(v, dtype=float) for v in vectors]
-    best_vecs, best_gap = vectors, np.inf
+    form = game.form
+    x, resp = np.concatenate(vectors), None
+    best_x, best_gap = x, np.inf
     for iteration in range(max_iter + 1):
-        resp = _response(n, game, vectors)
-        gap = max(float(np.abs(v - r).max()) for v, r in zip(vectors, resp))
+        if resp is None:
+            resp = np.concatenate(_payoff_kernel(game, _unstack(form, x), n)[0])
+            gap = float(np.abs(x - resp).max())
         if gap < best_gap:
-            best_vecs, best_gap = vectors, gap
+            best_x, best_gap = x, gap
         if gap <= tol:
-            return vectors, iteration
+            return _unstack(form, x), iteration, gap
         if iteration == max_iter:
             break
         moved = False
-        residual_vec = _stack(vectors) - _stack(resp)
+        responses, blocks = _payoff_kernel(game, _unstack(form, x), n, jacobian=True)
+        jac = np.eye(x.size) - _response_jacobian(n, form, responses, blocks)
         try:
-            jac = np.eye(residual_vec.size) - _response_jacobian_fd(n, game, vectors, fd_step)
-            step = np.linalg.solve(jac, -residual_vec)
+            step = np.linalg.solve(jac, resp - x)
         except np.linalg.LinAlgError:
             step = None
         if step is not None and np.all(np.isfinite(step)):
-            base = _stack(vectors)
             t = 1.0
             for _ in range(25):
-                cand = _unstack(game.form, base + t * step)
-                cand_gap = _logit_gap(game, cand, n)
+                cand = x + t * step
+                cand_resp = np.concatenate(_payoff_kernel(game, _unstack(form, cand), n)[0])
+                cand_gap = float(np.abs(cand - cand_resp).max())
                 if cand_gap <= (1.0 - 1e-4 * t) * gap:
-                    vectors = [np.array(v) for v in cand]
-                    moved = True
+                    x, resp, gap, moved = cand, cand_resp, cand_gap, True
                     break
                 t *= 0.5
         if not moved:
             # Newton rejected: take a damped response step instead
-            vectors = [(1.0 - damping) * v + damping * r for v, r in zip(vectors, resp)]
+            x, resp = (1.0 - damping) * x + damping * resp, None
     raise ConvergenceError(
         f"newton solve stalled at gap {best_gap:.3e} (tol {tol:.3e}) for n={n}",
-        best=best_vecs,
+        best=_unstack(form, best_x),
         residual=best_gap,
         iterations=max_iter,
     )
 
 
-def solve_newton(n, game, x0, tol=1e-10, max_iter=100, fd_step=1e-7, damping=0.5):
+def solve_newton(n, game, x0, tol=1e-10, max_iter=100, damping=0.5):
     """Newton refinement of a logit equilibrium from an interior start ``x0``.
 
-    The residual map is the fixed-point gap; its Jacobian is built by central
-    finite differences (step ``fd_step``). Steps that fail to reduce the gap
-    are replaced by damped response steps.
+    The residual map is the fixed-point gap ``x - response(x)``. Its Jacobian is
+    exact: block (i, j) of ``d response/dx`` is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``.
+    Steps that fail to reduce the gap are replaced by damped response steps.
     """
-    if not (n > 0 and tol > 0):
-        raise InvalidInputError("n and tol must be positive")
+    _check_n_tol(n, tol)
     vectors = _profile_vectors(game.form, x0)
-    solution, _ = _newton_solve(n, game, vectors, tol, max_iter, fd_step, damping)
+    solution, _, _ = _newton_solve(n, game, vectors, tol, max_iter, damping)
     return MixedProfile(tuple(solution))
 
 
@@ -207,10 +192,9 @@ def trace_logit_path(game, n_final, n_start=1e-3, tol=1e-10, max_corrector_iter=
     if the corrector keeps failing as the step factor underflows below 1e-12
     relative.
     """
-    if not (0 < n_start < n_final):
+    _check_n_tol(n_final, tol)
+    if not 0 < n_start < n_final:
         raise InvalidInputError(f"need 0 < n_start < n_final, got {n_start}, {n_final}")
-    if not tol > 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
 
     entries = []
 
@@ -221,16 +205,12 @@ def trace_logit_path(game, n_final, n_start=1e-3, tol=1e-10, max_corrector_iter=
             terminal = nash_residual(game, MixedProfile.uniform(game.form))
         return PathTrace(entries=tuple(entries), game=game, terminal_nash_residual=terminal)
 
-    def record(n_value, vectors):
-        profile = MixedProfile(tuple(vectors))
-        entries.append(
-            PathEntry(n=n_value, profile=profile, residual=_logit_gap(game, vectors, n_value))
-        )
-        return profile
+    def record(n_value, vectors, gap):
+        entries.append(PathEntry(n=n_value, profile=MixedProfile(tuple(vectors)), residual=gap))
 
     vectors = list(MixedProfile.uniform(game.form).vectors)
     try:
-        vectors, _ = _newton_solve(n_start, game, vectors, tol, max_corrector_iter, 1e-7, 0.5)
+        vectors, _, gap = _newton_solve(n_start, game, vectors, tol, max_corrector_iter, 0.5)
     except ConvergenceError as exc:
         raise PathFailureError(
             f"correction failed at starting precision n={n_start}",
@@ -238,15 +218,15 @@ def trace_logit_path(game, n_final, n_start=1e-3, tol=1e-10, max_corrector_iter=
             best=exc.best,
             residual=exc.residual,
         ) from exc
-    record(n_start, vectors)
+    record(n_start, vectors, gap)
 
     n = n_start
     factor = 1.5
     while n < n_final:
         target = min(n * factor, n_final)
         try:
-            new_vectors, iters = _newton_solve(
-                target, game, vectors, tol, max_corrector_iter, 1e-7, 0.5
+            new_vectors, iters, new_gap = _newton_solve(
+                target, game, vectors, tol, max_corrector_iter, 0.5
             )
         except ConvergenceError as exc:
             factor = 1.0 + 0.5 * (factor - 1.0)
@@ -268,9 +248,8 @@ def trace_logit_path(game, n_final, n_start=1e-3, tol=1e-10, max_corrector_iter=
                 continue  # smaller precision step keeps a continuous branch inside the limit
             # converged far from the predictor even at the minimal step: the
             # branch ends here, accept the jump and restart the step size
-        vectors = new_vectors
-        n = target
-        record(n, vectors)
+        vectors, n = new_vectors, target
+        record(n, vectors, new_gap)
         if jumped:
             factor = 1.5
         elif iters <= 5:

@@ -51,6 +51,17 @@ def brute_force_expected_payoff(game, player, vectors):
     return total
 
 
+def fd_jacobian(func, x, step=1e-6):
+    """Independent oracle: central finite differences column by column."""
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for k in range(x.size):
+        bump = np.zeros_like(x)
+        bump[k] = step
+        columns.append((func(x + bump) - func(x - bump)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

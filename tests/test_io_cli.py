@@ -266,6 +266,16 @@ class TestCli:
         code, _, err = invoke(["invert-logit", "--n", "1e6", str(path), "--tol", "1e-30"])
         assert code == 2 and "convergence failure" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--n", "inf"], ["trace", "--n-final", "inf"]]
+    )
+    def test_infinite_precision_exits_one(self, tmp_path, argv):
+        path = tmp_path / "pennies.json"
+        path.write_text(PENNIES_JSON)
+        code, out, err = invoke(argv + [str(path)])
+        assert code == 1 and out == ""
+        assert "must be positive and finite" in err
+
     def test_global_flags_before_subcommand(self, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(ONE_PLAYER_JSON)

@@ -15,6 +15,7 @@ from logitgraph import (
     h_numeric,
     is_cl_matrix,
 )
+from conftest import fd_jacobian
 
 E = np.e
 
@@ -30,17 +31,6 @@ def bisect_alpha(y, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def fd_jacobian(func, x, step=1e-6):
-    """Independent oracle: central finite differences column by column."""
-    x = np.asarray(x, dtype=float)
-    columns = []
-    for k in range(x.size):
-        bump = np.zeros_like(x)
-        bump[k] = step
-        columns.append((func(x + bump) - func(x - bump)) / (2.0 * step))
-    return np.column_stack(columns)
 
 
 class TestGMap:

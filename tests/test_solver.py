@@ -17,7 +17,16 @@ from logitgraph import (
     solve_newton,
     trace_logit_path,
 )
-from conftest import coordination_2x2, matching_pennies, one_player_game, random_game
+from logitgraph.games import _payoff_kernel
+from logitgraph.solver import _response_jacobian, _unstack
+from conftest import (
+    coordination_2x2,
+    fd_jacobian,
+    matching_pennies,
+    one_player_game,
+    random_game,
+    random_interior_profile,
+)
 
 E = np.e
 SOFTMAX_10 = np.array([E / (1 + E), 1 / (1 + E)])
@@ -55,6 +64,42 @@ class TestLogitResponse:
         game = matching_pennies()
         with pytest.raises(InvalidInputError):
             logit_response(-1.0, game, MixedProfile.uniform(game.form))
+
+
+class TestNonFinitePrecision:
+    @pytest.mark.parametrize("n", [np.inf, np.nan])
+    def test_rejected_at_every_solver_boundary(self, n):
+        game = coordination_2x2()
+        x = MixedProfile.uniform(game.form)
+        for call in (
+            lambda: logit_response(n, game, x),
+            lambda: solve_fixed_point(n, game, x),
+            lambda: solve_newton(n, game, x),
+            lambda: trace_logit_path(game, n),
+        ):
+            with pytest.raises(InvalidInputError, match="n must be .*finite"):
+                call()
+
+
+class TestResponseJacobian:
+    @pytest.mark.parametrize(
+        "counts", [(3,), (2, 2), (3, 2), (2, 2, 2), (3, 3, 3), (2, 3, 4, 2)]
+    )
+    @pytest.mark.parametrize("n", [0.1, 3.0, 30.0])
+    def test_matches_finite_differences(self, rng, counts, n):
+        form = StrategicGameForm(len(counts), counts)
+        game = random_game(rng, form, box=1.0)
+
+        def response(flat):
+            return np.concatenate(logit_response(n, game, _unstack(form, flat)).vectors)
+
+        for _ in range(3):
+            x = random_interior_profile(rng, form).vectors
+            responses, blocks = _payoff_kernel(game, x, n, jacobian=True)
+            jac = _response_jacobian(n, form, responses, blocks)
+            oracle = fd_jacobian(response, np.concatenate(x))
+            assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
+            assert np.abs(np.concatenate(responses) - response(np.concatenate(x))).max() <= 1e-14 * n
 
 
 class TestSolveFixedPoint:
