@@ -303,31 +303,39 @@ class KMRepresentation:
     bar_u: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tilde = tuple(_freeze(t) for t in self.tilde_u)
-        bar = tuple(_freeze(b) for b in self.bar_u)
-        if len(tilde) != self.form.num_players or len(bar) != self.form.num_players:
-            raise InvalidInputError("component count does not match the number of players")
-        size = self.form.profile_count
-        for i, (t, b) in enumerate(zip(tilde, bar)):
-            if t.size != size:
-                raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
-            if b.size != self.form.action_counts[i]:
-                raise InvalidInputError(
-                    f"bar_u[{i}]: length {b.size} != action count {self.form.action_counts[i]}"
-                )
-            worst = _max_abs_opponent_mean(self.form, t, i)
-            if worst > ZERO_MEAN_TOL:
-                raise InvalidInputError(
-                    f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
-                )
+        tilde, bar = _checked_split(self.form, self.tilde_u, self.bar_u, "bar_u")
         object.__setattr__(self, "tilde_u", tilde)
         object.__setattr__(self, "bar_u", bar)
 
 
-def _max_abs_opponent_mean(form, flat, player):
-    tensor = np.asarray(flat, dtype=float).reshape(form.action_counts, order="F")
-    axes = tuple(j for j in range(form.num_players) if j != player)
-    return float(np.abs(tensor.mean(axis=axes)).max())
+def _checked_split(form, tilde_u, vectors, name):
+    """Frozen ``(tilde_u, vectors)`` of a split-coordinate record, after its checks.
+
+    Per player, ``tilde_u[i]`` must have ``|A|`` entries and ``vectors[i]``
+    (called ``name`` in messages) one per own action; both must be finite, and
+    ``tilde_u[i]``'s opponent means (the bar part of ``_split_payoff``) must
+    vanish within ZERO_MEAN_TOL.
+    """
+    tilde = tuple(_freeze(t) for t in tilde_u)
+    vectors = tuple(_freeze(v) for v in vectors)
+    if len(tilde) != form.num_players or len(vectors) != form.num_players:
+        raise InvalidInputError("component count does not match the number of players")
+    size = form.profile_count
+    for i, (t, v) in enumerate(zip(tilde, vectors)):
+        if t.size != size:
+            raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
+        if v.size != form.action_counts[i]:
+            raise InvalidInputError(
+                f"{name}[{i}]: length {v.size} != action count {form.action_counts[i]}"
+            )
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise InvalidInputError(f"components[{i}] must be finite")
+        worst = float(np.abs(_split_payoff(form, t.ravel(), i)[1]).max())
+        if worst > ZERO_MEAN_TOL:
+            raise InvalidInputError(
+                f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
+            )
+    return tilde, vectors
 
 
 def _split_payoff(form, flat, player):
@@ -389,25 +397,7 @@ class TargetPoint:
     y_bar: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tilde = tuple(_freeze(t) for t in self.tilde_u)
-        ybar = tuple(_freeze(b) for b in self.y_bar)
-        if len(tilde) != self.form.num_players or len(ybar) != self.form.num_players:
-            raise InvalidInputError("component count does not match the number of players")
-        size = self.form.profile_count
-        for i, (t, b) in enumerate(zip(tilde, ybar)):
-            if t.size != size:
-                raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
-            if b.size != self.form.action_counts[i]:
-                raise InvalidInputError(
-                    f"y_bar[{i}]: length {b.size} != action count {self.form.action_counts[i]}"
-                )
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(b))):
-                raise InvalidInputError(f"components[{i}] must be finite")
-            worst = _max_abs_opponent_mean(self.form, t, i)
-            if worst > ZERO_MEAN_TOL:
-                raise InvalidInputError(
-                    f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
-                )
+        tilde, ybar = _checked_split(self.form, self.tilde_u, self.y_bar, "y_bar")
         object.__setattr__(self, "tilde_u", tilde)
         object.__setattr__(self, "y_bar", ybar)
 

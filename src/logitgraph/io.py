@@ -279,7 +279,6 @@ def rank_report_to_dict(report):
         "sample_points": report.sample_points,
         "expected_rank": report.expected_rank,
         "min_singular_value": report.min_singular_value,
-        "fd_step": report.fd_step,
         "threshold": report.threshold,
         "passed": report.passed,
     }
@@ -290,14 +289,13 @@ def rank_report_to_json(report):
 
 
 def rank_report_to_csv(report):
-    header = "n,sample_points,expected_rank,min_singular_value,fd_step,threshold,passed"
+    header = "n,sample_points,expected_rank,min_singular_value,threshold,passed"
     row = ",".join(
         [
             _fmt(report.n),
             str(report.sample_points),
             str(report.expected_rank),
             _fmt(report.min_singular_value),
-            _fmt(report.fd_step),
             _fmt(report.threshold),
             str(report.passed).lower(),
         ]

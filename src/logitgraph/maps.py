@@ -165,6 +165,17 @@ def h_numeric(n, y, tol=1e-10, max_iter=MAX_INVERSE_ITER):
     return x[0]
 
 
+def _g_solve(n, s, r):
+    """Row-wise ``J^{-1} r`` for ``J = g_jacobian = diag(a) - n s s^T``, ``a = 1 + n s``.
+
+    Sherman-Morrison in O(d); its denominator ``1 - n s.(s/a)`` equals
+    ``sum(s/a) > 0``. ``s`` has the rows of ``r``, or one row shared by all.
+    """
+    a = 1.0 + n * s
+    u = s / a
+    return r / a + u * (n * (u * r).sum(axis=1) / u.sum(axis=1))[:, None]
+
+
 def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
     """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
 
@@ -199,11 +210,7 @@ def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
                 break
             live, target, x, s, r, norm = (v[keep] for v in (live, target, x, s, r, norm))
             best_x, best_res = best_x[keep], best_res[keep]
-        # Newton step J^{-1} r with J = diag(a) - n s s^T, a = 1 + n s; the
-        # Sherman-Morrison denominator 1 - n s.(s/a) equals sum(s/a) > 0
-        a = 1.0 + n * s
-        u = s / a
-        step = r / a + u * (n * (u * r).sum(axis=1) / u.sum(axis=1))[:, None]
+        step = _g_solve(n, s, r)
         x_new = x + step
         s_new = _softmax_rows(n * x_new)
         r_new = target - (x_new + s_new)

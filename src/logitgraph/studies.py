@@ -15,18 +15,20 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NotOnGraphError
 from .games import (
+    Game,
     StrategicGameForm,
     TargetPoint,
     _check_rows,
+    _deviation_from_flat,
     _lift_bar,
     _nash_gap_rows,
+    _payoff_kernel,
     _split_payoff,
 )
-from .graph_maps import _logit_rows, _nash_rows, phi_n_inv
-from .maps import epsilon_bound
+from .graph_maps import _logit_rows, _nash_rows
+from .maps import _check_n_tol, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
-RANK_SOLVE_TOL = 1e-13  # inner inversion tolerance, kept far below fd_step
 STUDY_BLOCK = 1024  # samples a study reconstructs at once; bounds its working set
 STUDY_TOL = 1e-12  # inversion tolerance of the study's logit reconstructions
 
@@ -71,6 +73,18 @@ def sample_target_points(form, samples, seed, bound_box):
         )
         for s in range(samples)
     ]
+
+
+def _raise_failure(failure, seed, first, n):
+    """Raise the ConvergenceError of a failed ``_logit_rows`` batch; samples count from ``first``."""
+    if failure:
+        row, stall = failure
+        raise ConvergenceError(
+            f"logit reconstruction failed (seed={seed}, sample={first + row}, n={n})",
+            best=stall.best,
+            residual=stall.residual,
+            iterations=stall.iterations,
+        ) from stall
 
 
 @dataclass(frozen=True)
@@ -137,14 +151,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
             raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
         for j, n in enumerate(n_list):
             payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
-            if failure:
-                row, stall = failure
-                raise ConvergenceError(
-                    f"logit reconstruction failed (seed={seed}, sample={start + row}, n={n})",
-                    best=stall.best,
-                    residual=stall.residual,
-                    iterations=stall.iterations,
-                ) from stall
+            _raise_failure(failure, seed, start, n)
             _check_rows(form, payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             # row-wise np.dot via matmul, summed in graph_point_gap's order
@@ -170,7 +177,6 @@ class RankReport:
     sample_points: int
     expected_rank: int
     min_singular_value: float
-    fd_step: float
     threshold: float = 1e-6
 
     def __post_init__(self):
@@ -184,69 +190,57 @@ class RankReport:
         return self.min_singular_value > self.threshold
 
 
-def _logit_parametrization(n, form, stacked_payoffs, tol):
-    """Map payoff coordinates through the logit reconstruction.
+def _reconstruction_jacobian(n, form, tilde, x):
+    """Exact derivative of the logit reconstruction at one sample, by the implicit function theorem.
 
-    The input vector is read as one flat payoff tensor per player; its split
-    coordinates form the target, whose logit reconstruction is returned as
-    (all payoff entries, then all probability entries).
+    The map splits one flat payoff tensor per player into the target
+    ``(tilde_u, y_bar)`` and returns its reconstruction (payoffs, then
+    probabilities); ``tilde`` and ``x`` are the target's zero-mean parts and
+    reconstructed profile. Along player l's coordinates ``dw_l`` solves
+    ``g_jacobian(n, w_l) dw_l = dy_l``, ``dx_l = dy_l - dw_l``, l's payoffs
+    move by ``dtilde_l + lift(dw_l - dev(dtilde_l; x_{-l}))`` and player i's
+    by ``lift(-B_il dx_l)``, with ``B_il = d dev(tilde_i; x_{-i})/dx_l`` the
+    ``_payoff_kernel`` block of the zero-mean game.
     """
-    size = form.profile_count
-    tilde, bars = [], []
-    for i in range(form.num_players):
-        t, b = _split_payoff(form, stacked_payoffs[i * size : (i + 1) * size], i)
-        tilde.append(t)
-        bars.append(b)
-    target = TargetPoint(form=form, tilde_u=tuple(tilde), y_bar=tuple(bars))
-    point = phi_n_inv(n, target, tol=tol)
-    return np.concatenate(list(point.game.payoffs) + list(point.profile.vectors))
+    size, k = form.profile_count, form.num_players
+    _, blocks = _payoff_kernel(Game(form, tilde), x, n, jacobian=True)
+    others = tuple(np.broadcast_to(v, (size, v.size)) for v in x)
+    columns = []  # per player l: one row per coordinate of l's payoff tensor
+    for l in range(k):
+        dtilde, dy = _split_payoff(form, np.eye(size), l)
+        dw = _g_solve(n, x[l][None], dy)
+        dx = dy - dw
+        own = dtilde + _lift_bar(form, dw - _deviation_from_flat(form, dtilde, l, others), l)
+        du = [own if i == l else _lift_bar(form, -dx @ blocks[i, l].T, i) for i in range(k)]
+        dp = [dx if j == l else np.zeros((size, m)) for j, m in enumerate(form.action_counts)]
+        columns.append(np.hstack(du + dp))
+    return np.vstack(columns).T
 
 
-def target_to_payoff_coordinates(t):
-    """Inverse of the split chart: lift each ``y_bar`` and add the zero-mean part."""
-    return np.concatenate(
-        [
-            np.asarray(t.tilde_u[i], dtype=float) + _lift_bar(t.form, t.y_bar[i], i)
-            for i in range(t.form.num_players)
-        ]
-    )
-
-
-def immersion_rank_check(n, form, sample_points, seed, fd_step=1e-6):
+def immersion_rank_check(n, form, sample_points, seed):
     """Certify full column rank of the logit-reconstruction derivative.
 
-    At each sampled target, builds the central finite-difference Jacobian of
-    the payoff-coordinates-to-(payoffs, probabilities) reconstruction and
-    records the smallest singular value seen. Full column rank at every sample
-    certifies the reconstruction is an immersion there, hence that the logit
-    graph has the dimension of payoff space. Deterministic in ``seed``.
+    Reconstructs every sampled target in one batch, builds at each the exact
+    Jacobian of the payoff-coordinates-to-(payoffs, probabilities)
+    reconstruction, and records the smallest singular value seen. Full column
+    rank at every sample certifies the reconstruction is an immersion there,
+    hence that the logit graph has the dimension of payoff space. A failed
+    reconstruction raises ConvergenceError naming the seed, the sample and
+    ``n``. Deterministic in ``seed``.
     """
-    if not n > 0:
-        raise InvalidInputError(f"n must be positive, got {n}")
-    if sample_points < 1:
-        raise InvalidInputError(f"sample_points must be >= 1, got {sample_points}")
-    if not 1e-9 <= fd_step <= 1e-3:
-        raise InvalidInputError(f"fd_step must lie in [1e-9, 1e-3], got {fd_step}")
-    points = sample_target_points(form, sample_points, seed, RANK_SAMPLE_BOX)
-    in_dim = form.payoff_coordinate_count
-    out_dim = in_dim + sum(form.action_counts)
-    min_sv = np.inf
-    for t in points:
-        base = target_to_payoff_coordinates(t)
-        jac = np.empty((out_dim, in_dim))
-        for k in range(in_dim):
-            bump = np.zeros(in_dim)
-            bump[k] = fd_step
-            plus = _logit_parametrization(n, form, base + bump, RANK_SOLVE_TOL)
-            minus = _logit_parametrization(n, form, base - bump, RANK_SOLVE_TOL)
-            jac[:, k] = (plus - minus) / (2.0 * fd_step)
-        singular_values = np.linalg.svd(jac, compute_uv=False)
-        min_sv = min(min_sv, float(singular_values.min()))
+    _check_n_tol(n, STUDY_TOL)
+    _, tilde, y_bar = next(_target_blocks(form, sample_points, seed, RANK_SAMPLE_BOX, sample_points))
+    payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
+    _raise_failure(failure, seed, 0, n)
+    _check_rows(form, payoffs, x)
+    smallest = min(  # zip(*tilde), zip(*x): per sample, one row per player
+        np.linalg.svd(_reconstruction_jacobian(n, form, *sample), compute_uv=False).min()
+        for sample in zip(zip(*tilde), zip(*x))
+    )
     return RankReport(
         n=float(n),
         form=form,
         sample_points=int(sample_points),
-        expected_rank=in_dim,
-        min_singular_value=min_sv,
-        fd_step=float(fd_step),
+        expected_rank=form.payoff_coordinate_count,
+        min_singular_value=float(smallest),
     )

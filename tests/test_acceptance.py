@@ -166,7 +166,7 @@ def test_criterion_7_immersion_rank_certificate():
     details = []
     for form in (StrategicGameForm(1, (2,)), StrategicGameForm(2, (2, 2))):
         for n in (1.0, 10.0):
-            rep = immersion_rank_check(n, form, sample_points=5, seed=0, fd_step=1e-6)
+            rep = immersion_rank_check(n, form, sample_points=5, seed=0)
             ok = ok and rep.passed
             ok = ok and rep.expected_rank == form.payoff_coordinate_count
             details.append(f"{form.action_counts}@n={n:g}: sv={rep.min_singular_value:.2e}")

@@ -285,6 +285,19 @@ class TestKMDecomposition:
         with pytest.raises(InvalidInputError, match="tilde_u"):
             KMRepresentation(form, (biased, np.zeros(4)), (np.zeros(2), np.zeros(2)))
 
+    def test_non_finite_representation_rejected(self):
+        # a NaN remainder has NaN opponent means, which no "> tol" test catches
+        form = StrategicGameForm(2, (2, 2))
+        with pytest.raises(InvalidInputError, match="finite"):
+            KMRepresentation(form, (np.full(4, np.nan), np.zeros(4)), (np.zeros(2), np.zeros(2)))
+        with pytest.raises(InvalidInputError, match="finite"):
+            KMRepresentation(form, (np.zeros(4), np.zeros(4)), (np.array([np.inf, 0.0]), np.zeros(2)))
+
+    def test_representation_messages_name_the_field(self):
+        form = StrategicGameForm(2, (2, 2))
+        with pytest.raises(InvalidInputError, match=r"bar_u\[1\]"):
+            KMRepresentation(form, (np.zeros(4), np.zeros(4)), (np.zeros(2), np.zeros(3)))
+
 
 class TestGraphPoint:
     def test_nash_factory_checks_residual(self):

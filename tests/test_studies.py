@@ -2,15 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from conftest import fd_jacobian
 
 from logitgraph import (
+    ConvergenceError,
     ConvergenceReport,
+    Game,
     InvalidInputError,
+    KMRepresentation,
     RankReport,
     ReportRow,
     StrategicGameForm,
+    TargetPoint,
     convergence_study,
     immersion_rank_check,
+    km_decompose,
+    km_recompose,
+    phi_n_inv,
     sample_target_points,
 )
 from logitgraph.io import (
@@ -18,6 +26,7 @@ from logitgraph.io import (
     convergence_report_to_json,
     rank_report_to_json,
 )
+from logitgraph.studies import RANK_SAMPLE_BOX, _reconstruction_jacobian
 
 FORM_1X2 = StrategicGameForm(1, (2,))
 FORM_2X2 = StrategicGameForm(2, (2, 2))
@@ -102,13 +111,13 @@ class TestConvergenceStudy:
 
 class TestImmersionRankCheck:
     def test_one_player_form(self):
-        report = immersion_rank_check(1.0, FORM_1X2, 5, seed=0, fd_step=1e-6)
+        report = immersion_rank_check(1.0, FORM_1X2, 5, seed=0)
         assert report.expected_rank == 2
         assert report.min_singular_value > 1e-6
         assert report.passed
 
     def test_two_player_form(self):
-        report = immersion_rank_check(1.0, FORM_2X2, 3, seed=0, fd_step=1e-6)
+        report = immersion_rank_check(1.0, FORM_2X2, 3, seed=0)
         assert report.expected_rank == 8
         assert report.min_singular_value > 1e-6
 
@@ -121,9 +130,10 @@ class TestImmersionRankCheck:
         with pytest.raises(InvalidInputError):
             immersion_rank_check(1.0, FORM_1X2, 0, seed=0)
         with pytest.raises(InvalidInputError):
-            immersion_rank_check(1.0, FORM_1X2, 1, seed=0, fd_step=1e-2)
-        with pytest.raises(InvalidInputError):
             immersion_rank_check(0.0, FORM_1X2, 1, seed=0)
+        for n in (float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="finite"):
+                immersion_rank_check(n, FORM_1X2, 1, seed=0)
 
     def test_expected_rank_consistency_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -133,26 +143,30 @@ class TestImmersionRankCheck:
                 sample_points=1,
                 expected_rank=5,
                 min_singular_value=1.0,
-                fd_step=1e-6,
             )
 
-    def test_singular_value_count_matches_rank(self):
-        # sanity: the derivative has exactly expected_rank singular values
-        from logitgraph.studies import (
-            _logit_parametrization,
-            target_to_payoff_coordinates,
-        )
+    @pytest.mark.parametrize("n", [1e6, 1e7])
+    def test_failed_reconstruction_names_sample(self, n):
+        # sample 1 of this draw sits past the solver's precision floor at these n
+        with pytest.raises(ConvergenceError, match=rf"seed=0, sample=1, n={n}\b"):
+            immersion_rank_check(n, FORM_2X2, 3, seed=0)
 
-        t = sample_target_points(FORM_2X2, 1, 0, 2.0)[0]
-        base = target_to_payoff_coordinates(t)
-        step = 1e-6
-        columns = []
-        for k in range(base.size):
-            bump = np.zeros(base.size)
-            bump[k] = step
-            plus = _logit_parametrization(1.0, FORM_2X2, base + bump, 1e-13)
-            minus = _logit_parametrization(1.0, FORM_2X2, base - bump, 1e-13)
-            columns.append((plus - minus) / (2 * step))
-        jac = np.column_stack(columns)
-        singular_values = np.linalg.svd(jac, compute_uv=False)
-        assert singular_values.size == FORM_2X2.payoff_coordinate_count
+
+@pytest.mark.parametrize("counts", [(2,), (2, 2), (3, 2), (2, 2, 2)])
+@pytest.mark.parametrize("n", [1.0, 10.0, 100.0])
+def test_reconstruction_jacobian_matches_finite_differences(counts, n):
+    """The closed-form derivative against central differences of the public maps."""
+    form = StrategicGameForm(len(counts), counts)
+    size = form.profile_count
+
+    def reconstruct(u):
+        rep = km_decompose(Game(form, tuple(u[i * size : (i + 1) * size] for i in range(len(counts)))))
+        point = phi_n_inv(n, TargetPoint(form=form, tilde_u=rep.tilde_u, y_bar=rep.bar_u), tol=1e-13)
+        return np.concatenate(point.game.payoffs + point.profile.vectors)
+
+    t = sample_target_points(form, 1, 0, RANK_SAMPLE_BOX)[0]
+    # the payoff coordinates that split into t: y_bar lifted onto the zero-mean part
+    base = np.concatenate(km_recompose(KMRepresentation(form, t.tilde_u, t.y_bar)).payoffs)
+    exact = _reconstruction_jacobian(n, form, t.tilde_u, phi_n_inv(n, t).profile.vectors)
+    assert exact.shape == (form.payoff_coordinate_count + sum(counts), form.payoff_coordinate_count)
+    assert np.abs(fd_jacobian(reconstruct, base) - exact).max() <= 1e-6
