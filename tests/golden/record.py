@@ -1,17 +1,34 @@
-"""Write the golden CLI corpus: ``python tests/golden/record.py`` from the repo root.
+"""Write or check the golden CLI corpus, from the repo root.
 
-For every game below it stores the JSON stdout of ``trace --n-final 400`` and
-``solve --n 10`` next to this file. The two pairwise zero-sum games are drawn
-here with fixed seeds, so their game files can be recreated too; each has one
-logit equilibrium at every n, so the traced branch has no fold. It also stores
-the JSON stdout of ``study`` on two seeded forms, and of ``invert-nash`` and
-``invert-logit --n 10`` on two seeded target files written here.
+    python tests/golden/record.py           # rewrite every golden file here
+    python tests/golden/record.py --check   # re-record into a temporary
+                                            # directory, list the golden files
+                                            # whose bytes differ, exit 1 if any
+
+The corpus runs every command below with ``--format json``, with ``--format
+csv`` and with no ``--format``; the last stdout must equal the one of the
+command's default format (CSV for ``trace``, JSON otherwise), so both share
+one file, ``<name>.<command>.<json|csv>``. Commands:
+
+- ``trace --n-final 400``, ``solve --n 10`` and ``decompose`` on the demo games
+  and two pairwise zero-sum games drawn here with fixed seeds (each has one
+  logit equilibrium at every n, so the traced branch has no fold);
+- ``study`` on two seeded forms;
+- ``invert-nash`` and ``invert-logit --n 10`` on two seeded target files
+  written here;
+- ``verify`` on ``none`` and on matching pennies, whose text output ignores
+  ``--format`` (``<name>.verify.txt``).
+
+Every one of these must exit 0 with empty stderr. The error cases
+(``<name>.error.json``) store the exit code and stderr of invocations that
+must fail, with empty stdout.
 """
 
 import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -26,7 +43,12 @@ from logitgraph.studies import sample_target_points  # noqa: E402
 
 DEMO_GAMES = ("coordination", "matching_pennies", "one_player")
 ZERO_SUM_GAMES = {"zerosum_3x3x3": ((3, 3, 3), 3), "zerosum_4x4x4": ((4, 4, 4), 4)}
-COMMANDS = {"trace": ["trace", "--n-final", "400"], "solve": ["solve", "--n", "10"]}
+COMMANDS = {
+    "trace": ["trace", "--n-final", "400"],
+    "solve": ["solve", "--n", "10"],
+    "decompose": ["decompose"],
+}
+CSV_BY_DEFAULT = ("trace",)
 STUDY_N_LIST = ["--n-list", "1,10,100,1000"]
 STUDIES = {
     "study_2x2": ["study", "--form", "2:2,2", *STUDY_N_LIST, "--samples", "200", "--seed", "42"],
@@ -34,6 +56,10 @@ STUDIES = {
 }
 TARGETS = {"target_2x3": ((2, 3), 11), "target_3x3x3": ((3, 3, 3), 12)}  # form, seed
 TARGET_COMMANDS = {"invert-nash": ["invert-nash"], "invert-logit": ["invert-logit", "--n", "10"]}
+# one-player target with an interior solution: at n = 1e6 one ulp of w moves
+# softmax(n*w) by about 1e-11, so the inversion cannot reach tol 1e-30
+STALL_TARGET = {"tilde_u": [[0, 0]], "y_bar": [[1.3, 0.7]]}
+FORMATS = (["--format", "json"], ["--format", "csv"], [])
 
 
 def zero_sum_game(seed, shape):
@@ -54,45 +80,125 @@ def zero_sum_game(seed, shape):
     }
 
 
-def game_paths():
+def game_paths(directory=HERE):
     """Name -> game file path for every game of the corpus."""
     paths = {name: os.path.join(ROOT, "demos", "games", name + ".json") for name in DEMO_GAMES}
-    paths.update({name: os.path.join(HERE, name + ".json") for name in ZERO_SUM_GAMES})
+    paths.update({name: os.path.join(directory, name + ".json") for name in ZERO_SUM_GAMES})
     return paths
 
 
-def target_paths():
-    """Name -> target file path for every target of the corpus."""
-    return {name: os.path.join(HERE, name + ".json") for name in TARGETS}
+def target_paths(directory=HERE):
+    """Name -> target file path for every seeded target of the corpus."""
+    return {name: os.path.join(directory, name + ".json") for name in TARGETS}
 
 
-def _record(name, command, argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = run_cli(["--format", "json"] + argv, stdout=out, stderr=err)
-    if code != 0:
-        raise SystemExit(f"{name} {command}: exit {code}: {err.getvalue()}")
-    with open(os.path.join(HERE, f"{name}.{command}.json"), "w", encoding="utf-8") as handle:
-        handle.write(out.getvalue())
-
-
-def main():
+def input_files():
+    """File name -> contents of every input this script draws or writes."""
+    files = {}
     for name, (shape, seed) in ZERO_SUM_GAMES.items():
-        with open(os.path.join(HERE, name + ".json"), "w", encoding="utf-8") as handle:
-            json.dump(zero_sum_game(seed, shape), handle)
-            handle.write("\n")
+        files[name + ".json"] = json.dumps(zero_sum_game(seed, shape)) + "\n"
     for name, (shape, seed) in TARGETS.items():
         target = sample_target_points(StrategicGameForm(len(shape), shape), 1, seed, 10.0)[0]
-        with open(target_paths()[name], "w", encoding="utf-8") as handle:
-            handle.write(target_point_to_json(target) + "\n")
-    for name, path in game_paths().items():
+        files[name + ".json"] = target_point_to_json(target) + "\n"
+    files["target_stall.json"] = json.dumps(STALL_TARGET) + "\n"
+    return files
+
+
+def cases(directory=HERE):
+    """(golden file name, argv) of every recorded invocation, inputs read from ``directory``."""
+    out = []
+    for name, path in game_paths(directory).items():
         for command, argv in COMMANDS.items():
-            _record(name, command, argv + [path])
+            default = "csv" if command in CSV_BY_DEFAULT else "json"
+            for fmt in FORMATS:
+                ext = fmt[1] if fmt else default
+                out.append((f"{name}.{command}.{ext}", fmt + argv + [path]))
     for name, argv in STUDIES.items():
-        _record(name, "study", argv)
-    for name, path in target_paths().items():
+        out.extend((f"{name}.study.{fmt[1] if fmt else 'json'}", fmt + argv) for fmt in FORMATS)
+    for name, path in target_paths(directory).items():
         for command, argv in TARGET_COMMANDS.items():
-            _record(name, command, argv + [path])
+            for fmt in FORMATS:
+                out.append((f"{name}.{command}.{fmt[1] if fmt else 'json'}", fmt + argv + [path]))
+    for name, arg in (("none", "none"), ("matching_pennies", game_paths()["matching_pennies"])):
+        out.extend((f"{name}.verify.txt", fmt + ["verify", arg]) for fmt in FORMATS)
+    errors = {
+        "solve_negative_n": ["solve", "--n", "-1", game_paths()["coordination"]],
+        "invert_logit_zero_n": ["invert-logit", "--n", "0", target_paths(directory)["target_2x3"]],
+        "missing_game": ["decompose", "/nonexistent/game.json"],
+        "invert_logit_stall": [
+            "invert-logit", "--n", "1e6", "--tol", "1e-30",
+            os.path.join(directory, "target_stall.json"),
+        ],
+    }
+    out.extend((f"{name}.error.json", argv) for name, argv in errors.items())
+    return out
+
+
+def invoke(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run_cli(argv, stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_text(file_name, argv):
+    """What ``file_name`` holds for one run of ``argv``; raises if the run breaks its contract."""
+    code, out, err = invoke(argv)
+    if file_name.endswith(".error.json"):
+        if code == 0 or out:
+            raise SystemExit(f"{' '.join(argv)}: expected a failure, got exit {code}")
+        return json.dumps({"exit_code": code, "stderr": err}) + "\n"
+    if code != 0 or err:
+        raise SystemExit(f"{' '.join(argv)}: exit {code}: {err}")
+    return out
+
+
+def record(directory):
+    """Write every input and golden file into ``directory``; return the names written."""
+    files = input_files()
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    goldens = {}
+    for file_name, argv in cases(directory):
+        text = golden_text(file_name, argv)
+        if goldens.setdefault(file_name, text) != text:
+            raise SystemExit(f"{' '.join(argv)}: stdout differs from the other runs of {file_name}")
+    for name, text in goldens.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return sorted(files) + sorted(goldens)
+
+
+def check():
+    """Re-record into a temporary directory; return the golden files whose bytes differ."""
+    with tempfile.TemporaryDirectory() as scratch:
+        names = record(scratch)
+        differ = []
+        for name in names:
+            with open(os.path.join(scratch, name), "rb") as handle:
+                fresh = handle.read()
+            try:
+                with open(os.path.join(HERE, name), "rb") as handle:
+                    stored = handle.read()
+            except FileNotFoundError:
+                stored = None
+            if fresh != stored:
+                differ.append(name)
+    return differ
+
+
+def main(argv):
+    if argv == ["--check"]:
+        differ = check()
+        for name in differ:
+            print(f"differs: {name}")
+        return 1 if differ else 0
+    if argv:
+        raise SystemExit(f"usage: {sys.argv[0]} [--check]")
+    record(HERE)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
