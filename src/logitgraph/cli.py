@@ -119,65 +119,48 @@ def _solve_at(game, n, tol):
     return PathEntry(n=n, profile=profile, residual=_logit_gap(game, profile.vectors, n))
 
 
+def _game(args):
+    return formats.parse_game(_read(args.game))
+
+
+def _target(args):
+    return formats.parse_target_point(_read(args.target), project_tilde=args.project_tilde)
+
+
+def _study(args):
+    form = _parse_form(args.form)
+    return convergence_study(form, _parse_n_list(args.n_list), args.samples, args.seed, args.bound_box)
+
+
+# command -> (builds its record from the parsed arguments, its default format)
+_COMMANDS = {
+    "decompose": (lambda args: km_decompose(_game(args)), "json"),
+    "solve": (lambda args: _solve_at(_game(args), args.n, args.tol), "json"),
+    "trace": (lambda args: trace_logit_path(_game(args), n_final=args.n_final, tol=args.tol), "csv"),
+    "invert-nash": (lambda args: phi_inv(_target(args)), "json"),
+    "invert-logit": (lambda args: phi_n_inv(args.n, _target(args), tol=args.tol), "json"),
+    "study": (_study, "json"),
+}
+
+
+def _verify(args):
+    game = None if args.game == "none" else _game(args)
+    results = run_property_suite(game)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+    ]
+    code = 0 if all(r.passed for r in results) else 1
+    return "\n".join(lines) + "\n", code
+
+
 def _dispatch(args):
-    fmt = args.format
-    if args.command == "decompose":
-        rep = km_decompose(formats.parse_game(_read(args.game)))
-        if fmt == "csv":
-            return formats.km_representation_to_csv(rep), 0
-        return formats.km_representation_to_json(rep) + "\n", 0
-
-    if args.command == "solve":
-        if not args.n > 0:
-            raise InvalidInputError(f"--n must be positive, got {args.n}")
-        game = formats.parse_game(_read(args.game))
-        entry = _solve_at(game, args.n, args.tol)
-        if fmt == "csv":
-            return formats.solution_to_csv(entry.n, entry.profile, entry.residual), 0
-        return formats.solution_to_json(entry.n, entry.profile, entry.residual) + "\n", 0
-
-    if args.command == "trace":
-        game = formats.parse_game(_read(args.game))
-        trace = trace_logit_path(game, n_final=args.n_final, tol=args.tol)
-        if fmt == "json":
-            return formats.trace_to_json(trace) + "\n", 0
-        return formats.trace_to_csv(trace), 0
-
-    if args.command == "invert-nash":
-        target = formats.parse_target_point(_read(args.target), project_tilde=args.project_tilde)
-        point = phi_inv(target)
-        if fmt == "csv":
-            return formats.graph_point_to_csv(point), 0
-        return formats.graph_point_to_json(point) + "\n", 0
-
-    if args.command == "invert-logit":
-        if not args.n > 0:
-            raise InvalidInputError(f"--n must be positive, got {args.n}")
-        target = formats.parse_target_point(_read(args.target), project_tilde=args.project_tilde)
-        point = phi_n_inv(args.n, target, tol=args.tol)
-        if fmt == "csv":
-            return formats.graph_point_to_csv(point), 0
-        return formats.graph_point_to_json(point) + "\n", 0
-
+    # solve and invert-logit check --n before they read any input file
+    if not getattr(args, "n", 1.0) > 0:
+        raise InvalidInputError(f"--n must be positive, got {args.n}")
     if args.command == "verify":
-        game = None if args.game == "none" else formats.parse_game(_read(args.game))
-        results = run_property_suite(game)
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-        ]
-        code = 0 if all(r.passed for r in results) else 1
-        return "\n".join(lines) + "\n", code
-
-    if args.command == "study":
-        form = _parse_form(args.form)
-        report = convergence_study(
-            form, _parse_n_list(args.n_list), args.samples, args.seed, args.bound_box
-        )
-        if fmt == "csv":
-            return formats.convergence_report_to_csv(report), 0
-        return formats.convergence_report_to_json(report) + "\n", 0
-
-    raise InvalidInputError(f"unknown command {args.command!r}")
+        return _verify(args)
+    build, default_format = _COMMANDS[args.command]
+    return formats.render(build(args), args.format or default_format), 0
 
 
 def run_cli(argv, stdout=None, stderr=None):

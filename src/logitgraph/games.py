@@ -8,6 +8,7 @@ moves fastest. ``Game.payoff_tensor`` reshapes to the d-dimensional view.
 
 from __future__ import annotations
 
+import math
 import string
 import warnings
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ class StrategicGameForm:
     @property
     def profile_count(self):
         """Number of pure profiles |A|."""
-        return int(np.prod(self.action_counts, dtype=np.int64))
+        return math.prod(self.action_counts)
 
     @property
     def payoff_coordinate_count(self):

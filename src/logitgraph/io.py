@@ -1,4 +1,4 @@
-"""File formats: game and target JSON, trace CSV/JSON, report serialization.
+"""File formats: game and target JSON in and out, and ``render`` for every result record.
 
 Game schema: ``{"players": int, "actions": [int], "payoffs": [[real]]}``, with
 ``payoffs[i]`` the flat column-major tensor described in
@@ -9,32 +9,36 @@ floats use 17 significant digits. Both re-read to the identical double.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
 from .errors import ParseError
-from .games import Game, StrategicGameForm, TargetPoint, _split_payoff
-
-
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
-def _decode(data):
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            return bytes(data).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    return data
+from .games import (
+    Game,
+    GraphPoint,
+    KMRepresentation,
+    StrategicGameForm,
+    TargetPoint,
+    _split_payoff,
+)
+from .solver import PathEntry, PathTrace
+from .studies import ConvergenceReport, RankReport
 
 
 def _load_json(data):
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(_decode(data))
-    except json.JSONDecodeError as exc:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -45,9 +49,13 @@ def _require_number_list(values, path):
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"{path}[{i}]: expected a number, got {type(v).__name__}")
-        if not math.isfinite(v):
+        try:
+            value = float(v)
+        except OverflowError as exc:
+            raise ParseError(f"{path}[{i}]: integer too large for a double") from exc
+        if not math.isfinite(value):
             raise ParseError(f"{path}[{i}]: entry must be finite, got {v}")
-        out.append(float(v))
+        out.append(value)
     return np.array(out, dtype=float)
 
 
@@ -68,7 +76,8 @@ def parse_game(data):
     for i, m in enumerate(actions):
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ParseError(f"actions[{i}]: expected a positive integer, got {m!r}")
-    size = int(np.prod(actions, dtype=np.int64))
+    form = StrategicGameForm(players, tuple(actions))
+    size = form.profile_count
     payoffs_obj = obj["payoffs"]
     if not isinstance(payoffs_obj, list):
         raise ParseError("payoffs: expected a list of per-player tensors")
@@ -80,15 +89,11 @@ def parse_game(data):
         payoffs.append(tensor)
     if len(payoffs) != players:
         raise ParseError(f"payoffs: expected {players} tensors, got {len(payoffs)}")
-    return Game(StrategicGameForm(players, tuple(actions)), tuple(payoffs))
+    return Game(form, tuple(payoffs))
 
 
 def game_to_dict(game):
-    return {
-        "players": game.form.num_players,
-        "actions": list(game.form.action_counts),
-        "payoffs": [p.tolist() for p in game.payoffs],
-    }
+    return {**_form_dict(game.form), "payoffs": _vectors(game.payoffs)}
 
 
 def game_to_json(game):
@@ -134,76 +139,14 @@ def parse_target_point(data, project_tilde=False):
     return TargetPoint(form=form, tilde_u=tuple(tilde), y_bar=tuple(y_bar))
 
 
-def target_point_to_dict(t):
-    return {
-        "tilde_u": [row.tolist() for row in t.tilde_u],
-        "y_bar": [row.tolist() for row in t.y_bar],
-    }
-
-
 def target_point_to_json(t):
-    return json.dumps(target_point_to_dict(t))
-
-
-def km_representation_to_dict(rep):
-    return {
-        "tilde_u": [row.tolist() for row in rep.tilde_u],
-        "bar_u": [row.tolist() for row in rep.bar_u],
-    }
-
-
-def km_representation_to_json(rep):
-    return json.dumps(km_representation_to_dict(rep))
-
-
-def km_representation_to_csv(rep):
-    lines = ["player,component,index,value"]
-    for i in range(rep.form.num_players):
-        for idx, value in enumerate(rep.tilde_u[i]):
-            lines.append(f"{i},tilde_u,{idx},{_fmt(value)}")
-        for idx, value in enumerate(rep.bar_u[i]):
-            lines.append(f"{i},bar_u,{idx},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_to_lists(profile):
-    return [v.tolist() for v in profile.vectors]
-
-
-def _profile_csv_rows(n, profile, residual):
-    rows = []
-    for player, vector in enumerate(profile.vectors):
-        for action, probability in enumerate(vector):
-            rows.append(f"{_fmt(n)},{player},{action},{_fmt(probability)},{_fmt(residual)}")
-    return rows
-
-
-def solution_to_dict(n, profile, residual):
-    return {"n": float(n), "x": profile_to_lists(profile), "residual": float(residual)}
-
-
-def solution_to_json(n, profile, residual):
-    return json.dumps(solution_to_dict(n, profile, residual))
-
-
-def solution_to_csv(n, profile, residual):
-    return "\n".join(["n,player,action,probability,residual"] + _profile_csv_rows(n, profile, residual)) + "\n"
-
-
-def trace_to_csv(trace):
-    lines = ["n,player,action,probability,residual"]
-    for entry in trace.entries:
-        lines.extend(_profile_csv_rows(entry.n, entry.profile, entry.residual))
-    return "\n".join(lines) + "\n"
+    return json.dumps({"tilde_u": _vectors(t.tilde_u), "y_bar": _vectors(t.y_bar)})
 
 
 def trace_to_dict(trace):
     return {
         "game": game_to_dict(trace.game),
-        "entries": [
-            {"n": e.n, "x": profile_to_lists(e.profile), "residual": e.residual}
-            for e in trace.entries
-        ],
+        "entries": [_entry_dict(e) for e in trace.entries],
         "terminal_nash_residual": trace.terminal_nash_residual,
     }
 
@@ -212,10 +155,39 @@ def trace_to_json(trace):
     return json.dumps(trace_to_dict(trace))
 
 
-def graph_point_to_dict(point):
+def trace_to_csv(trace):
+    return render(trace, "csv")
+
+
+def _form_dict(form):
+    return {"players": form.num_players, "actions": list(form.action_counts)}
+
+
+def _vectors(vectors):
+    return [v.tolist() for v in vectors]
+
+
+def _split_rows(rep):
+    for i, (tilde, bar) in enumerate(zip(rep.tilde_u, rep.bar_u)):
+        for component, values in (("tilde_u", tilde), ("bar_u", bar)):
+            for idx, value in enumerate(values):
+                yield i, component, idx, value
+
+
+def _entry_dict(e):
+    return {"n": e.n, "x": _vectors(e.profile.vectors), "residual": e.residual}
+
+
+def _entry_rows(e):
+    for player, vector in enumerate(e.profile.vectors):
+        for action, probability in enumerate(vector):
+            yield e.n, player, action, probability, e.residual
+
+
+def _point_dict(point):
     out = {
         "game": game_to_dict(point.game),
-        "x": profile_to_lists(point.profile),
+        "x": _vectors(point.profile.vectors),
         "kind": point.kind,
         "residual": point.residual,
     }
@@ -224,80 +196,72 @@ def graph_point_to_dict(point):
     return out
 
 
-def graph_point_to_json(point):
-    return json.dumps(graph_point_to_dict(point))
+def _point_rows(point):
+    for section, vectors in (("payoff", point.game.payoffs), ("probability", point.profile.vectors)):
+        for player, vector in enumerate(vectors):
+            for idx, value in enumerate(vector):
+                yield section, player, idx, value
+    yield "residual", "", "", point.residual
 
 
-def graph_point_to_csv(point):
-    lines = ["section,player,index,value"]
-    for player, tensor in enumerate(point.game.payoffs):
-        for idx, value in enumerate(tensor):
-            lines.append(f"payoff,{player},{idx},{_fmt(value)}")
-    for player, vector in enumerate(point.profile.vectors):
-        for idx, value in enumerate(vector):
-            lines.append(f"probability,{player},{idx},{_fmt(value)}")
-    lines.append(f"residual,,,{_fmt(point.residual)}")
-    return "\n".join(lines) + "\n"
-
-
-def form_to_dict(form):
-    return {"players": form.num_players, "actions": list(form.action_counts)}
-
-
-def convergence_report_to_dict(report):
+def _study_dict(report):
     return {
-        "form": form_to_dict(report.form),
+        "form": _form_dict(report.form),
         "seed": report.seed,
         "samples": report.samples,
-        "rows": [
-            {
-                "n": r.n,
-                "sup_gap_x": r.sup_gap_x,
-                "sup_gap_full": r.sup_gap_full,
-                "lemma_bound": r.lemma_bound,
-            }
-            for r in report.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
     }
 
 
-def convergence_report_to_json(report):
-    return json.dumps(convergence_report_to_dict(report))
+def _rank_dict(report):
+    return {**dataclasses.asdict(report), "form": _form_dict(report.form), "passed": report.passed}
 
 
-def convergence_report_to_csv(report):
-    lines = ["n,sup_gap_x,sup_gap_full,lemma_bound"]
-    for r in report.rows:
-        lines.append(f"{_fmt(r.n)},{_fmt(r.sup_gap_x)},{_fmt(r.sup_gap_full)},{_fmt(r.lemma_bound)}")
-    return "\n".join(lines) + "\n"
+# record type -> (JSON dict builder, CSV row generator, CSV header)
+_RECORDS = {
+    KMRepresentation: (
+        lambda rep: {"tilde_u": _vectors(rep.tilde_u), "bar_u": _vectors(rep.bar_u)},
+        _split_rows,
+        "player,component,index,value",
+    ),
+    PathEntry: (_entry_dict, _entry_rows, "n,player,action,probability,residual"),
+    PathTrace: (
+        trace_to_dict,
+        lambda trace: (row for e in trace.entries for row in _entry_rows(e)),
+        "n,player,action,probability,residual",
+    ),
+    GraphPoint: (_point_dict, _point_rows, "section,player,index,value"),
+    ConvergenceReport: (
+        _study_dict,
+        lambda report: map(dataclasses.astuple, report.rows),
+        "n,sup_gap_x,sup_gap_full,lemma_bound",
+    ),
+    RankReport: (
+        _rank_dict,
+        lambda report: [tuple(v for k, v in _rank_dict(report).items() if k != "form")],
+        "n,sample_points,expected_rank,min_singular_value,threshold,passed",
+    ),
+}
 
 
-def rank_report_to_dict(report):
-    return {
-        "n": report.n,
-        "form": form_to_dict(report.form),
-        "sample_points": report.sample_points,
-        "expected_rank": report.expected_rank,
-        "min_singular_value": report.min_singular_value,
-        "threshold": report.threshold,
-        "passed": report.passed,
-    }
+def _cell(value):
+    """CSV cell: floats in 17 significant digits, so they re-read to the same double."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(float(value), ".17g")
 
 
-def rank_report_to_json(report):
-    return json.dumps(rank_report_to_dict(report))
+def render(record, fmt):
+    """``record`` as one JSON line (``fmt="json"``) or as CSV, header first (``fmt="csv"``).
 
-
-def rank_report_to_csv(report):
-    header = "n,sample_points,expected_rank,min_singular_value,threshold,passed"
-    row = ",".join(
-        [
-            _fmt(report.n),
-            str(report.sample_points),
-            str(report.expected_rank),
-            _fmt(report.min_singular_value),
-            _fmt(report.threshold),
-            str(report.passed).lower(),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    Records: ``KMRepresentation``, ``PathEntry``, ``PathTrace``, ``GraphPoint``,
+    ``ConvergenceReport`` and ``RankReport``. The text ends with a newline.
+    """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    to_dict, rows, header = _RECORDS[type(record)]
+    if fmt == "json":
+        return json.dumps(to_dict(record)) + "\n"
+    return "\n".join([header] + [",".join(map(_cell, row)) for row in rows(record)]) + "\n"

@@ -104,21 +104,23 @@ def input_files():
     return files
 
 
+def _formats(name, command, argv):
+    """(file, argv) in every format; the run without ``--format`` shares the default's file."""
+    default = "csv" if command in CSV_BY_DEFAULT else "json"
+    return [(f"{name}.{command}.{fmt[1] if fmt else default}", fmt + argv) for fmt in FORMATS]
+
+
 def cases(directory=HERE):
     """(golden file name, argv) of every recorded invocation, inputs read from ``directory``."""
     out = []
     for name, path in game_paths(directory).items():
         for command, argv in COMMANDS.items():
-            default = "csv" if command in CSV_BY_DEFAULT else "json"
-            for fmt in FORMATS:
-                ext = fmt[1] if fmt else default
-                out.append((f"{name}.{command}.{ext}", fmt + argv + [path]))
+            out.extend(_formats(name, command, argv + [path]))
     for name, argv in STUDIES.items():
-        out.extend((f"{name}.study.{fmt[1] if fmt else 'json'}", fmt + argv) for fmt in FORMATS)
+        out.extend(_formats(name, "study", argv))
     for name, path in target_paths(directory).items():
         for command, argv in TARGET_COMMANDS.items():
-            for fmt in FORMATS:
-                out.append((f"{name}.{command}.{fmt[1] if fmt else 'json'}", fmt + argv + [path]))
+            out.extend(_formats(name, command, argv + [path]))
     for name, arg in (("none", "none"), ("matching_pennies", game_paths()["matching_pennies"])):
         out.extend((f"{name}.verify.txt", fmt + ["verify", arg]) for fmt in FORMATS)
     errors = {

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -8,13 +9,21 @@ from logitgraph import (
     MixedProfile,
     ParseError,
     StrategicGameForm,
+    convergence_study,
     deviation_payoff,
+    immersion_rank_check,
+    km_decompose,
     parse_game,
     parse_target_point,
+    phi_inv,
+    phi_n_inv,
 )
+from logitgraph import cli
 from logitgraph.cli import run_cli
 from logitgraph.io import (
+    _RECORDS,
     game_to_json,
+    render,
     target_point_to_json,
     trace_to_csv,
     trace_to_dict,
@@ -65,6 +74,30 @@ class TestParseGame:
         with pytest.raises(ParseError, match="players"):
             parse_game('{"players": true, "actions": [2], "payoffs": [[1, 0]]}')
 
+    @pytest.mark.parametrize(
+        "actions, payoffs, path",
+        [
+            # the int64 product of these counts wraps around to 4
+            ("[4611686018427387905, 4]", "[[1, 2, 3, 4], [1, 2, 3, 4]]", r"payoffs\[0\]"),
+            ("[18446744073709551616, 2]", "[[1, 2], [1, 2]]", r"payoffs\[0\]"),
+            ("[2]", "[[1, 1" + "0" * 400 + "]]", r"payoffs\[0\]\[1\]"),
+            ("[2]", "[[1, 1" + "0" * 5000 + "]]", "invalid JSON"),
+        ],
+        ids=["wrapping-product", "count-above-int64", "1e400-literal", "5000-digit-literal"],
+    )
+    def test_out_of_range_integers_rejected(self, actions, payoffs, path):
+        text = f'{{"players": {actions.count(",") + 1}, "actions": {actions}, "payoffs": {payoffs}}}'
+        with pytest.raises(ParseError, match=path):
+            parse_game(text)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_game("[" * 100000 + "]" * 100000)
+
+    def test_profile_count_is_exact(self):
+        form = StrategicGameForm(2, (4611686018427387905, 4))
+        assert form.profile_count == 4611686018427387905 * 4
+
     def test_round_trip(self):
         game = matching_pennies()
         again = parse_game(game_to_json(game))
@@ -99,6 +132,11 @@ class TestParseTargetPoint:
         with pytest.raises(ParseError, match=r"tilde_u\[0\]"):
             parse_target_point(bad)
 
+    def test_integer_too_large_for_a_double_named(self):
+        bad = '{"tilde_u": [[0, 0]], "y_bar": [[1' + "0" * 400 + ', 0]]}'
+        with pytest.raises(ParseError, match=r"y_bar\[0\]\[0\]"):
+            parse_target_point(bad)
+
 
 class TestTraceSerialization:
     def test_csv_round_trip(self):
@@ -128,6 +166,60 @@ class TestTraceSerialization:
     def test_dict_matches_json(self):
         trace = trace_logit_path(one_player_game([1.0, 0.0]), 2.0, tol=1e-12)
         assert json.loads(trace_to_json(trace)) == trace_to_dict(trace)
+
+
+def _records():
+    game = one_player_game([1.0, 0.0])
+    trace = trace_logit_path(game, 5.0, tol=1e-12)
+    target = parse_target_point(TARGET_JSON)
+    return [
+        km_decompose(matching_pennies()),
+        trace.entries[-1],
+        trace,
+        phi_inv(target),
+        phi_n_inv(3.0, target),
+        convergence_study(StrategicGameForm(2, (2, 2)), [1.0, 10.0], 3, seed=1),
+        immersion_rank_check(2.0, StrategicGameForm(1, (2,)), 2, seed=0),
+    ]
+
+
+# the CSV headers the README documents
+HEADERS = {
+    "KMRepresentation": "player,component,index,value",
+    "PathEntry": "n,player,action,probability,residual",
+    "PathTrace": "n,player,action,probability,residual",
+    "GraphPoint": "section,player,index,value",
+    "ConvergenceReport": "n,sup_gap_x,sup_gap_full,lemma_bound",
+    "RankReport": "n,sample_points,expected_rank,min_singular_value,threshold,passed",
+}
+
+
+class TestRender:
+    def test_every_record_type_is_covered(self):
+        assert {type(r) for r in _records()} == set(_RECORDS)
+        assert {t.__name__ for t in _RECORDS} == set(HEADERS)
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_json_and_csv(self, index):
+        record = _records()[index]
+        to_dict, rows, _ = _RECORDS[type(record)]
+        text = render(record, "json")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == to_dict(record)
+        header, *lines = render(record, "csv").splitlines()
+        assert header == HEADERS[type(record).__name__]
+        rows = list(rows(record))
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            cells = line.split(",")
+            assert len(cells) == len(row) == header.count(",") + 1
+            for cell, value in zip(cells, row):
+                if isinstance(value, (float, np.floating)):
+                    assert float(cell) == value
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format"):
+            render(_records()[0], "xml")
 
 
 def invoke(argv):
@@ -275,6 +367,34 @@ class TestCli:
         code, out, err = invoke(argv + [str(path)])
         assert code == 1 and out == ""
         assert "must be positive and finite" in err
+
+    def test_every_subcommand_has_a_table_entry(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS) | {"verify"}
+        assert {c for c, (_, fmt) in cli._COMMANDS.items() if fmt == "csv"} == {"trace"}
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (
+                '{"players": 2, "actions": [4611686018427387905, 4],'
+                ' "payoffs": [[1, 2, 3, 4], [1, 2, 3, 4]]}',
+                "payoffs[0]",
+            ),
+            (
+                '{"players": 1, "actions": [2], "payoffs": [[1, 1' + "0" * 400 + "]]}",
+                "payoffs[0][1]",
+            ),
+        ],
+        ids=["wrapping-product", "1e400-literal"],
+    )
+    def test_out_of_range_game_exits_one(self, tmp_path, text, path):
+        game_path = tmp_path / "game.json"
+        game_path.write_text(text)
+        code, out, err = invoke(["decompose", str(game_path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + path)
 
     def test_global_flags_before_subcommand(self, tmp_path):
         path = tmp_path / "one.json"

@@ -21,11 +21,7 @@ from logitgraph import (
     phi_n_inv,
     sample_target_points,
 )
-from logitgraph.io import (
-    convergence_report_to_csv,
-    convergence_report_to_json,
-    rank_report_to_json,
-)
+from logitgraph.io import render
 from logitgraph.studies import RANK_SAMPLE_BOX, _reconstruction_jacobian
 
 FORM_1X2 = StrategicGameForm(1, (2,))
@@ -73,8 +69,8 @@ class TestConvergenceStudy:
     def test_deterministic_and_byte_identical(self):
         a = convergence_study(FORM_2X2, [1.0, 10.0], 10, seed=3)
         b = convergence_study(FORM_2X2, [1.0, 10.0], 10, seed=3)
-        assert convergence_report_to_json(a) == convergence_report_to_json(b)
-        assert convergence_report_to_csv(a) == convergence_report_to_csv(b)
+        assert render(a, "json") == render(b, "json")
+        assert render(a, "csv") == render(b, "csv")
 
     def test_rejects_bad_n_list(self):
         with pytest.raises(InvalidInputError):
@@ -99,7 +95,7 @@ class TestConvergenceStudy:
 
     def test_json_round_trip(self):
         report = convergence_study(FORM_2X2, [1.0, 10.0], 5, seed=9)
-        loaded = json.loads(convergence_report_to_json(report))
+        loaded = json.loads(render(report, "json"))
         assert loaded["form"] == {"players": 2, "actions": [2, 2]}
         assert loaded["seed"] == 9 and loaded["samples"] == 5
         for row, parsed in zip(report.rows, loaded["rows"]):
@@ -124,7 +120,7 @@ class TestImmersionRankCheck:
     def test_deterministic(self):
         a = immersion_rank_check(2.0, FORM_1X2, 4, seed=5)
         b = immersion_rank_check(2.0, FORM_1X2, 4, seed=5)
-        assert rank_report_to_json(a) == rank_report_to_json(b)
+        assert render(a, "json") == render(b, "json")
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
