@@ -165,27 +165,28 @@ def _profile_vectors(form, x):
     return vectors
 
 
-def _deviation_from_flat(form, flat, player, vectors):
-    """Expected value of a flat tensor at (a_i, x_{-i}) for each own action a_i.
+def _one_row(vectors):
+    """A batch of one: each array gets a leading sample axis of length 1."""
+    return tuple(v[None] for v in vectors)
 
-    A 2-d ``flat`` of shape ``(samples, |A|)`` with ``(samples, m_j)`` vectors
-    contracts every sample at once and returns ``(samples, m_i)``.
+
+def _contract(form, flat_rows, vector_rows, keep):
+    """Contract flat payoff rows with the mixtures of every player not in ``keep``.
+
+    ``flat_rows`` is ``(samples, |A|)`` and ``vector_rows[j]`` is ``(samples, m_j)``;
+    the result is ``(samples, m_k, ...)`` over the players ``k`` in ``keep``.
+    ``keep=(i,)`` gives player i's deviation payoffs, ``keep=(i, j)`` the block
+    ``dw_i/dx_j``. This is the library's only payoff contraction.
     """
-    d = form.num_players
-    flat = np.asarray(flat, dtype=float)
-    letters = _AXES[:d]
-    others = [j for j in range(d) if j != player]
-    if flat.ndim == 1:
-        tensor = flat.reshape(form.action_counts, order="F")
-        eq = letters + "".join("," + letters[j] for j in others) + "->" + letters[player]
-    else:
-        # C order over the reversed action axes is the column-major profile order
-        tensor = flat.reshape(flat.shape[:1] + form.action_counts[::-1])
-        eq = (
-            "Z" + letters[::-1] + "".join(",Z" + letters[j] for j in others)
-            + "->Z" + letters[player]
-        )
-    return np.einsum(eq, tensor, *[vectors[j] for j in others])
+    letters = _AXES[: form.num_players]
+    rest = [j for j in range(form.num_players) if j not in keep]
+    # C order over the reversed action axes is the column-major profile order
+    tensor = flat_rows.reshape(flat_rows.shape[:1] + form.action_counts[::-1])
+    eq = (
+        "Z" + letters[::-1] + "".join(",Z" + letters[j] for j in rest)
+        + "->Z" + "".join(letters[k] for k in keep)
+    )
+    return np.einsum(eq, tensor, *[vector_rows[j] for j in rest])
 
 
 def deviation_payoffs(game, player, x):
@@ -196,18 +197,15 @@ def deviation_payoffs(game, player, x):
     if not 0 <= player < game.form.num_players:
         raise InvalidInputError(f"player index {player} out of range")
     vectors = _profile_vectors(game.form, x)
-    return _deviation_from_flat(game.form, game.payoffs[player], player, vectors)
+    return _contract(game.form, game.payoffs[player][None], _one_row(vectors), (player,))[0]
 
 
 def deviation_payoff(game, player, action, x):
     """Expected payoff of one pure action against the others' mixed strategies."""
-    if not 0 <= player < game.form.num_players:
-        raise InvalidInputError(f"player index {player} out of range")
-    if not 0 <= action < game.form.action_counts[player]:
-        raise InvalidInputError(
-            f"action index {action} out of range for player {player}"
-        )
-    return float(deviation_payoffs(game, player, x)[action])
+    dev = deviation_payoffs(game, player, x)
+    if not 0 <= action < dev.size:
+        raise InvalidInputError(f"action index {action} out of range for player {player}")
+    return float(dev[action])
 
 
 def evaluate_mixed(game, player, x):
@@ -224,20 +222,16 @@ def nash_residual(game, x):
     Accepts any shape-compatible vectors, on or off the simplex.
     """
     vectors = _profile_vectors(game.form, x)
-    worst = 0.0
-    for i in range(game.form.num_players):
-        dev = deviation_payoffs(game, i, vectors)
-        value = float(np.dot(vectors[i], dev))
-        worst = max(worst, float(dev.max()) - value)
-    return max(0.0, worst)
+    return float(_nash_gap_rows(game.form, _one_row(game.payoffs), _one_row(vectors))[0])
 
 
 def _nash_gap_rows(form, payoffs, vectors):
     """``nash_residual`` of every sample, for payoffs and profiles with a leading sample axis."""
     worst = np.zeros(len(vectors[0]))
     for i in range(form.num_players):
-        dev = _deviation_from_flat(form, payoffs[i], i, vectors)
-        worst = np.maximum(worst, dev.max(axis=1) - (vectors[i] * dev).sum(axis=1))
+        dev = _contract(form, payoffs[i], vectors, (i,))
+        value = (vectors[i][:, None, :] @ dev[:, :, None])[:, 0, 0]  # row-wise np.dot via matmul
+        worst = np.maximum(worst, dev.max(axis=1) - value)
     return worst
 
 
@@ -270,21 +264,18 @@ def _payoff_kernel(game, vectors, n, jacobian=False):
     """``(s, blocks)``: responses ``s_i = softmax(n*w_i)`` to raw, trusted ``vectors``.
 
     ``w_i`` is computed as in ``deviation_payoffs``. With ``jacobian``, ``blocks[i, j]``
-    is ``dw_i/dx_j``: player i's tensor contracted over everyone except i and j, one
-    einsum per ordered pair; ``w_i`` is then one block times ``x_j``. Else ``blocks`` is None.
+    is ``dw_i/dx_j``, the ``_contract`` of player i's tensor keeping i and j; ``w_i`` is
+    then one block times ``x_j``. Else ``blocks`` is None.
     """
-    form, letters = game.form, _AXES[: game.form.num_players]
+    form, rows = game.form, _one_row(vectors)
     responses, blocks = [], {} if jacobian else None
     for i, flat in enumerate(game.payoffs):
         others = [j for j in range(form.num_players) if j != i]
         if not (jacobian and others):
-            responses.append(softmax(n * _deviation_from_flat(form, flat, i, vectors)))
+            responses.append(softmax(n * _contract(form, flat[None], rows, (i,))[0]))
             continue
-        tensor = flat.reshape(form.action_counts, order="F")
         for j in others:
-            rest = [k for k in others if k != j]
-            eq = letters + "".join("," + letters[k] for k in rest) + "->" + letters[i] + letters[j]
-            blocks[i, j] = np.einsum(eq, tensor, *[vectors[k] for k in rest])
+            blocks[i, j] = _contract(form, flat[None], rows, (i, j))[0]
         responses.append(softmax(n * (blocks[i, j] @ vectors[j])))
     return responses, blocks
 

@@ -19,11 +19,11 @@ from .games import (
     GraphPoint,
     MixedProfile,
     TargetPoint,
-    _deviation_from_flat,
+    _contract,
     _lift_bar,
     _logit_gap,
+    _one_row,
     _profile_vectors,
-    deviation_payoffs,
     km_decompose,
     logit_residual,
     nash_residual,
@@ -34,19 +34,22 @@ from .maps import (
     _softmax_rows,
     _stall_error,
     _water_level,
-    g_map,
+    softmax,
 )
 
 GRAPH_RESIDUAL_TOL = 1e-8
 
 
+def _deviation_rows(form, payoffs, vectors):
+    """Every player's deviation payoffs, for payoffs and profiles with a leading sample axis."""
+    return tuple(_contract(form, p, vectors, (i,)) for i, p in enumerate(payoffs))
+
+
 def z_nash(game, x):
     """Per-player vectors ``deviation_payoffs + own probabilities``."""
     vectors = _profile_vectors(game.form, x)
-    return tuple(
-        deviation_payoffs(game, i, vectors) + vectors[i]
-        for i in range(game.form.num_players)
-    )
+    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
+    return tuple(d[0] + v for d, v in zip(w, vectors))
 
 
 def z_logit(n, game, x):
@@ -56,13 +59,11 @@ def z_logit(n, game, x):
     point the added term equals the player's own probabilities and this map
     coincides with ``z_nash``.
     """
-    if not n > 0:
-        raise InvalidInputError(f"n must be positive, got {n}")
+    if not (n > 0 and np.isfinite(n)):
+        raise InvalidInputError(f"n must be positive and finite, got {n}")
     vectors = _profile_vectors(game.form, x)
-    return tuple(
-        g_map(n, deviation_payoffs(game, i, vectors))
-        for i in range(game.form.num_players)
-    )
+    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
+    return tuple(d[0] + softmax(n * d[0]) for d in w)
 
 
 def phi(point, tol=GRAPH_RESIDUAL_TOL):
@@ -101,8 +102,8 @@ def _payoff_rows(form, tilde_u, values, x_vectors):
     Every argument carries a leading sample axis, one array per player.
     """
     return tuple(
-        tilde_u[i] + _lift_bar(form, values[i] - _deviation_from_flat(form, tilde_u[i], i, x_vectors), i)
-        for i in range(form.num_players)
+        t + _lift_bar(form, v - d, i)
+        for i, (t, v, d) in enumerate(zip(tilde_u, values, _deviation_rows(form, tilde_u, x_vectors)))
     )
 
 
@@ -132,10 +133,6 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
     values = tuple(w for w, _ in solved)
     x_vectors = tuple(_softmax_rows(n * w) for w in values)
     return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
-
-
-def _one_row(vectors):
-    return tuple(v[None] for v in vectors)
 
 
 def phi_inv(t):

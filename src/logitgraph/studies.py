@@ -15,14 +15,13 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NotOnGraphError
 from .games import (
-    Game,
     StrategicGameForm,
     TargetPoint,
     _check_rows,
-    _deviation_from_flat,
+    _contract,
     _lift_bar,
     _nash_gap_rows,
-    _payoff_kernel,
+    _one_row,
     _split_payoff,
 )
 from .graph_maps import _logit_rows, _nash_rows
@@ -39,7 +38,8 @@ def _target_blocks(form, samples, seed, bound_box, block):
     Each block is one uniform draw of shape ``(rows, k*|A| + sum(m_i))``:
     per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
     vectors, in the order a per-sample draw would take them from the stream.
-    The raw tensors are projected to zero opponent means.
+    The raw tensors are projected to zero opponent means. A draw numpy cannot
+    shape or allocate raises InvalidInputError naming the form and ``samples``.
     """
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
@@ -49,9 +49,13 @@ def _target_blocks(form, samples, seed, bound_box, block):
     size, k = form.profile_count, form.num_players
     edges = np.cumsum((0, k * size) + form.action_counts)
     for start in range(0, samples, block):
-        raw = rng.uniform(
-            -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
-        )
+        try:
+            raw = rng.uniform(
+                -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
+            )
+        except (ValueError, MemoryError) as exc:
+            counts = ",".join(map(str, form.action_counts))
+            raise InvalidInputError(f"cannot draw {samples} samples of form {k}:{counts}: {exc}") from exc
         tilde = tuple(
             _split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0] for i in range(k)
         )
@@ -200,17 +204,20 @@ def _reconstruction_jacobian(n, form, tilde, x):
     ``g_jacobian(n, w_l) dw_l = dy_l``, ``dx_l = dy_l - dw_l``, l's payoffs
     move by ``dtilde_l + lift(dw_l - dev(dtilde_l; x_{-l}))`` and player i's
     by ``lift(-B_il dx_l)``, with ``B_il = d dev(tilde_i; x_{-i})/dx_l`` the
-    ``_payoff_kernel`` block of the zero-mean game.
+    ``_contract`` of ``tilde_i`` keeping i and l.
     """
-    size, k = form.profile_count, form.num_players
-    _, blocks = _payoff_kernel(Game(form, tilde), x, n, jacobian=True)
+    size, k, rows = form.profile_count, form.num_players, _one_row(x)
+    blocks = {
+        (i, l): _contract(form, tilde[i][None], rows, (i, l))[0]
+        for i in range(k) for l in range(k) if i != l
+    }
     others = tuple(np.broadcast_to(v, (size, v.size)) for v in x)
     columns = []  # per player l: one row per coordinate of l's payoff tensor
     for l in range(k):
         dtilde, dy = _split_payoff(form, np.eye(size), l)
         dw = _g_solve(n, x[l][None], dy)
         dx = dy - dw
-        own = dtilde + _lift_bar(form, dw - _deviation_from_flat(form, dtilde, l, others), l)
+        own = dtilde + _lift_bar(form, dw - _contract(form, dtilde, others, (l,)), l)
         du = [own if i == l else _lift_bar(form, -dx @ blocks[i, l].T, i) for i in range(k)]
         dp = [dx if j == l else np.zeros((size, m)) for j, m in enumerate(form.action_counts)]
         columns.append(np.hstack(du + dp))

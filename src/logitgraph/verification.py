@@ -15,15 +15,18 @@ from .games import (
     Game,
     MixedProfile,
     StrategicGameForm,
+    _check_rows,
+    _nash_gap_rows,
+    _split_payoff,
     km_decompose,
     km_recompose,
     logit_residual,
     nash_residual,
 )
-from .graph_maps import phi, phi_inv, phi_n, phi_n_inv, z_logit, z_nash
-from .maps import epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
+from .graph_maps import _deviation_rows, _logit_rows, _nash_rows, z_logit, z_nash
+from .maps import _softmax_rows, epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
 from .solver import logit_response, solve_newton, trace_logit_path
-from .studies import sample_target_points
+from .studies import _target_blocks
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,11 @@ def _random_game(rng, form, box=10.0):
         form,
         tuple(rng.uniform(-box, box, size=form.profile_count) for _ in range(form.num_players)),
     )
+
+
+def _max_gap(a, b):
+    """Largest entry gap between two sequences of arrays, paired in order."""
+    return max(float(np.abs(u - v).max()) for u, v in zip(a, b))
 
 
 def _permuted(game, profile, rng):
@@ -161,14 +169,7 @@ def check_km_round_trip(seed=6, count=6):
     for form in _SUITE_FORMS:
         for _ in range(count):
             game = _random_game(rng, form)
-            rebuilt = km_recompose(km_decompose(game))
-            worst = max(
-                worst,
-                max(
-                    float(np.abs(a - b).max())
-                    for a, b in zip(game.payoffs, rebuilt.payoffs)
-                ),
-            )
+            worst = max(worst, _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs))
     return CheckResult("km-round-trip", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
@@ -192,38 +193,44 @@ def check_residual_relabeling(seed=7, count=8):
     return CheckResult("residual-relabeling", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
+def _round_trip_defect(form, tilde, y_bar, payoffs, back_y_bar):
+    """Largest gap between sampled targets and the split coordinates of their reconstructions."""
+    back_tilde = tuple(_split_payoff(form, p, i)[0] for i, p in enumerate(payoffs))
+    return _max_gap(tilde + y_bar, back_tilde + back_y_bar)
+
+
 def check_nash_round_trip(seed=8, count=8):
     worst = 0.0
     for form in _SUITE_FORMS:
-        for index, t in enumerate(sample_target_points(form, count, seed, 10.0)):
-            point = phi_inv(t)
-            if point.residual > 1e-9:
-                return CheckResult("nash-round-trip", False, f"residual {point.residual:.2e}")
-            back = phi(point)
-            worst = max(
-                worst,
-                max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, back.tilde_u)),
-                max(float(np.abs(a - b).max()) for a, b in zip(t.y_bar, back.y_bar)),
-            )
+        _, tilde, y_bar = next(_target_blocks(form, count, seed, 10.0, count))
+        payoffs, x = _nash_rows(form, tilde, y_bar)
+        _check_rows(form, payoffs, x)
+        residual = float(_nash_gap_rows(form, payoffs, x).max())
+        if residual > 1e-9:
+            return CheckResult("nash-round-trip", False, f"residual {residual:.2e}")
+        back = tuple(w + v for w, v in zip(_deviation_rows(form, payoffs, x), x))
+        worst = max(worst, _round_trip_defect(form, tilde, y_bar, payoffs, back))
     return CheckResult("nash-round-trip", worst <= 1e-9, f"max defect {worst:.2e}")
 
 
 def check_logit_round_trip(seed=9, count=8):
     worst = 0.0
     for form in _SUITE_FORMS:
+        _, tilde, y_bar = next(_target_blocks(form, count, seed, 10.0, count))
         for n in (1.0, 10.0):
-            for t in sample_target_points(form, count, seed, 10.0):
-                point = phi_n_inv(n, t, tol=1e-12)
-                if point.residual > 1e-9:
-                    return CheckResult("logit-round-trip", False, f"residual {point.residual:.2e}")
-                if min(v.min() for v in point.profile.vectors) <= 0:
-                    return CheckResult("logit-round-trip", False, "profile not strictly positive")
-                back = phi_n(n, point)
-                worst = max(
-                    worst,
-                    max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, back.tilde_u)),
-                    max(float(np.abs(a - b).max()) for a, b in zip(t.y_bar, back.y_bar)),
-                )
+            payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, 1e-12)
+            if failure:
+                raise failure[1]
+            _check_rows(form, payoffs, x)
+            w = _deviation_rows(form, payoffs, x)
+            s = tuple(_softmax_rows(n * d) for d in w)
+            residual = _max_gap(x, s)
+            if residual > 1e-9:
+                return CheckResult("logit-round-trip", False, f"residual {residual:.2e}")
+            if min(v.min() for v in x) <= 0:
+                return CheckResult("logit-round-trip", False, "profile not strictly positive")
+            back = tuple(d + r for d, r in zip(w, s))
+            worst = max(worst, _round_trip_defect(form, tilde, y_bar, payoffs, back))
     return CheckResult("logit-round-trip", worst <= 1e-9, f"max defect {worst:.2e}")
 
 
@@ -246,8 +253,7 @@ def _game_checks(game, seed=10):
     rng = np.random.default_rng(seed)
     results = []
 
-    rebuilt = km_recompose(km_decompose(game))
-    defect = max(float(np.abs(a - b).max()) for a, b in zip(game.payoffs, rebuilt.payoffs))
+    defect = _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs)
     results.append(CheckResult("game-km-round-trip", defect <= 1e-12, f"defect {defect:.2e}"))
 
     raw = [rng.uniform(0.05, 1.0, size=m) for m in game.form.action_counts]
@@ -260,11 +266,7 @@ def _game_checks(game, seed=10):
     for n in (1.0, 10.0):
         solved = solve_newton(n, game, MixedProfile.uniform(game.form), tol=1e-11)
         worst = max(worst, logit_residual(game, solved, n))
-        consistency = max(
-            float(np.abs(a - b).max())
-            for a, b in zip(z_logit(n, game, solved), z_nash(game, solved))
-        )
-        worst = max(worst, consistency)
+        worst = max(worst, _max_gap(z_logit(n, game, solved), z_nash(game, solved)))
     results.append(
         CheckResult("game-logit-solve", worst <= 1e-8, f"max residual/defect {worst:.2e}")
     )

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from logitgraph import Game, MixedProfile, StrategicGameForm
+from logitgraph import Game, MixedProfile, StrategicGameForm, solve_newton
 
 
 def matching_pennies():
@@ -60,6 +60,25 @@ def fd_jacobian(func, x, step=1e-6):
         bump[k] = step
         columns.append((func(x + bump) - func(x - bump)) / (2.0 * step))
     return np.column_stack(columns)
+
+
+def fine_branch(game, n_final):
+    """Independent oracle: natural continuation from the centroid in small precision steps.
+
+    Multiplies ``n`` by 1.01 from 1e-3 up to ``n_final`` and corrects each step
+    with ``solve_newton`` (tol 1e-12) from the previous point. Asserts that no
+    step moves the profile more than 0.05 in sup norm, so the oracle itself
+    cannot jump branches. Returns the terminal profile.
+    """
+    n = 1e-3
+    x = solve_newton(n, game, MixedProfile.uniform(game.form), tol=1e-12)
+    while n < n_final:
+        n = min(n * 1.01, n_final)
+        new = solve_newton(n, game, x, tol=1e-12)
+        step = max(float(np.abs(a - b).max()) for a, b in zip(new.vectors, x.vectors))
+        assert step <= 0.05, f"oracle step moved {step:.3g} at n={n:.6g}"
+        x = new
+    return x
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
     python tests/golden/record.py           # rewrite every golden file here
     python tests/golden/record.py --check   # re-record into a temporary
                                             # directory, list the golden files
-                                            # whose bytes differ, exit 1 if any
+                                            # whose bytes differ with the first
+                                            # differing line of each, stored
+                                            # against fresh; exit 1 if any
 
 The corpus runs every command below with ``--format json``, with ``--format
 csv`` and with no ``--format``; the last stdout must equal the one of the
@@ -172,8 +174,25 @@ def record(directory):
     return sorted(files) + sorted(goldens)
 
 
+def first_difference(stored, fresh):
+    """The first differing line of two file contents, stored then fresh, around the change."""
+    if stored is None:
+        return "  no stored file"
+    old = stored.decode("utf-8", "replace").splitlines(keepends=True)
+    new = fresh.decode("utf-8", "replace").splitlines(keepends=True)
+    line = next((k for k, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    a, b = (lines[line] if line < len(lines) else "" for lines in (old, new))
+    column = next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+    start = max(0, column - 40)
+    return (
+        f"  line {line + 1}, column {column + 1}\n"
+        f"    stored: {a[start : start + 80]!r}\n"
+        f"    fresh:  {b[start : start + 80]!r}"
+    )
+
+
 def check():
-    """Re-record into a temporary directory; return the golden files whose bytes differ."""
+    """Re-record into a temporary directory; return ``(name, first_difference)`` per differing file."""
     with tempfile.TemporaryDirectory() as scratch:
         names = record(scratch)
         differ = []
@@ -186,15 +205,16 @@ def check():
             except FileNotFoundError:
                 stored = None
             if fresh != stored:
-                differ.append(name)
+                differ.append((name, first_difference(stored, fresh)))
     return differ
 
 
 def main(argv):
     if argv == ["--check"]:
         differ = check()
-        for name in differ:
+        for name, detail in differ:
             print(f"differs: {name}")
+            print(detail)
         return 1 if differ else 0
     if argv:
         raise SystemExit(f"usage: {sys.argv[0]} [--check]")

@@ -17,6 +17,7 @@ from logitgraph import (
     logit_residual,
     nash_residual,
 )
+from logitgraph.games import _contract, _nash_gap_rows
 from conftest import (
     brute_force_expected_payoff,
     matching_pennies,
@@ -30,6 +31,16 @@ E = np.e
 
 def uniform(game):
     return MixedProfile.uniform(game.form)
+
+
+def random_batch(rng, form, rows):
+    """Games and interior profiles, plus the same stacked along a leading sample axis."""
+    games = [random_game(rng, form) for _ in range(rows)]
+    profiles = [random_interior_profile(rng, form).vectors for _ in range(rows)]
+    players = range(form.num_players)
+    payoffs = tuple(np.stack([g.payoffs[i] for g in games]) for i in players)
+    vectors = tuple(np.stack([x[i] for x in profiles]) for i in players)
+    return games, profiles, payoffs, vectors
 
 
 class TestTypes:
@@ -98,7 +109,7 @@ class TestEvaluateMixed:
         assert oracle == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "counts", [(2,), (4,), (2, 3), (3, 4), (2, 2, 2), (4, 4, 4)]
+        "counts", [(2,), (4,), (2, 3), (3, 4), (2, 2, 2), (4, 4, 4), (2, 3, 2, 2)]
     )
     def test_agrees_with_brute_force(self, rng, counts):
         form = StrategicGameForm(len(counts), counts)
@@ -107,6 +118,20 @@ class TestEvaluateMixed:
         for player in range(form.num_players):
             exact = brute_force_expected_payoff(game, player, x.vectors)
             assert evaluate_mixed(game, player, x) == pytest.approx(exact, abs=1e-12)
+        # several rows through the row kernel at once, each checked on its own
+        games, profiles, payoffs, vectors = random_batch(rng, form, 4)
+        for player, m in enumerate(counts):
+            dev = _contract(form, payoffs[player], vectors, (player,))
+            assert dev.shape == (4, m)
+            for row, (g, p) in enumerate(zip(games, profiles)):
+                for action in range(m):
+                    pure = p[:player] + (np.eye(m)[action],) + p[player + 1 :]
+                    exact = brute_force_expected_payoff(g, player, pure)
+                    assert dev[row, action] == pytest.approx(exact, abs=1e-12)
+                for other in range(form.num_players):
+                    if other != player:
+                        block = _contract(form, payoffs[player], vectors, (player, other))[row]
+                        assert np.allclose(block @ p[other], dev[row], rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         game = matching_pennies()
@@ -177,6 +202,17 @@ class TestNashResidual:
         for _ in range(20):
             game = random_game(rng, form)
             assert nash_residual(game, random_interior_profile(rng, form)) >= 0.0
+
+    @pytest.mark.parametrize("counts", [(3,), (2, 2), (3, 4), (2, 3, 2), (2, 3, 2, 2)])
+    def test_batched_rows_equal_the_np_dot_formula_bit_for_bit(self, rng, counts):
+        # the batched gap rounds its row dot as np.dot does, so one profile scores
+        # the same alone, in a batch, and by the per-player formula
+        form = StrategicGameForm(len(counts), counts)
+        games, profiles, payoffs, vectors = random_batch(rng, form, 20)
+        for gap, game, x in zip(_nash_gap_rows(form, payoffs, vectors), games, profiles):
+            devs = [deviation_payoffs(game, i, x) for i in range(form.num_players)]
+            formula = max(0.0, max(float(d.max() - np.dot(v, d)) for d, v in zip(devs, x)))
+            assert gap == formula == nash_residual(game, x)
 
 
 class TestLogitResidual:

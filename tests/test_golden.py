@@ -31,7 +31,7 @@ from logitgraph import logit_residual, parse_game
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 sys.path.insert(0, GOLDEN)
-from record import cases, invoke  # noqa: E402
+from record import cases, first_difference, invoke  # noqa: E402
 
 TOL = 1e-10  # the CLI's default --tol, which recorded the corpus
 CLOSE = 1e-12  # relative (above 1) agreement of certificate numbers
@@ -205,3 +205,14 @@ def test_every_golden_file_is_a_case():
         if name.count(".") == 2
     }
     assert stored == recorded
+
+
+def test_check_reports_the_first_differing_line():
+    detail = first_difference(b"n,x\n1,0.25\n2,0.5\n", b"n,x\n1,0.26\n2,0.6\n")
+    assert detail.splitlines() == [
+        "  line 2, column 6",
+        "    stored: '1,0.25\\n'",
+        "    fresh:  '1,0.26\\n'",
+    ]
+    assert "line 3, column 1" in first_difference(b"a\nb\n", b"a\nb\nc\n")
+    assert first_difference(None, b"a\n") == "  no stored file"

@@ -320,6 +320,12 @@ class TestCli:
         _, second, _ = invoke(argv)
         assert first == second
 
+    def test_study_form_too_large_to_draw_exits_one(self):
+        argv = ["study", "--form", "2:4611686018427387905,4", "--n-list", "1", "--samples", "1"]
+        code, out, err = invoke(argv + ["--seed", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot draw 1 samples of form 2:4611686018427387905,4: ")
+
     def test_verify_none(self):
         code, out, _ = invoke(["verify", "none"])
         assert code == 0

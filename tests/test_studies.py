@@ -50,6 +50,22 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             sample_target_points(FORM_2X2, 1, 1, 0.0)
 
+    def test_unshapeable_draw_names_form_and_samples(self):
+        form = StrategicGameForm(2, (4611686018427387905, 4))
+        with pytest.raises(InvalidInputError, match="1 samples of form 2:4611686018427387905,4"):
+            sample_target_points(form, 1, 1, 1.0)
+
+    def test_failed_allocation_names_form_and_samples(self):
+        # a generator whose draw fails as numpy does when it cannot allocate;
+        # default_rng hands a Generator back unchanged, so nothing is allocated
+        class OutOfMemory(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate 137. GiB")
+
+        form = StrategicGameForm(2, (3000, 3000))
+        with pytest.raises(InvalidInputError, match="2000 samples of form 2:3000,3000: Unable"):
+            convergence_study(form, [1.0], 2000, OutOfMemory(np.random.PCG64(0)))
+
 
 class TestConvergenceStudy:
     def test_shape_contract(self):
