@@ -21,8 +21,8 @@ game = Game.from_payoff_tensors(
 )
 print("response at n=0:", [v.tolist() for v in logit_response(0.0, game, MixedProfile.uniform(game.form)).vectors])
 
-# Follow the path: n rises multiplicatively, each predictor is corrected by a
-# Newton solve, and every recorded point is a logit equilibrium at its n.
+# Follow the branch by arc length in (x, log n): each tangent prediction is
+# corrected by Newton, and every recorded point is a logit equilibrium at its n.
 trace = trace_logit_path(game, n_final=50.0, tol=1e-12)
 print(f"{len(trace.entries)} points traced; a few of them:")
 for entry in trace.entries[:: max(1, len(trace.entries) // 6)]:

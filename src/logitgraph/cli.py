@@ -14,7 +14,7 @@ from . import io as formats
 from .errors import ConvergenceError, InvalidInputError, ParseError
 from .games import MixedProfile, StrategicGameForm, _logit_gap, km_decompose
 from .graph_maps import phi_inv, phi_n_inv
-from .solver import PathEntry, solve_newton, trace_logit_path
+from .solver import TRACE_START, PathEntry, solve_newton, trace_logit_path
 from .studies import convergence_study
 from .verification import run_property_suite
 
@@ -112,7 +112,7 @@ def _parse_n_list(text):
 
 def _solve_at(game, n, tol):
     """Terminal point of the trace at n; direct solve when n is below the trace start."""
-    if n > 1e-3:
+    if n > TRACE_START:
         trace = trace_logit_path(game, n_final=n, tol=tol)
         return trace.entries[-1]
     profile = solve_newton(n, game, MixedProfile.uniform(game.form), tol=tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .maps import softmax
+from .maps import _check_n, softmax
 
 PROBABILITY_TOL = 1e-9
 ZERO_MEAN_TOL = 1e-9
@@ -243,8 +243,7 @@ def logit_residual(game, x, n):
     boundary entries are still scored but raise a RuntimeWarning because the
     gap no longer certifies an interior fixed point.
     """
-    if not n > 0:
-        raise InvalidInputError(f"n must be positive, got {n}")
+    _check_n(n)
     vectors = _profile_vectors(game.form, x)
     if any(v.min() <= 0.0 for v in vectors):
         warnings.warn(
@@ -415,8 +414,8 @@ class GraphPoint:
             raise InvalidInputError(f"kind must be 'nash' or 'logit', got {self.kind!r}")
         if (self.kind == "logit") != (self.n is not None):
             raise InvalidInputError("n must be present exactly when kind is 'logit'")
-        if self.n is not None and not self.n > 0:
-            raise InvalidInputError(f"n must be positive, got {self.n}")
+        if self.n is not None:
+            _check_n(self.n)
 
     @classmethod
     def nash(cls, game, profile, tol=1e-8):

@@ -29,6 +29,7 @@ from .games import (
     nash_residual,
 )
 from .maps import (
+    _check_n,
     _check_n_tol,
     _invert_rows,
     _softmax_rows,
@@ -59,8 +60,7 @@ def z_logit(n, game, x):
     point the added term equals the player's own probabilities and this map
     coincides with ``z_nash``.
     """
-    if not (n > 0 and np.isfinite(n)):
-        raise InvalidInputError(f"n must be positive and finite, got {n}")
+    _check_n(n)
     vectors = _profile_vectors(game.form, x)
     w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
     return tuple(d[0] + softmax(n * d[0]) for d in w)

@@ -41,8 +41,7 @@ def g_map(n, v):
     norm at most 1 (it is a probability vector).
     """
     v = _as_vector(v)
-    if not (n > 0 and math.isfinite(n)):
-        raise InvalidInputError(f"n must be positive and finite, got {n}")
+    _check_n(n)
     return v + softmax(n * v)
 
 
@@ -52,8 +51,7 @@ def g_jacobian(n, v):
     Symmetric positive definite; every column sums to 1.
     """
     v = _as_vector(v)
-    if not (n > 0 and math.isfinite(n)):
-        raise InvalidInputError(f"n must be positive and finite, got {n}")
+    _check_n(n)
     s = softmax(n * v)
     return np.eye(v.size) + n * (np.diag(s) - np.outer(s, s))
 
@@ -125,9 +123,13 @@ def h_exact(y):
     return SimplexProjection(alpha_star=a, h_value=h, residual=y - h)
 
 
-def _check_n_tol(n, tol):
+def _check_n(n):
     if not (n > 0 and math.isfinite(n)):
         raise InvalidInputError(f"n must be positive and finite, got {n}")
+
+
+def _check_n_tol(n, tol):
+    _check_n(n)
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
 

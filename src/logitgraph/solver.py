@@ -3,8 +3,8 @@
 All solvers measure convergence with the same sup-norm fixed-point gap that
 ``logit_residual`` reports, so any returned solution can be re-verified
 independently. The tracer follows the branch that starts at the uniform
-profile (the limit of the response map as ``n`` goes to 0) and raises the
-precision multiplicatively with an adaptive step.
+profile (the limit of the response map as ``n`` goes to 0) by arc length in
+``(x, log n)``, through the folds where ``n`` turns back.
 """
 
 from __future__ import annotations
@@ -154,16 +154,13 @@ class PathEntry:
 
 @dataclass(frozen=True, eq=False)
 class PathTrace:
-    """Solutions at strictly increasing precisions, plus the terminal Nash gap."""
+    """Solutions in branch order, plus the terminal Nash gap; ``n`` falls between a fold's turns."""
 
     entries: tuple[PathEntry, ...]
     game: Game
     terminal_nash_residual: float
 
     def __post_init__(self):
-        ns = [e.n for e in self.entries]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise InvalidInputError("path entries must have strictly increasing n")
         for e in self.entries:
             recomputed = _logit_gap(self.game, e.profile.vectors, e.n)
             if abs(recomputed - e.residual) > 1e-12:
@@ -173,87 +170,99 @@ class PathTrace:
                 )
 
 
-MAX_PROFILE_STEP = 0.5  # declared sup-norm limit on accepted per-step movement
+TRACE_START = 1e-3  # precision of the first trace entry, solved from the uniform profile
 
 
-def trace_logit_path(game, n_final, n_start=1e-3, tol=1e-10, max_corrector_iter=200):
-    """Follow logit equilibria from near-zero precision up to ``n_final``.
+def _homotopy(game, y):
+    """``H(x, lam) = x - response(x, e^lam)`` at ``y = (x, lam)`` and its Jacobian ``[H_x, H_lam]``.
 
-    Starts at the uniform profile, advances ``n`` by an adaptive multiplicative
-    factor (initially 1.5, shrunk by half on corrector failure or when the
-    solution moves more than ``MAX_PROFILE_STEP`` in sup norm, grown by 1.2 on
-    fast success), and corrects each predictor with the Newton solver. The
-    returned trace ends exactly at ``n_final``.
+    ``ds_i/dlam = (diag(s_i) - s_i s_i^T) log s_i``: ``log s_i`` is ``n w_i`` up to a
+    constant, which that matrix annihilates. ``e^lam`` saturates just below the largest float.
+    """
+    form, x, n = game.form, y[:-1], math.exp(min(y[-1], 709.78))
+    responses, blocks = _payoff_kernel(game, _unstack(form, x), n, jacobian=True)
+    ds = [r * np.log(r, out=np.zeros_like(r), where=r > 0) for r in responses]
+    ds = np.concatenate([d - r * d.sum() for r, d in zip(responses, ds)])
+    jac = np.eye(x.size) - _response_jacobian(n, form, responses, blocks)
+    return x - np.concatenate(responses), np.column_stack([jac, -ds])
 
-    If the corrector still converges far from the predictor at the minimal
-    step, the branch through the previous point ends there and the move is
-    accepted as a branch jump; every recorded point is a genuine solution at
-    its ``n`` either way. Raises PathFailureError (carrying the partial trace)
-    if the corrector keeps failing as the step factor underflows below 1e-12
-    relative.
+
+def _arclength_step(game, y, t, h, tol):
+    """Newton from ``y + h*t`` on the hyperplane through it normal to ``t``: ``(y, tangent)``.
+
+    None rejects the step: the tangent at the prediction turns from ``t`` by more
+    than ``acos(0.98)``, the first update is longer than ``0.3*h``, or 8 updates
+    do not reach ``tol``. Tangents solve ``[H_x, H_lam; t^T] t' = e_last``.
+    """
+    z, unit = y + h * t, np.eye(y.size)[-1]
+    for updates in range(9):
+        residual, jac = _homotopy(game, z)
+        rhs = np.column_stack([unit, np.append(-residual, 0.0)])
+        try:
+            tangent, update = np.linalg.solve(np.vstack([jac, t]), rhs).T
+        except np.linalg.LinAlgError:
+            return None
+        norm = np.linalg.norm(tangent)
+        if updates == 0 and not (norm <= 1.0 / 0.98 and np.linalg.norm(update) <= 0.3 * h):
+            return None
+        if np.abs(residual).max() <= tol:
+            return z, tangent / norm
+        z = z + update
+    return None
+
+
+def trace_logit_path(game, n_final, tol=1e-10):
+    """Follow the logit branch through the uniform profile from ``TRACE_START`` to ``n_final``.
+
+    Pseudo-arclength continuation of ``H(x, log n) = 0`` (Turocy's QRE
+    homotopy), through folds where ``n`` turns back: a rejected step halves the
+    arclength step ``h``, an accepted one grows it by 1.3 up to 1. The last two
+    accepted points bracket the first crossing of ``n_final``, solved from their
+    chord. Raises PathFailureError (partial trace, last accepted point as
+    ``best``) when ``h`` underflows 1e-12 or a solve at fixed ``n`` fails.
     """
     _check_n_tol(n_final, tol)
-    if not 0 < n_start < n_final:
-        raise InvalidInputError(f"need 0 < n_start < n_final, got {n_start}, {n_final}")
-
-    entries = []
+    if not n_final > TRACE_START:
+        raise InvalidInputError(f"n_final must exceed TRACE_START={TRACE_START}, got {n_final}")
+    form, entries = game.form, []
 
     def partial():
-        if entries:
-            terminal = nash_residual(game, entries[-1].profile)
-        else:
-            terminal = nash_residual(game, MixedProfile.uniform(game.form))
+        last = entries[-1].profile if entries else MixedProfile.uniform(form)
+        terminal = nash_residual(game, last)
         return PathTrace(entries=tuple(entries), game=game, terminal_nash_residual=terminal)
 
-    def record(n_value, vectors, gap):
-        entries.append(PathEntry(n=n_value, profile=MixedProfile(tuple(vectors)), residual=gap))
+    def fail(message, best, residual):
+        return PathFailureError(message, partial_trace=partial(), best=best, residual=residual)
 
-    vectors = list(MixedProfile.uniform(game.form).vectors)
-    try:
-        vectors, _, gap = _newton_solve(n_start, game, vectors, tol, max_corrector_iter, 0.5)
-    except ConvergenceError as exc:
-        raise PathFailureError(
-            f"correction failed at starting precision n={n_start}",
-            partial_trace=partial(),
-            best=exc.best,
-            residual=exc.residual,
-        ) from exc
-    record(n_start, vectors, gap)
+    def record(n, vectors, gap):
+        entries.append(PathEntry(n=n, profile=MixedProfile(tuple(vectors)), residual=gap))
 
-    n = n_start
-    factor = 1.5
-    while n < n_final:
-        target = min(n * factor, n_final)
+    def solve(n, vectors):
         try:
-            new_vectors, iters, new_gap = _newton_solve(
-                target, game, vectors, tol, max_corrector_iter, 0.5
-            )
+            vectors, _, gap = _newton_solve(n, game, vectors, tol, 200, 0.5)
         except ConvergenceError as exc:
-            factor = 1.0 + 0.5 * (factor - 1.0)
-            if factor - 1.0 < 1e-12:
-                raise PathFailureError(
-                    f"step size underflow near n={n}",
-                    partial_trace=partial(),
-                    best=exc.best,
-                    residual=exc.residual,
-                ) from exc
+            raise fail(f"correction failed at n={n}", exc.best, exc.residual) from exc
+        record(n, vectors, gap)
+
+    solve(TRACE_START, MixedProfile.uniform(form).vectors)
+    y = np.append(np.concatenate(entries[0].profile.vectors), math.log(TRACE_START))
+    t, h, lam_final = np.eye(y.size)[-1], 1.0, math.log(n_final)
+    while True:
+        step = _arclength_step(game, y, t, h, tol)
+        if step is None:
+            h *= 0.5
+            if h < 1e-12:
+                e = entries[-1]
+                raise fail(f"step size underflow near n={e.n}", e.profile.vectors, e.residual)
             continue
-        moved = max(
-            float(np.abs(a - b).max()) for a, b in zip(new_vectors, vectors)
-        )
-        jumped = moved > MAX_PROFILE_STEP
-        if jumped:
-            factor = 1.0 + 0.5 * (factor - 1.0)
-            if factor - 1.0 >= 1e-12:
-                continue  # smaller precision step keeps a continuous branch inside the limit
-            # converged far from the predictor even at the minimal step: the
-            # branch ends here, accept the jump and restart the step size
-        vectors, n = new_vectors, target
-        record(n, vectors, new_gap)
-        if jumped:
-            factor = 1.5
-        elif iters <= 5:
-            factor = min(1.0 + 1.2 * (factor - 1.0), 8.0)
+        if step[0][-1] >= lam_final:
+            break
+        (y, t), h = step, min(1.3 * h, 1.0)
+        n, vectors = math.exp(y[-1]), _unstack(form, y[:-1])
+        record(n, vectors, _logit_gap(game, vectors, n))  # the gap logit_residual reports
+    ahead = step[0]
+    chord = y + (lam_final - y[-1]) / (ahead[-1] - y[-1]) * (ahead - y)
+    solve(n_final, _unstack(form, chord[:-1]))
     return partial()
 
 

@@ -3,7 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from logitgraph import Game, MixedProfile, StrategicGameForm, solve_newton
+from logitgraph import (
+    Game,
+    MixedProfile,
+    StrategicGameForm,
+    deviation_payoffs,
+    logit_response,
+    solve_newton,
+)
+from logitgraph.games import _payoff_kernel
+from logitgraph.solver import _response_jacobian
 
 
 def matching_pennies():
@@ -79,6 +88,54 @@ def fine_branch(game, n_final):
         assert step <= 0.05, f"oracle step moved {step:.3g} at n={n:.6g}"
         x = new
     return x
+
+
+def fine_arclength(game, n_final, h=0.02):
+    """Independent oracle: fixed-step pseudo-arclength continuation from the centroid.
+
+    Follows ``H(x, lam) = x - logit_response(e^lam, game, x)`` from ``n = 1e-3`` in
+    steps of ``h`` in ``(x, lam)`` with no step control. The tangent is the null
+    vector of ``[H_x, H_lam]`` (SVD) oriented by the previous one; ``H_lam`` is
+    ``-n (diag(s_i) - s_i s_i^T) w_i`` from ``deviation_payoffs``. Each prediction is
+    corrected by Newton on the hyperplane through it (tol 1e-12), and every
+    update must stay within ``0.5*h``, so the oracle cannot leave the branch.
+    The first crossing of ``n_final`` is solved by ``solve_newton`` from the chord
+    between the two points that bracket it. Returns the terminal profile.
+    """
+    form = game.form
+
+    def split(x):
+        return tuple(np.split(x, np.cumsum(form.action_counts)[:-1]))
+
+    def homotopy(y):
+        n, x = np.exp(y[-1]), split(y[:-1])
+        responses, blocks = _payoff_kernel(game, x, n, jacobian=True)
+        s = np.concatenate(logit_response(n, game, x).vectors)
+        ds = []
+        for i, r in enumerate(responses):
+            w = deviation_payoffs(game, i, x)
+            ds.append(-n * (r * w - r * (r @ w)))
+        jac = np.eye(y.size - 1) - _response_jacobian(n, form, responses, blocks)
+        return y[:-1] - s, np.column_stack([jac, np.concatenate(ds)])
+
+    start = solve_newton(1e-3, game, MixedProfile.uniform(form), tol=1e-12)
+    y = np.append(np.concatenate(start.vectors), np.log(1e-3))
+    t = np.append(np.zeros(y.size - 1), 1.0)
+    while y[-1] < np.log(n_final):
+        z = y + h * t
+        for _ in range(50):
+            residual, jac = homotopy(z)
+            if np.abs(residual).max() <= 1e-12:
+                break
+            update = np.linalg.solve(np.vstack([jac, t]), np.append(-residual, 0.0))
+            assert np.linalg.norm(update) <= 0.5 * h, f"oracle update {np.linalg.norm(update):.3g}"
+            z = z + update
+        else:
+            raise AssertionError(f"oracle corrector stalled at n={np.exp(z[-1]):.6g}")
+        tangent = np.linalg.svd(homotopy(z)[1])[2][-1]
+        t, y, previous = (tangent if tangent @ t > 0 else -tangent), z, y
+    chord = previous + (np.log(n_final) - previous[-1]) / (y[-1] - previous[-1]) * (y - previous)
+    return solve_newton(n_final, game, split(chord[:-1]), tol=1e-12)
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from logitgraph import (
     TargetPoint,
     approximation_gap,
     epsilon_bound,
+    g_jacobian,
+    g_map,
     graph_point_gap,
     km_decompose,
     logit_residual,
@@ -171,6 +173,25 @@ class TestPhiInv:
             assert point.residual <= 1e-9
             assert nash_residual(point.game, point.profile) <= 1e-9
             assert max_target_diff(t, phi(point)) <= 1e-9
+
+
+class TestNonFinitePrecision:
+    @pytest.mark.parametrize("n", [np.inf, np.nan])
+    def test_rejected_at_every_graph_boundary(self, n):
+        game = matching_pennies()
+        x = MixedProfile.uniform(game.form)
+        point = GraphPoint.logit(game, x, 1.0)
+        for call in (
+            lambda: logit_residual(game, x, n),
+            lambda: GraphPoint(game, x, "logit", 0.0, n=n),
+            lambda: GraphPoint.logit(game, x, n),
+            lambda: phi_n(n, point),
+            lambda: z_logit(n, game, x),
+            lambda: g_map(n, [0.1, 0.2]),
+            lambda: g_jacobian(n, [0.1, 0.2]),
+        ):
+            with pytest.raises(InvalidInputError, match="n must be positive and finite"):
+                call()
 
 
 class TestPhiN:

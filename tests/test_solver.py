@@ -18,10 +18,11 @@ from logitgraph import (
     trace_logit_path,
 )
 from logitgraph.games import _payoff_kernel
-from logitgraph.solver import _response_jacobian, _unstack
+from logitgraph.solver import TRACE_START, _homotopy, _response_jacobian, _unstack
 from conftest import (
     coordination_2x2,
     fd_jacobian,
+    fine_arclength,
     fine_branch,
     matching_pennies,
     one_player_game,
@@ -91,8 +92,11 @@ class TestResponseJacobian:
         form = StrategicGameForm(len(counts), counts)
         game = random_game(rng, form, box=1.0)
 
-        def response(flat):
-            return np.concatenate(logit_response(n, game, _unstack(form, flat)).vectors)
+        def response(flat, precision=n):
+            return np.concatenate(logit_response(precision, game, _unstack(form, flat)).vectors)
+
+        def homotopy(y):  # H(x, lam) = x - response(x, e^lam)
+            return y[:-1] - response(y[:-1], np.exp(y[-1]))
 
         for _ in range(3):
             x = random_interior_profile(rng, form).vectors
@@ -101,34 +105,61 @@ class TestResponseJacobian:
             oracle = fd_jacobian(response, np.concatenate(x))
             assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
             assert np.abs(np.concatenate(responses) - response(np.concatenate(x))).max() <= 1e-14 * n
+            # [H_x, H_lam], differenced over (x, log n)
+            y = np.append(np.concatenate(x), np.log(n))
+            residual, jac = _homotopy(game, y)
+            oracle = fd_jacobian(homotopy, y)
+            assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
+            assert np.abs(residual - homotopy(y)).max() <= 1e-14 * n
 
 
-_BRANCH_JUMP = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the tracer ends on another logit equilibrium although the branch has no fold",
-)
+def _terminal_gap(game, oracle):
+    traced = trace_logit_path(game, 400.0).entries[-1].profile
+    return max(float(np.abs(a - b).max()) for a, b in zip(traced.vectors, oracle.vectors))
+
+
+def _seeded(shape, seed):
+    return random_game(np.random.default_rng(seed), StrategicGameForm(len(shape), shape), box=1.0)
+
+
+def _case_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 class TestFollowsTheCentroidBranch:
-    """The traced terminal profile against ``fine_branch`` on seeded 3x3 games (box 1, n = 400).
+    """The traced terminal profile at n = 400 against the branch through the centroid.
 
-    On seeds 1009 and 1010 the tracer's terminal profile is 0.80 and 0.45 away
-    from the oracle's, while the oracle never moves more than 0.021 and 0.010
-    per step: the tracer leaves a fold-free branch, and every point it returns
-    is still a genuine logit equilibrium, so no residual check can see it.
+    Seeded uniform games (box 1). On the fold-free ones ``fine_branch`` is the
+    reference: a tracer that stepped in ``n`` ended 0.41 to 1.0 away from it
+    on each of these seeds but 3x3 1000, while the oracle never moves more than 0.05 per
+    step, and every point it returned was still a genuine logit equilibrium,
+    so no residual check could see it. On the others the branch turns back in
+    ``n``, so ``fine_branch`` cannot pass and ``fine_arclength`` is the
+    reference; the trace must fall in ``n`` somewhere.
     """
 
     @pytest.mark.parametrize(
-        "seed",
-        [1000, pytest.param(1009, marks=_BRANCH_JUMP), pytest.param(1010, marks=_BRANCH_JUMP)],
+        "shape, seed",
+        [((3, 3), 1000), ((3, 3), 1009), ((3, 3), 1010), ((8, 8), 1001), ((8, 8), 1008),
+         ((3, 3, 3), 1008), ((4, 4, 4), 1005)],
+        ids=_case_id,
     )
-    def test_terminal_profile_matches_oracle(self, seed):
-        game = random_game(np.random.default_rng(seed), StrategicGameForm(2, (3, 3)), box=1.0)
-        oracle = fine_branch(game, 400.0)
-        traced = trace_logit_path(game, 400.0).entries[-1].profile
-        gap = max(float(np.abs(a - b).max()) for a, b in zip(traced.vectors, oracle.vectors))
-        assert gap <= 1e-9
+    def test_fold_free_branch_matches_natural_continuation(self, shape, seed):
+        game = _seeded(shape, seed)
+        assert _terminal_gap(game, fine_branch(game, 400.0)) <= 1e-9
+
+    # seeds 0 and 1 at 4x4x4 are the fold reproducers: the first draw of default_rng(0) and (1)
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [((3, 3, 3), 1007), ((3, 3, 3), 1011), ((4, 4, 4), 1000), ((4, 4, 4), 1008),
+         ((8, 8), 1000), ((4, 4, 4), 0), ((4, 4, 4), 1)],
+        ids=_case_id,
+    )
+    def test_branch_through_a_fold_matches_arclength(self, shape, seed):
+        game = _seeded(shape, seed)
+        ns = [e.n for e in trace_logit_path(game, 400.0).entries]
+        assert any(b < a for a, b in zip(ns, ns[1:]))
+        assert _terminal_gap(game, fine_arclength(game, 400.0)) <= 1e-9
 
 
 class TestSolveFixedPoint:
@@ -246,19 +277,19 @@ class TestTraceLogitPath:
                 entry.residual, abs=1e-12
             )
 
-    def test_consecutive_steps_respect_declared_limit(self, rng):
-        from logitgraph.solver import MAX_PROFILE_STEP
-
-        form = StrategicGameForm(2, (2, 2))
-        for _ in range(8):
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 3), (3, 3, 3)])
+    def test_consecutive_entries_are_continuous(self, rng, counts):
+        # an accepted step is at most 1 along the tangent plus corrector updates
+        # whose first is at most 0.3 of the step, in (x, log n)
+        form = StrategicGameForm(len(counts), counts)
+        for _ in range(4):
             game = random_game(rng, form, box=1.0)
-            trace = trace_logit_path(game, 200.0, tol=1e-10)
-            for a, b in zip(trace.entries, trace.entries[1:]):
-                moved = max(
-                    float(np.abs(u - v).max())
-                    for u, v in zip(a.profile.vectors, b.profile.vectors)
-                )
-                assert moved <= MAX_PROFILE_STEP
+            points = [
+                np.append(np.concatenate(e.profile.vectors), np.log(e.n))
+                for e in trace_logit_path(game, 200.0, tol=1e-10).entries
+            ]
+            for a, b in zip(points, points[1:]):
+                assert np.linalg.norm(b - a) <= 1.0 + 2 * 0.3
 
     def test_resolvable_at_recorded_precisions(self, rng):
         # independent damped resolve reaches the solve tolerance at every n
@@ -272,16 +303,24 @@ class TestTraceLogitPath:
 
     def test_invalid_range(self):
         game = matching_pennies()
-        with pytest.raises(InvalidInputError):
-            trace_logit_path(game, 1.0, n_start=2.0)
-        with pytest.raises(InvalidInputError):
-            trace_logit_path(game, -5.0)
+        for n_final in (TRACE_START, 0.5 * TRACE_START, -5.0):
+            with pytest.raises(InvalidInputError):
+                trace_logit_path(game, n_final)
 
     def test_unreachable_tolerance_fails_with_partial_trace(self, rng):
         game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
         with pytest.raises(PathFailureError) as info:
-            trace_logit_path(game, 10.0, tol=1e-30, max_corrector_iter=20)
+            trace_logit_path(game, 10.0, tol=1e-30)
         assert info.value.partial_trace is not None
+        assert info.value.best is not None and info.value.residual > 1e-30
+
+    @pytest.mark.parametrize("game", [matching_pennies(), one_player_game([1.0, 0.0])])
+    @pytest.mark.parametrize("n_final", [1e300, 1e308, np.finfo(float).max])
+    def test_extreme_final_precision_ends_there(self, game, n_final):
+        # steps past log(n_final) near the top of the float range must not overflow
+        trace = trace_logit_path(game, n_final)
+        assert trace.entries[-1].n == n_final
+        assert trace.entries[-1].residual <= 1e-10
 
 
 class TestApproximateNash:
@@ -305,15 +344,15 @@ class TestApproximateNash:
 
 
 class TestPathTrace:
-    def test_rejects_decreasing_precisions(self):
+    def test_accepts_precisions_that_fall_at_a_fold(self):
         game = matching_pennies()
         x = MixedProfile.uniform(game.form)
         entries = (
             PathEntry(n=2.0, profile=x, residual=0.0),
             PathEntry(n=1.0, profile=x, residual=0.0),
         )
-        with pytest.raises(InvalidInputError):
-            PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+        trace = PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+        assert [e.n for e in trace.entries] == [2.0, 1.0]
 
     def test_rejects_inconsistent_residual(self):
         game = one_player_game([1.0, 0.0])
