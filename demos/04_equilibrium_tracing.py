@@ -35,7 +35,7 @@ for n_final in (50.0, 200.0, 800.0):
     profile, residual = approximate_nash(game, n_final, tol=1e-12)
     print(f"n_final={n_final:5g}: nash residual {residual:.3e}")
 
-# One-shot solves at a fixed n agree with the traced branch when the response
-# map still has a single fixed point.
+# solve_newton refines a nearby point at a fixed n with plain Newton steps; at
+# n=2 the uniform profile is still near enough to land on the traced branch.
 direct = solve_newton(2.0, game, MixedProfile.uniform(game.form), tol=1e-12)
 print("direct solve at n=2:", [np.round(v, 6).tolist() for v in direct.vectors])

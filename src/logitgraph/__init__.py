@@ -64,7 +64,6 @@ from .solver import (
     PathTrace,
     approximate_nash,
     logit_response,
-    solve_fixed_point,
     solve_newton,
     trace_logit_path,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "run_property_suite",
     "sample_target_points",
     "softmax",
-    "solve_fixed_point",
     "solve_newton",
     "target_point_to_json",
     "trace_logit_path",

@@ -12,9 +12,9 @@ import sys
 
 from . import io as formats
 from .errors import ConvergenceError, InvalidInputError, ParseError
-from .games import MixedProfile, StrategicGameForm, _logit_gap, km_decompose
+from .games import StrategicGameForm, km_decompose
 from .graph_maps import phi_inv, phi_n_inv
-from .solver import TRACE_START, PathEntry, solve_newton, trace_logit_path
+from .solver import trace_logit_path
 from .studies import convergence_study
 from .verification import run_property_suite
 
@@ -110,15 +110,6 @@ def _parse_n_list(text):
         raise InvalidInputError(f"--n-list: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _solve_at(game, n, tol):
-    """Terminal point of the trace at n; direct solve when n is below the trace start."""
-    if n > TRACE_START:
-        trace = trace_logit_path(game, n_final=n, tol=tol)
-        return trace.entries[-1]
-    profile = solve_newton(n, game, MixedProfile.uniform(game.form), tol=tol)
-    return PathEntry(n=n, profile=profile, residual=_logit_gap(game, profile.vectors, n))
-
-
 def _game(args):
     return formats.parse_game(_read(args.game))
 
@@ -135,7 +126,10 @@ def _study(args):
 # command -> (builds its record from the parsed arguments, its default format)
 _COMMANDS = {
     "decompose": (lambda args: km_decompose(_game(args)), "json"),
-    "solve": (lambda args: _solve_at(_game(args), args.n, args.tol), "json"),
+    "solve": (
+        lambda args: trace_logit_path(_game(args), n_final=args.n, tol=args.tol).entries[-1],
+        "json",
+    ),
     "trace": (lambda args: trace_logit_path(_game(args), n_final=args.n_final, tol=args.tol), "csv"),
     "invert-nash": (lambda args: phi_inv(_target(args)), "json"),
     "invert-logit": (lambda args: phi_n_inv(args.n, _target(args), tol=args.tol), "json"),

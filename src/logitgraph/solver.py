@@ -1,14 +1,16 @@
-"""Logit equilibrium solvers: damped iteration, Newton, and continuation in ``n``.
+"""Logit equilibrium solvers: continuation in ``n`` and Newton refinement at a fixed ``n``.
 
-All solvers measure convergence with the same sup-norm fixed-point gap that
-``logit_residual`` reports, so any returned solution can be re-verified
-independently. The tracer follows the branch that starts at the uniform
-profile (the limit of the response map as ``n`` goes to 0) by arc length in
-``(x, log n)``, through the folds where ``n`` turns back.
+Every solve runs one bordered Newton corrector on ``H(x, log n) = x -
+response(x, n)`` and measures convergence with the same sup-norm fixed-point
+gap that ``logit_residual`` reports, so any returned solution can be
+re-verified independently. The tracer follows the branch that starts at the
+uniform profile (the limit of the response map as ``n`` goes to 0) by arc
+length in ``(x, log n)``, through the folds where ``n`` turns back.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,98 +53,6 @@ def _response_jacobian(n, form, responses, blocks):
     return jac
 
 
-def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
-    """Damped iteration ``x <- (1-damping)*x + damping*response(x)`` until the gap <= tol.
-
-    Raises ConvergenceError carrying the best iterate if the budget runs out;
-    callers typically fall back to ``trace_logit_path``.
-    """
-    if not (0.0 < damping <= 1.0):
-        raise InvalidInputError(f"damping must be in (0, 1], got {damping}")
-    _check_n_tol(n, tol)
-    if not max_iter > 0:
-        raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
-    vectors = [np.array(v, dtype=float) for v in _profile_vectors(game.form, x0)]
-    best_vecs, best_gap = vectors, np.inf
-    for iteration in range(max_iter + 1):
-        resp, _ = _payoff_kernel(game, vectors, n)
-        gap = max(float(np.abs(v - r).max()) for v, r in zip(vectors, resp))
-        if gap < best_gap:
-            best_vecs, best_gap = vectors, gap
-        if gap <= tol:
-            return MixedProfile(tuple(vectors))
-        if iteration == max_iter:
-            break
-        vectors = [(1.0 - damping) * v + damping * r for v, r in zip(vectors, resp)]
-    raise ConvergenceError(
-        f"fixed-point iteration stalled at gap {best_gap:.3e} (tol {tol:.3e})",
-        best=best_vecs,
-        residual=best_gap,
-        iterations=max_iter,
-    )
-
-
-def _newton_solve(n, game, vectors, tol, max_iter, damping):
-    """Newton on the fixed-point gap with damped-response fallback steps.
-
-    Arguments are trusted raw arrays. The response and gap of an accepted
-    line-search candidate carry over to the next iteration. Returns (vectors,
-    iterations used, gap). Raises ConvergenceError on budget exhaustion.
-    """
-    form = game.form
-    x, resp = np.concatenate(vectors), None
-    best_x, best_gap = x, np.inf
-    for iteration in range(max_iter + 1):
-        if resp is None:
-            resp = np.concatenate(_payoff_kernel(game, _unstack(form, x), n)[0])
-            gap = float(np.abs(x - resp).max())
-        if gap < best_gap:
-            best_x, best_gap = x, gap
-        if gap <= tol:
-            return _unstack(form, x), iteration, gap
-        if iteration == max_iter:
-            break
-        moved = False
-        responses, blocks = _payoff_kernel(game, _unstack(form, x), n, jacobian=True)
-        jac = np.eye(x.size) - _response_jacobian(n, form, responses, blocks)
-        try:
-            step = np.linalg.solve(jac, resp - x)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.all(np.isfinite(step)):
-            t = 1.0
-            for _ in range(25):
-                cand = x + t * step
-                cand_resp = np.concatenate(_payoff_kernel(game, _unstack(form, cand), n)[0])
-                cand_gap = float(np.abs(cand - cand_resp).max())
-                if cand_gap <= (1.0 - 1e-4 * t) * gap:
-                    x, resp, gap, moved = cand, cand_resp, cand_gap, True
-                    break
-                t *= 0.5
-        if not moved:
-            # Newton rejected: take a damped response step instead
-            x, resp = (1.0 - damping) * x + damping * resp, None
-    raise ConvergenceError(
-        f"newton solve stalled at gap {best_gap:.3e} (tol {tol:.3e}) for n={n}",
-        best=_unstack(form, best_x),
-        residual=best_gap,
-        iterations=max_iter,
-    )
-
-
-def solve_newton(n, game, x0, tol=1e-10, max_iter=100, damping=0.5):
-    """Newton refinement of a logit equilibrium from an interior start ``x0``.
-
-    The residual map is the fixed-point gap ``x - response(x)``. Its Jacobian is
-    exact: block (i, j) of ``d response/dx`` is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``.
-    Steps that fail to reduce the gap are replaced by damped response steps.
-    """
-    _check_n_tol(n, tol)
-    vectors = _profile_vectors(game.form, x0)
-    solution, _, _ = _newton_solve(n, game, vectors, tol, max_iter, damping)
-    return MixedProfile(tuple(solution))
-
-
 @dataclass(frozen=True, eq=False)
 class PathEntry:
     """One solved point along a continuation path."""
@@ -170,21 +80,45 @@ class PathTrace:
                 )
 
 
-TRACE_START = 1e-3  # precision of the first trace entry, solved from the uniform profile
+TRACE_START = 1e-3  # precision of the first trace entry when every payoff is in [-1, 1]
+MAX_NEWTON_ITER = 100  # Newton updates a solve at fixed n may take
 
 
-def _homotopy(game, y):
-    """``H(x, lam) = x - response(x, e^lam)`` at ``y = (x, lam)`` and its Jacobian ``[H_x, H_lam]``.
+def _homotopy(game, x, n):
+    """``H(x, lam) = x - response(x, n)`` at ``lam = log n`` and its Jacobian ``[H_x, H_lam]``.
 
     ``ds_i/dlam = (diag(s_i) - s_i s_i^T) log s_i``: ``log s_i`` is ``n w_i`` up to a
-    constant, which that matrix annihilates. ``e^lam`` saturates just below the largest float.
+    constant, which that matrix annihilates.
     """
-    form, x, n = game.form, y[:-1], math.exp(min(y[-1], 709.78))
-    responses, blocks = _payoff_kernel(game, _unstack(form, x), n, jacobian=True)
+    responses, blocks = _payoff_kernel(game, _unstack(game.form, x), n, jacobian=True)
     ds = [r * np.log(r, out=np.zeros_like(r), where=r > 0) for r in responses]
     ds = np.concatenate([d - r * d.sum() for r, d in zip(responses, ds)])
-    jac = np.eye(x.size) - _response_jacobian(n, form, responses, blocks)
+    jac = np.eye(x.size) - _response_jacobian(n, game.form, responses, blocks)
     return x - np.concatenate(responses), np.column_stack([jac, -ds])
+
+
+def _newton_iterates(game, z, normal, n=None):
+    """Newton on ``H = 0`` in the hyperplane through ``z = (x, lam)`` normal to ``normal``.
+
+    Yields ``(z, gap, tangent, update)`` per iterate: one solve of the bordered
+    matrix ``[H_x, H_lam; normal^T]`` gives the update and the tangent, scaled to
+    ``normal . tangent = 1``, both None where that matrix is singular. The iterates
+    end there or at an update that is not finite. With ``n``, ``lam`` stays at
+    ``log n`` and the response is taken at ``n`` itself; else at ``e^lam``, which
+    saturates just below the largest float.
+    """
+    unit = np.eye(z.size)[-1]
+    while True:
+        residual, jac = _homotopy(game, z[:-1], math.exp(min(z[-1], 709.78)) if n is None else n)
+        rhs = np.column_stack([unit, np.append(-residual, 0.0)])
+        try:
+            tangent, update = np.linalg.solve(np.vstack([jac, normal]), rhs).T
+        except np.linalg.LinAlgError:
+            tangent = update = None
+        yield z, float(np.abs(residual).max()), tangent, update
+        if update is None or not np.all(np.isfinite(update)):
+            return
+        z = z + update
 
 
 def _arclength_step(game, y, t, h, tol):
@@ -192,39 +126,75 @@ def _arclength_step(game, y, t, h, tol):
 
     None rejects the step: the tangent at the prediction turns from ``t`` by more
     than ``acos(0.98)``, the first update is longer than ``0.3*h``, or 8 updates
-    do not reach ``tol``. Tangents solve ``[H_x, H_lam; t^T] t' = e_last``.
+    do not reach ``tol``. ``t . tangent = 1``, so the turn's cosine is ``1/|tangent|``.
     """
-    z, unit = y + h * t, np.eye(y.size)[-1]
-    for updates in range(9):
-        residual, jac = _homotopy(game, z)
-        rhs = np.column_stack([unit, np.append(-residual, 0.0)])
-        try:
-            tangent, update = np.linalg.solve(np.vstack([jac, t]), rhs).T
-        except np.linalg.LinAlgError:
+    for updates, (z, gap, tangent, update) in enumerate(
+        itertools.islice(_newton_iterates(game, y + h * t, t), 9)
+    ):
+        if tangent is None:
             return None
         norm = np.linalg.norm(tangent)
         if updates == 0 and not (norm <= 1.0 / 0.98 and np.linalg.norm(update) <= 0.3 * h):
             return None
-        if np.abs(residual).max() <= tol:
+        if gap <= tol:
             return z, tangent / norm
-        z = z + update
     return None
 
 
-def trace_logit_path(game, n_final, tol=1e-10):
-    """Follow the logit branch through the uniform profile from ``TRACE_START`` to ``n_final``.
+def _newton_at(game, n, x, tol):
+    """Plain Newton at fixed ``n`` from the raw stacked profile ``x``: ``(x, tangent)``.
 
-    Pseudo-arclength continuation of ``H(x, log n) = 0`` (Turocy's QRE
-    homotopy), through folds where ``n`` turns back: a rejected step halves the
-    arclength step ``h``, an accepted one grows it by 1.3 up to 1. The last two
-    accepted points bracket the first crossing of ``n_final``, solved from their
-    chord. Raises PathFailureError (partial trace, last accepted point as
-    ``best``) when ``h`` underflows 1e-12 or a solve at fixed ``n`` fails.
+    The bordering row keeps ``lam = log n``, so the update is the Newton step of
+    ``H_x``, and the tangent of the branch comes with the last solve (None where
+    ``H_x`` is singular). Raises ConvergenceError, carrying the best iterate and
+    its gap, when ``MAX_NEWTON_ITER`` updates do not reach ``tol``.
+    """
+    best_x, best_gap = x, np.inf
+    iterates = _newton_iterates(game, np.append(x, math.log(n)), np.eye(x.size + 1)[-1], n)
+    iterates = itertools.islice(iterates, MAX_NEWTON_ITER + 1)  # the first is x itself
+    for updates, (z, gap, tangent, _) in enumerate(iterates):
+        if gap < best_gap:
+            best_x, best_gap = z[:-1], gap
+        if gap <= tol:
+            return z[:-1], tangent
+    raise ConvergenceError(
+        f"newton solve stalled at gap {best_gap:.3e} (tol {tol:.3e}) for n={n}",
+        best=_unstack(game.form, best_x),
+        residual=best_gap,
+        iterations=updates,
+    )
+
+
+def solve_newton(n, game, x0, tol=1e-10):
+    """Newton refinement of a logit equilibrium at precision ``n`` from a nearby ``x0``.
+
+    Plain Newton steps on the fixed-point gap ``x - response(x)`` with its exact
+    Jacobian (block (i, j) of ``d response/dx`` is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``)
+    and no line search or damping: this refines a point near a solution, such as a
+    trace entry, and does not solve from scratch; ``trace_logit_path(game, n)`` does.
+    Raises ConvergenceError with the best iterate when the budget runs out.
+    """
+    _check_n_tol(n, tol)
+    x, _ = _newton_at(game, n, np.concatenate(_profile_vectors(game.form, x0)), tol)
+    return MixedProfile(tuple(_unstack(game.form, x)))
+
+
+def trace_logit_path(game, n_final, tol=1e-10):
+    """Follow the logit branch through the uniform profile up to ``n_final``.
+
+    The first entry solves from the uniform profile at ``min(n_final, TRACE_START
+    / max(1, max|u|))``, where the response map is a contraction. From there
+    pseudo-arclength continuation of ``H(x, log n) = 0`` (Turocy's QRE homotopy)
+    sets off along that solve's tangent and passes folds where ``n`` turns back:
+    a rejected step halves the arclength step ``h``, an accepted one grows it by
+    1.3 up to 1. The last two accepted points bracket the first crossing of
+    ``n_final``, solved from their chord. Raises PathFailureError (partial
+    trace, last accepted point as ``best``) when ``h`` underflows 1e-12 or a
+    solve at fixed ``n`` fails.
     """
     _check_n_tol(n_final, tol)
-    if not n_final > TRACE_START:
-        raise InvalidInputError(f"n_final must exceed TRACE_START={TRACE_START}, got {n_final}")
-    form, entries = game.form, []
+    scale = max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
+    form, entries, start = game.form, [], min(n_final, TRACE_START / scale)
 
     def partial():
         last = entries[-1].profile if entries else MixedProfile.uniform(form)
@@ -234,19 +204,24 @@ def trace_logit_path(game, n_final, tol=1e-10):
     def fail(message, best, residual):
         return PathFailureError(message, partial_trace=partial(), best=best, residual=residual)
 
-    def record(n, vectors, gap):
+    def record(n, x):
+        vectors = _unstack(form, x)
+        gap = _logit_gap(game, vectors, n)  # the gap logit_residual reports
         entries.append(PathEntry(n=n, profile=MixedProfile(tuple(vectors)), residual=gap))
 
-    def solve(n, vectors):
+    def solve(n, x):
         try:
-            vectors, _, gap = _newton_solve(n, game, vectors, tol, 200, 0.5)
+            x, tangent = _newton_at(game, n, x, tol)
         except ConvergenceError as exc:
             raise fail(f"correction failed at n={n}", exc.best, exc.residual) from exc
-        record(n, vectors, gap)
+        record(n, x)
+        return x, tangent
 
-    solve(TRACE_START, MixedProfile.uniform(form).vectors)
-    y = np.append(np.concatenate(entries[0].profile.vectors), math.log(TRACE_START))
-    t, h, lam_final = np.eye(y.size)[-1], 1.0, math.log(n_final)
+    x, t = solve(start, np.concatenate(MixedProfile.uniform(form).vectors))
+    if n_final == start:
+        return partial()
+    y, t = np.append(x, math.log(start)), t / np.linalg.norm(t)
+    h, lam_final = 1.0, math.log(n_final)
     while True:
         step = _arclength_step(game, y, t, h, tol)
         if step is None:
@@ -258,11 +233,10 @@ def trace_logit_path(game, n_final, tol=1e-10):
         if step[0][-1] >= lam_final:
             break
         (y, t), h = step, min(1.3 * h, 1.0)
-        n, vectors = math.exp(y[-1]), _unstack(form, y[:-1])
-        record(n, vectors, _logit_gap(game, vectors, n))  # the gap logit_residual reports
+        record(math.exp(y[-1]), y[:-1])
     ahead = step[0]
     chord = y + (lam_final - y[-1]) / (ahead[-1] - y[-1]) * (ahead - y)
-    solve(n_final, _unstack(form, chord[:-1]))
+    solve(n_final, chord[:-1])
     return partial()
 
 

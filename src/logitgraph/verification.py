@@ -25,7 +25,7 @@ from .games import (
 )
 from .graph_maps import _deviation_rows, _logit_rows, _nash_rows, z_logit, z_nash
 from .maps import _softmax_rows, epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
-from .solver import logit_response, solve_newton, trace_logit_path
+from .solver import logit_response, trace_logit_path
 from .studies import _target_blocks
 
 
@@ -264,9 +264,9 @@ def _game_checks(game, seed=10):
 
     worst = 0.0
     for n in (1.0, 10.0):
-        solved = solve_newton(n, game, MixedProfile.uniform(game.form), tol=1e-11)
-        worst = max(worst, logit_residual(game, solved, n))
-        worst = max(worst, _max_gap(z_logit(n, game, solved), z_nash(game, solved)))
+        entry = trace_logit_path(game, n, tol=1e-11).entries[-1]
+        defect = _max_gap(z_logit(n, game, entry.profile), z_nash(game, entry.profile))
+        worst = max(worst, entry.residual, defect)  # residual: the gap logit_residual reports
     results.append(
         CheckResult("game-logit-solve", worst <= 1e-8, f"max residual/defect {worst:.2e}")
     )

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from logitgraph import (
+    ConvergenceError,
     Game,
+    InvalidInputError,
     MixedProfile,
     StrategicGameForm,
     deviation_payoffs,
     logit_response,
     solve_newton,
 )
-from logitgraph.games import _payoff_kernel
+from logitgraph.games import _payoff_kernel, _profile_vectors
+from logitgraph.maps import _check_n_tol
 from logitgraph.solver import _response_jacobian
 
 
@@ -69,6 +72,38 @@ def fd_jacobian(func, x, step=1e-6):
         bump[k] = step
         columns.append((func(x + bump) - func(x - bump)) / (2.0 * step))
     return np.column_stack(columns)
+
+
+# Independent oracle for the Newton corrector: damped response iteration.
+def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
+    """Damped iteration ``x <- (1-damping)*x + damping*response(x)`` until the gap <= tol.
+
+    Raises ConvergenceError carrying the best iterate if the budget runs out;
+    callers typically fall back to ``trace_logit_path``.
+    """
+    if not (0.0 < damping <= 1.0):
+        raise InvalidInputError(f"damping must be in (0, 1], got {damping}")
+    _check_n_tol(n, tol)
+    if not max_iter > 0:
+        raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
+    vectors = [np.array(v, dtype=float) for v in _profile_vectors(game.form, x0)]
+    best_vecs, best_gap = vectors, np.inf
+    for iteration in range(max_iter + 1):
+        resp, _ = _payoff_kernel(game, vectors, n)
+        gap = max(float(np.abs(v - r).max()) for v, r in zip(vectors, resp))
+        if gap < best_gap:
+            best_vecs, best_gap = vectors, gap
+        if gap <= tol:
+            return MixedProfile(tuple(vectors))
+        if iteration == max_iter:
+            break
+        vectors = [(1.0 - damping) * v + damping * r for v, r in zip(vectors, resp)]
+    raise ConvergenceError(
+        f"fixed-point iteration stalled at gap {best_gap:.3e} (tol {tol:.3e})",
+        best=best_vecs,
+        residual=best_gap,
+        iterations=max_iter,
+    )
 
 
 def fine_branch(game, n_final):

@@ -24,13 +24,12 @@ from logitgraph import (
     phi_n,
     phi_n_inv,
     sample_target_points,
-    solve_fixed_point,
     solve_newton,
     convergence_study,
     immersion_rank_check,
     trace_logit_path,
 )
-from conftest import matching_pennies, one_player_game
+from conftest import matching_pennies, one_player_game, solve_fixed_point
 
 ROUND_TRIP_FORMS = [
     StrategicGameForm(1, (2,)),

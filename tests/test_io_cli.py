@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logitgraph import (
+    Game,
     MixedProfile,
     ParseError,
     StrategicGameForm,
@@ -30,7 +31,7 @@ from logitgraph.io import (
     trace_to_json,
 )
 from logitgraph.solver import trace_logit_path
-from conftest import matching_pennies, one_player_game
+from conftest import matching_pennies, one_player_game, random_game
 
 PENNIES_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 ONE_PLAYER_JSON = '{"players": 1, "actions": [2], "payoffs": [[1, 0]]}'
@@ -337,6 +338,37 @@ class TestCli:
         code, out, _ = invoke(["verify", str(path)])
         assert code == 0
         assert "game-logit-solve" in out
+
+    def test_verify_game_whose_centroid_newton_solve_stalls(self, tmp_path):
+        # Newton from the uniform profile stalled at gap 0.128 for n = 1 on this
+        # draw, while solve --n 1 traced it; the check reads the traced entry
+        game = random_game(np.random.default_rng(5), StrategicGameForm(2, (2, 2)), box=10.0)
+        path = tmp_path / "game.json"
+        path.write_text(game_to_json(game))
+        code, out, err = invoke(["verify", str(path)])
+        assert code == 0 and err == ""
+        assert "PASS game-logit-solve" in out
+
+    def test_trace_below_the_start_precision(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(ONE_PLAYER_JSON)
+        code, out, err = invoke(["trace", "--n-final", "1e-4", "--format", "json", str(path)])
+        assert code == 0 and err == ""
+        assert [e["n"] for e in json.loads(out)["entries"]] == [1e-4]
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_solve_below_the_start_on_scaled_payoffs(self, tmp_path, seed):
+        # 1e4*G at n = 1e-3 is G at n = 10; Newton from the uniform profile
+        # ended 0.67 off that branch point (seed 3) or stalled (seed 5)
+        form = StrategicGameForm(2, (2, 2))
+        game = random_game(np.random.default_rng(seed), form, box=1.0)
+        path = tmp_path / "game.json"
+        path.write_text(game_to_json(Game(form, tuple(1e4 * u for u in game.payoffs))))
+        code, out, err = invoke(["solve", "--n", "1e-3", str(path)])
+        assert code == 0 and err == ""
+        expected = trace_logit_path(game, 10.0).entries[-1].profile
+        for got, want in zip(json.loads(out)["x"], expected.vectors):
+            assert np.abs(np.array(got) - want).max() <= 1e-9
 
     def test_unknown_command_exits_one(self):
         code, out, err = invoke(["frobnicate"])

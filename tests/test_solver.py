@@ -3,6 +3,7 @@ import pytest
 
 from logitgraph import (
     ConvergenceError,
+    Game,
     InvalidInputError,
     MixedProfile,
     PathEntry,
@@ -13,7 +14,6 @@ from logitgraph import (
     logit_residual,
     logit_response,
     nash_residual,
-    solve_fixed_point,
     solve_newton,
     trace_logit_path,
 )
@@ -28,6 +28,7 @@ from conftest import (
     one_player_game,
     random_game,
     random_interior_profile,
+    solve_fixed_point,
 )
 
 E = np.e
@@ -75,7 +76,6 @@ class TestNonFinitePrecision:
         x = MixedProfile.uniform(game.form)
         for call in (
             lambda: logit_response(n, game, x),
-            lambda: solve_fixed_point(n, game, x),
             lambda: solve_newton(n, game, x),
             lambda: trace_logit_path(game, n),
         ):
@@ -107,7 +107,7 @@ class TestResponseJacobian:
             assert np.abs(np.concatenate(responses) - response(np.concatenate(x))).max() <= 1e-14 * n
             # [H_x, H_lam], differenced over (x, log n)
             y = np.append(np.concatenate(x), np.log(n))
-            residual, jac = _homotopy(game, y)
+            residual, jac = _homotopy(game, y[:-1], n)
             oracle = fd_jacobian(homotopy, y)
             assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
             assert np.abs(residual - homotopy(y)).max() <= 1e-14 * n
@@ -160,6 +160,31 @@ class TestFollowsTheCentroidBranch:
         ns = [e.n for e in trace_logit_path(game, 400.0).entries]
         assert any(b < a for a, b in zip(ns, ns[1:]))
         assert _terminal_gap(game, fine_arclength(game, 400.0)) <= 1e-9
+
+
+class TestPayoffScale:
+    """Payoffs ``B*u`` at precision ``n`` are payoffs ``u`` at ``B*n``, so the traces agree.
+
+    The trace starts at ``TRACE_START / max|u|``, where the response map is a
+    contraction. A start fixed at ``n = 1e-3`` underflowed its first step,
+    failed correction, or ended 0.59 and 0.94 away on another branch on these
+    draws.
+    """
+
+    @pytest.mark.parametrize(
+        "scale, shape, seed",
+        [(1e3, (2, 2), 0), (1e4, (2, 2), 3), (1e4, (3, 3), 16), (1e5, (3, 3), 0),
+         (1e5, (3, 3, 3), 10)],
+        ids=_case_id,
+    )
+    def test_trace_does_not_depend_on_the_payoff_scale(self, scale, shape, seed):
+        game = _seeded(shape, seed)
+        scaled = Game(game.form, tuple(scale * u for u in game.payoffs))
+        trace = trace_logit_path(scaled, 10.0)
+        assert trace.entries[0].n == TRACE_START / max(np.abs(u).max() for u in scaled.payoffs)
+        reference = trace_logit_path(game, 10.0 * scale).entries[-1].profile
+        terminal = trace.entries[-1].profile
+        assert max(np.abs(a - b).max() for a, b in zip(terminal.vectors, reference.vectors)) <= 1e-9
 
 
 class TestSolveFixedPoint:
@@ -216,6 +241,18 @@ class TestSolveNewton:
         for v in out.vectors:
             assert np.array_equal(v, [0.5, 0.5])
 
+    def test_budget_exhaustion_reports_best_iterate(self):
+        # plain Newton from the centroid does not converge on this draw at n = 1
+        form = StrategicGameForm(2, (2, 2))
+        game = random_game(np.random.default_rng(37), form, box=10.0)
+        start = MixedProfile.uniform(form)
+        with pytest.raises(ConvergenceError) as info:
+            solve_newton(1.0, game, start, tol=1e-11)
+        best, residual = info.value.best, info.value.residual
+        assert [np.shape(v) for v in best] == [(2,), (2,)]
+        assert residual == pytest.approx(logit_residual(game, best, 1.0), rel=1e-12)
+        assert 1e-11 < residual <= logit_residual(game, start, 1.0)
+
     def test_refines_fixed_point_solution(self, rng):
         form = StrategicGameForm(2, (2, 2))
         game = random_game(rng, form, box=1.5)
@@ -261,6 +298,12 @@ class TestTraceLogitPath:
                 assert np.abs(v - 0.5).max() <= 1e-12
         assert trace.terminal_nash_residual <= 1e-12
 
+    def test_lands_where_the_jacobian_is_singular(self):
+        # the centroid branch of coordination bifurcates at n = 2, where H_x is
+        # exactly singular; the centroid still solves there with gap 0
+        trace = trace_logit_path(coordination_2x2(), 2.0, tol=1e-12)
+        assert trace.entries[-1].n == 2.0 and trace.entries[-1].residual == 0.0
+
     def test_precisions_strictly_increase(self, rng):
         game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
         trace = trace_logit_path(game, 30.0, tol=1e-10)
@@ -301,9 +344,18 @@ class TestTraceLogitPath:
             )
             assert logit_residual(game, again, entry.n) <= 1e-10
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_final_precision_at_or_below_the_start(self, rng, fraction):
+        # payoffs in [-1, 1] start at TRACE_START; below it the start solve is the trace
+        game = random_game(rng, StrategicGameForm(2, (3, 2)), box=1.0)
+        n_final = fraction * TRACE_START
+        trace = trace_logit_path(game, n_final, tol=1e-12)
+        assert [e.n for e in trace.entries] == [n_final]
+        assert trace.entries[0].residual <= 1e-12
+
     def test_invalid_range(self):
         game = matching_pennies()
-        for n_final in (TRACE_START, 0.5 * TRACE_START, -5.0):
+        for n_final in (-5.0, 0.0, np.inf, np.nan):
             with pytest.raises(InvalidInputError):
                 trace_logit_path(game, n_final)
 
