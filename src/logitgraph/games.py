@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotOnGraphError
 from .maps import _check_n, softmax
 
 PROBABILITY_TOL = 1e-9
@@ -189,6 +189,20 @@ def _contract(form, flat_rows, vector_rows, keep):
     return np.einsum(eq, tensor, *[vector_rows[j] for j in rest])
 
 
+def _deviation_rows(form, payoffs, vectors):
+    """Every player's deviation payoffs, for payoffs and profiles with a leading sample axis."""
+    return tuple(_contract(form, p, vectors, (i,)) for i, p in enumerate(payoffs))
+
+
+def _cross_blocks(form, payoffs, vectors):
+    """``{(i, j): dw_i/dx_j}`` for every pair of distinct players at one profile, no sample axis."""
+    rows = _one_row(vectors)
+    return {
+        (i, j): _contract(form, p[None], rows, (i, j))[0]
+        for i, p in enumerate(payoffs) for j in range(form.num_players) if j != i
+    }
+
+
 def deviation_payoffs(game, player, x):
     """Vector of expected payoffs to each pure action of ``player`` against ``x_{-i}``.
 
@@ -228,9 +242,8 @@ def nash_residual(game, x):
 def _nash_gap_rows(form, payoffs, vectors):
     """``nash_residual`` of every sample, for payoffs and profiles with a leading sample axis."""
     worst = np.zeros(len(vectors[0]))
-    for i in range(form.num_players):
-        dev = _contract(form, payoffs[i], vectors, (i,))
-        value = (vectors[i][:, None, :] @ dev[:, :, None])[:, 0, 0]  # row-wise np.dot via matmul
+    for v, dev in zip(vectors, _deviation_rows(form, payoffs, vectors)):
+        value = (v[:, None, :] @ dev[:, :, None])[:, 0, 0]  # row-wise np.dot via matmul
         worst = np.maximum(worst, dev.max(axis=1) - value)
     return worst
 
@@ -255,28 +268,8 @@ def logit_residual(game, x, n):
 
 
 def _logit_gap(game, vectors, n):
-    responses, _ = _payoff_kernel(game, vectors, n)
-    return max(float(np.abs(v - s).max()) for v, s in zip(vectors, responses))
-
-
-def _payoff_kernel(game, vectors, n, jacobian=False):
-    """``(s, blocks)``: responses ``s_i = softmax(n*w_i)`` to raw, trusted ``vectors``.
-
-    ``w_i`` is computed as in ``deviation_payoffs``. With ``jacobian``, ``blocks[i, j]``
-    is ``dw_i/dx_j``, the ``_contract`` of player i's tensor keeping i and j; ``w_i`` is
-    then one block times ``x_j``. Else ``blocks`` is None.
-    """
-    form, rows = game.form, _one_row(vectors)
-    responses, blocks = [], {} if jacobian else None
-    for i, flat in enumerate(game.payoffs):
-        others = [j for j in range(form.num_players) if j != i]
-        if not (jacobian and others):
-            responses.append(softmax(n * _contract(form, flat[None], rows, (i,))[0]))
-            continue
-        for j in others:
-            blocks[i, j] = _contract(form, flat[None], rows, (i, j))[0]
-        responses.append(softmax(n * (blocks[i, j] @ vectors[j])))
-    return responses, blocks
+    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
+    return max(float(np.abs(v - softmax(n * d[0])).max()) for v, d in zip(vectors, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,20 +412,21 @@ class GraphPoint:
 
     @classmethod
     def nash(cls, game, profile, tol=1e-8):
-        from .errors import NotOnGraphError
-
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = nash_residual(game, profile)
-        if residual > tol:
-            raise NotOnGraphError(f"nash residual {residual:.3e} exceeds {tol:.1e}")
+        residual = _graph_residual(game, profile, None, tol)
         return cls(game=game, profile=profile, kind="nash", residual=residual)
 
     @classmethod
     def logit(cls, game, profile, n, tol=1e-8):
-        from .errors import NotOnGraphError
-
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = logit_residual(game, profile, n)
-        if residual > tol:
-            raise NotOnGraphError(f"logit residual {residual:.3e} exceeds {tol:.1e}")
+        residual = _graph_residual(game, profile, n, tol)
         return cls(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
+
+
+def _graph_residual(game, profile, n, tol):
+    """Nash residual if ``n`` is None, else logit residual at ``n``; NotOnGraphError above ``tol``."""
+    residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
+    if residual > tol:
+        kind = "nash" if n is None else "logit"
+        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
+    return residual

@@ -19,31 +19,18 @@ from .games import (
     GraphPoint,
     MixedProfile,
     TargetPoint,
-    _contract,
+    _deviation_rows,
+    _graph_residual,
     _lift_bar,
     _logit_gap,
     _one_row,
     _profile_vectors,
     km_decompose,
-    logit_residual,
     nash_residual,
 )
-from .maps import (
-    _check_n,
-    _check_n_tol,
-    _invert_rows,
-    _softmax_rows,
-    _stall_error,
-    _water_level,
-    softmax,
-)
+from .maps import _check_n, _check_n_tol, _invert_rows, _stall_error, _water_level, softmax
 
 GRAPH_RESIDUAL_TOL = 1e-8
-
-
-def _deviation_rows(form, payoffs, vectors):
-    """Every player's deviation payoffs, for payoffs and profiles with a leading sample axis."""
-    return tuple(_contract(form, p, vectors, (i,)) for i, p in enumerate(payoffs))
 
 
 def z_nash(game, x):
@@ -70,9 +57,7 @@ def phi(point, tol=GRAPH_RESIDUAL_TOL):
     """Split coordinates of a Nash graph point; the input's residual is re-verified."""
     if point.kind != "nash":
         raise InvalidInputError(f"expected a nash graph point, got kind {point.kind!r}")
-    residual = nash_residual(point.game, point.profile)
-    if residual > tol:
-        raise NotOnGraphError(f"nash residual {residual:.3e} exceeds {tol:.1e}")
+    _graph_residual(point.game, point.profile, None, tol)
     rep = km_decompose(point.game)
     return TargetPoint(
         form=point.game.form,
@@ -85,9 +70,7 @@ def phi_n(n, point, tol=GRAPH_RESIDUAL_TOL):
     """Split coordinates of a logit graph point at precision ``n``; residual re-verified."""
     if point.kind != "logit":
         raise InvalidInputError(f"expected a logit graph point, got kind {point.kind!r}")
-    residual = logit_residual(point.game, point.profile, n)
-    if residual > tol:
-        raise NotOnGraphError(f"logit residual {residual:.3e} exceeds {tol:.1e}")
+    _graph_residual(point.game, point.profile, n, tol)
     rep = km_decompose(point.game)
     return TargetPoint(
         form=point.game.form,
@@ -131,7 +114,7 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
         w, r = solved[int(np.flatnonzero(failed[:, row])[0])]
         failure = (row, _stall_error(w[row], r[row], tol))
     values = tuple(w for w, _ in solved)
-    x_vectors = tuple(_softmax_rows(n * w) for w in values)
+    x_vectors = tuple(softmax(n * w) for w in values)
     return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
 
 

@@ -28,10 +28,10 @@ def _as_vector(v, name="v"):
 
 
 def softmax(v):
-    """Overflow-safe softmax: subtracts the max coordinate before exponentiating."""
+    """Overflow-safe softmax over the last axis: subtracts each row's max before exponentiating."""
     v = np.asarray(v, dtype=float)
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def g_map(n, v):
@@ -96,12 +96,6 @@ def _water_level(y):
     return thresholds[np.arange(y.shape[0]), k]
 
 
-def _softmax_rows(v):
-    """``softmax`` applied to each row of a ``(rows, d)`` array."""
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass(frozen=True, eq=False)
 class SimplexProjection:
     """Water-filling split of a vector ``y``.
@@ -130,8 +124,8 @@ def _check_n(n):
 
 def _check_n_tol(n, tol):
     _check_n(n)
-    if not tol > 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
 def _stall_error(best, residual, tol, max_iter=MAX_INVERSE_ITER):
@@ -190,7 +184,7 @@ def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
     exactly when its residual is at most ``tol``.
     """
     x = np.minimum(y, _water_level(y)[:, None]) if n >= 1.0 else y - 1.0 / y.shape[1]
-    s = _softmax_rows(n * x)
+    s = softmax(n * x)
     r = y - (x + s)
     norm = np.sqrt((r * r).sum(axis=1))
     out_x, out_res = np.empty_like(y), np.empty(y.shape[0])
@@ -214,7 +208,7 @@ def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
             best_x, best_res = best_x[keep], best_res[keep]
         step = _g_solve(n, s, r)
         x_new = x + step
-        s_new = _softmax_rows(n * x_new)
+        s_new = softmax(n * x_new)
         r_new = target - (x_new + s_new)
         new_norm = np.sqrt((r_new * r_new).sum(axis=1))
         retry = np.flatnonzero(new_norm > (1.0 - 1e-4) * norm)
@@ -224,7 +218,7 @@ def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
             while retry.size:
                 t[retry] *= 0.5
                 x_new[retry] = x[retry] + t[retry, None] * step[retry]
-                s_new[retry] = _softmax_rows(n * x_new[retry])
+                s_new[retry] = softmax(n * x_new[retry])
                 r_new[retry] = target[retry] - (x_new[retry] + s_new[retry])
                 new_norm[retry] = np.sqrt((r_new[retry] * r_new[retry]).sum(axis=1))
                 done = new_norm[retry] <= (1.0 - 1e-4 * t[retry]) * norm[retry]

@@ -17,8 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, PathFailureError
-from .games import Game, MixedProfile, _logit_gap, _payoff_kernel, _profile_vectors, nash_residual
-from .maps import _check_n_tol
+from .games import (
+    Game,
+    MixedProfile,
+    _cross_blocks,
+    _deviation_rows,
+    _logit_gap,
+    _one_row,
+    _profile_vectors,
+    nash_residual,
+)
+from .maps import _check_n_tol, softmax
 
 
 def logit_response(n, game, x):
@@ -29,8 +38,8 @@ def logit_response(n, game, x):
     """
     if not (n >= 0 and math.isfinite(n)):
         raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
-    responses, _ = _payoff_kernel(game, _profile_vectors(game.form, x), n)
-    return MixedProfile(tuple(responses))
+    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(_profile_vectors(game.form, x)))
+    return MixedProfile(tuple(softmax(n * d[0]) for d in w))
 
 
 def _unstack(form, flat):
@@ -39,18 +48,6 @@ def _unstack(form, flat):
         out.append(flat[pos : pos + m])
         pos += m
     return out
-
-
-def _response_jacobian(n, form, responses, blocks):
-    """Stacked response Jacobian: block (i, j) is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``."""
-    edges = np.cumsum((0,) + form.action_counts)
-    jac = np.zeros((edges[-1], edges[-1]))
-    for (i, j), block in blocks.items():
-        s = responses[i]
-        jac[edges[i] : edges[i + 1], edges[j] : edges[j + 1]] = n * (
-            s[:, None] * block - np.outer(s, s @ block)
-        )
-    return jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +84,27 @@ MAX_NEWTON_ITER = 100  # Newton updates a solve at fixed n may take
 def _homotopy(game, x, n):
     """``H(x, lam) = x - response(x, n)`` at ``lam = log n`` and its Jacobian ``[H_x, H_lam]``.
 
+    Block (i, j) of the response Jacobian is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``, and
+    ``w_i`` is block ``dw_i/dx_j`` times ``x_j`` for the last other player ``j``.
     ``ds_i/dlam = (diag(s_i) - s_i s_i^T) log s_i``: ``log s_i`` is ``n w_i`` up to a
     constant, which that matrix annihilates.
     """
-    responses, blocks = _payoff_kernel(game, _unstack(game.form, x), n, jacobian=True)
+    form, vectors = game.form, _unstack(game.form, x)
+    blocks, k = _cross_blocks(form, game.payoffs, vectors), form.num_players
+    responses = []
+    for i, w in enumerate(game.payoffs):
+        j = k - 1 if i < k - 1 else k - 2  # the last other player; a lone player's w is its payoffs
+        responses.append(softmax(n * (blocks[i, j] @ vectors[j] if j >= 0 else w)))
+    edges = np.cumsum((0,) + form.action_counts)
+    fill = np.zeros((x.size, x.size))
+    for (i, j), block in blocks.items():
+        s = responses[i]
+        fill[edges[i] : edges[i + 1], edges[j] : edges[j + 1]] = n * (
+            s[:, None] * block - np.outer(s, s @ block)
+        )
     ds = [r * np.log(r, out=np.zeros_like(r), where=r > 0) for r in responses]
     ds = np.concatenate([d - r * d.sum() for r, d in zip(responses, ds)])
-    jac = np.eye(x.size) - _response_jacobian(n, game.form, responses, blocks)
-    return x - np.concatenate(responses), np.column_stack([jac, -ds])
+    return x - np.concatenate(responses), np.column_stack([np.eye(x.size) - fill, -ds])
 
 
 def _newton_iterates(game, z, normal, n=None):

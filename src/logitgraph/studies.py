@@ -19,9 +19,9 @@ from .games import (
     TargetPoint,
     _check_rows,
     _contract,
+    _cross_blocks,
     _lift_bar,
     _nash_gap_rows,
-    _one_row,
     _split_payoff,
 )
 from .graph_maps import _logit_rows, _nash_rows
@@ -39,7 +39,8 @@ def _target_blocks(form, samples, seed, bound_box, block):
     per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
     vectors, in the order a per-sample draw would take them from the stream.
     The raw tensors are projected to zero opponent means. A draw numpy cannot
-    shape or allocate raises InvalidInputError naming the form and ``samples``.
+    shape or allocate, or whose range ``2*bound_box`` overflows, raises
+    InvalidInputError naming the form and ``samples``.
     """
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
@@ -53,7 +54,7 @@ def _target_blocks(form, samples, seed, bound_box, block):
             raw = rng.uniform(
                 -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
             )
-        except (ValueError, MemoryError) as exc:
+        except (ValueError, MemoryError, OverflowError) as exc:
             counts = ",".join(map(str, form.action_counts))
             raise InvalidInputError(f"cannot draw {samples} samples of form {k}:{counts}: {exc}") from exc
         tilde = tuple(
@@ -203,14 +204,10 @@ def _reconstruction_jacobian(n, form, tilde, x):
     reconstructed profile. Along player l's coordinates ``dw_l`` solves
     ``g_jacobian(n, w_l) dw_l = dy_l``, ``dx_l = dy_l - dw_l``, l's payoffs
     move by ``dtilde_l + lift(dw_l - dev(dtilde_l; x_{-l}))`` and player i's
-    by ``lift(-B_il dx_l)``, with ``B_il = d dev(tilde_i; x_{-i})/dx_l`` the
-    ``_contract`` of ``tilde_i`` keeping i and l.
+    by ``lift(-B_il dx_l)``, with ``B_il = d dev(tilde_i; x_{-i})/dx_l`` block
+    ``(i, l)`` of ``_cross_blocks``.
     """
-    size, k, rows = form.profile_count, form.num_players, _one_row(x)
-    blocks = {
-        (i, l): _contract(form, tilde[i][None], rows, (i, l))[0]
-        for i in range(k) for l in range(k) if i != l
-    }
+    size, k, blocks = form.profile_count, form.num_players, _cross_blocks(form, tilde, x)
     others = tuple(np.broadcast_to(v, (size, v.size)) for v in x)
     columns = []  # per player l: one row per coordinate of l's payoff tensor
     for l in range(k):

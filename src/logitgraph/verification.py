@@ -16,6 +16,7 @@ from .games import (
     MixedProfile,
     StrategicGameForm,
     _check_rows,
+    _deviation_rows,
     _nash_gap_rows,
     _split_payoff,
     km_decompose,
@@ -23,8 +24,8 @@ from .games import (
     logit_residual,
     nash_residual,
 )
-from .graph_maps import _deviation_rows, _logit_rows, _nash_rows, z_logit, z_nash
-from .maps import _softmax_rows, epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
+from .graph_maps import _logit_rows, _nash_rows, z_logit, z_nash
+from .maps import epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix, softmax
 from .solver import logit_response, trace_logit_path
 from .studies import _target_blocks
 
@@ -223,7 +224,7 @@ def check_logit_round_trip(seed=9, count=8):
                 raise failure[1]
             _check_rows(form, payoffs, x)
             w = _deviation_rows(form, payoffs, x)
-            s = tuple(_softmax_rows(n * d) for d in w)
+            s = tuple(softmax(n * d) for d in w)
             residual = _max_gap(x, s)
             if residual > 1e-9:
                 return CheckResult("logit-round-trip", False, f"residual {residual:.2e}")

@@ -13,9 +13,9 @@ from logitgraph import (
     logit_response,
     solve_newton,
 )
-from logitgraph.games import _payoff_kernel, _profile_vectors
+from logitgraph.games import _profile_vectors
 from logitgraph.maps import _check_n_tol
-from logitgraph.solver import _response_jacobian
+from logitgraph.solver import _homotopy
 
 
 def matching_pennies():
@@ -89,7 +89,7 @@ def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
     vectors = [np.array(v, dtype=float) for v in _profile_vectors(game.form, x0)]
     best_vecs, best_gap = vectors, np.inf
     for iteration in range(max_iter + 1):
-        resp, _ = _payoff_kernel(game, vectors, n)
+        resp = logit_response(n, game, vectors).vectors
         gap = max(float(np.abs(v - r).max()) for v, r in zip(vectors, resp))
         if gap < best_gap:
             best_vecs, best_gap = vectors, gap
@@ -130,8 +130,10 @@ def fine_arclength(game, n_final, h=0.02):
 
     Follows ``H(x, lam) = x - logit_response(e^lam, game, x)`` from ``n = 1e-3`` in
     steps of ``h`` in ``(x, lam)`` with no step control. The tangent is the null
-    vector of ``[H_x, H_lam]`` (SVD) oriented by the previous one; ``H_lam`` is
-    ``-n (diag(s_i) - s_i s_i^T) w_i`` from ``deviation_payoffs``. Each prediction is
+    vector of ``[H_x, H_lam]`` (SVD) oriented by the previous one; ``H_x`` is the
+    tracer's own (from ``_homotopy``, checked against finite differences in
+    ``TestResponseJacobian``) and ``H_lam`` is ``-n (diag(s_i) - s_i s_i^T) w_i``
+    from ``deviation_payoffs``. Each prediction is
     corrected by Newton on the hyperplane through it (tol 1e-12), and every
     update must stay within ``0.5*h``, so the oracle cannot leave the branch.
     The first crossing of ``n_final`` is solved by ``solve_newton`` from the chord
@@ -144,14 +146,13 @@ def fine_arclength(game, n_final, h=0.02):
 
     def homotopy(y):
         n, x = np.exp(y[-1]), split(y[:-1])
-        responses, blocks = _payoff_kernel(game, x, n, jacobian=True)
-        s = np.concatenate(logit_response(n, game, x).vectors)
+        responses = logit_response(n, game, x).vectors
         ds = []
         for i, r in enumerate(responses):
             w = deviation_payoffs(game, i, x)
             ds.append(-n * (r * w - r * (r @ w)))
-        jac = np.eye(y.size - 1) - _response_jacobian(n, form, responses, blocks)
-        return y[:-1] - s, np.column_stack([jac, np.concatenate(ds)])
+        jac = _homotopy(game, y[:-1], n)[1][:, :-1]
+        return y[:-1] - np.concatenate(responses), np.column_stack([jac, np.concatenate(ds)])
 
     start = solve_newton(1e-3, game, MixedProfile.uniform(form), tol=1e-12)
     y = np.append(np.concatenate(start.vectors), np.log(1e-3))

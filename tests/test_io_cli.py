@@ -327,6 +327,25 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 1 samples of form 2:4611686018427387905,4: ")
 
+    @pytest.mark.parametrize("box", ["inf", "1e308"])
+    def test_study_box_too_wide_to_draw_exits_one(self, box):
+        # run_cli returns instead of raising, so the CLI prints no traceback
+        argv = ["study", "--form", "2:2,2", "--n-list", "1", "--samples", "2", "--seed", "0"]
+        code, out, err = invoke(argv + ["--bound-box", box])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot draw 2 samples of form 2:2,2: ")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [(["invert-logit", "--n", "10"], TARGET_JSON), (["trace", "--n-final", "10"], PENNIES_JSON)],
+    )
+    def test_infinite_tol_exits_one(self, tmp_path, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = invoke(command + ["--tol", "inf", str(path)])
+        assert code == 1 and out == ""
+        assert err == "error: tol must be positive and finite, got inf\n"
+
     def test_verify_none(self):
         code, out, _ = invoke(["verify", "none"])
         assert code == 0

@@ -14,6 +14,7 @@ from logitgraph import (
     h_exact,
     h_numeric,
     is_cl_matrix,
+    softmax,
 )
 from conftest import fd_jacobian
 
@@ -31,6 +32,16 @@ def bisect_alpha(y, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_rows_match_one_dimensional_softmax_bit_for_bit(self, rng, d):
+        v = rng.uniform(-50.0, 50.0, size=(200, d))
+        rows = softmax(v)
+        assert rows.shape == v.shape
+        for row, out in zip(v, rows):
+            assert np.array_equal(out, softmax(row))
 
 
 class TestGMap:

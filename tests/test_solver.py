@@ -10,15 +10,17 @@ from logitgraph import (
     PathFailureError,
     PathTrace,
     StrategicGameForm,
+    TargetPoint,
     approximate_nash,
+    h_numeric,
     logit_residual,
     logit_response,
     nash_residual,
+    phi_n_inv,
     solve_newton,
     trace_logit_path,
 )
-from logitgraph.games import _payoff_kernel
-from logitgraph.solver import TRACE_START, _homotopy, _response_jacobian, _unstack
+from logitgraph.solver import TRACE_START, _homotopy, _unstack
 from conftest import (
     coordination_2x2,
     fd_jacobian,
@@ -83,6 +85,22 @@ class TestNonFinitePrecision:
                 call()
 
 
+class TestInfiniteTolerance:
+    def test_rejected_at_every_solve_boundary(self):
+        # a tol of inf would accept any iterate, such as the start of a solve
+        game = coordination_2x2()
+        x = MixedProfile.uniform(game.form)
+        target = TargetPoint(game.form, (np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
+        for call in (
+            lambda: h_numeric(10.0, [1.5, 0.5], tol=np.inf),
+            lambda: phi_n_inv(10.0, target, tol=np.inf),
+            lambda: solve_newton(10.0, game, x, tol=np.inf),
+            lambda: trace_logit_path(game, 10.0, tol=np.inf),
+        ):
+            with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
+                call()
+
+
 class TestResponseJacobian:
     @pytest.mark.parametrize(
         "counts", [(3,), (2, 2), (3, 2), (2, 2, 2), (3, 3, 3), (2, 3, 4, 2), (2, 3, 2, 2)]
@@ -92,19 +110,12 @@ class TestResponseJacobian:
         form = StrategicGameForm(len(counts), counts)
         game = random_game(rng, form, box=1.0)
 
-        def response(flat, precision=n):
-            return np.concatenate(logit_response(precision, game, _unstack(form, flat)).vectors)
-
         def homotopy(y):  # H(x, lam) = x - response(x, e^lam)
-            return y[:-1] - response(y[:-1], np.exp(y[-1]))
+            response = logit_response(np.exp(y[-1]), game, _unstack(form, y[:-1]))
+            return y[:-1] - np.concatenate(response.vectors)
 
         for _ in range(3):
             x = random_interior_profile(rng, form).vectors
-            responses, blocks = _payoff_kernel(game, x, n, jacobian=True)
-            jac = _response_jacobian(n, form, responses, blocks)
-            oracle = fd_jacobian(response, np.concatenate(x))
-            assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
-            assert np.abs(np.concatenate(responses) - response(np.concatenate(x))).max() <= 1e-14 * n
             # [H_x, H_lam], differenced over (x, log n)
             y = np.append(np.concatenate(x), np.log(n))
             residual, jac = _homotopy(game, y[:-1], n)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ class TestSampling:
             sample_target_points(FORM_2X2, 0, 1, 1.0)
         with pytest.raises(InvalidInputError):
             sample_target_points(FORM_2X2, 1, 1, 0.0)
+
+    @pytest.mark.parametrize("box", [math.inf, 1e308])
+    def test_box_too_wide_to_draw(self, box):
+        with pytest.raises(InvalidInputError, match="cannot draw 2 samples of form 2:2,2"):
+            sample_target_points(FORM_2X2, 2, 0, box)
 
     def test_unshapeable_draw_names_form_and_samples(self):
         form = StrategicGameForm(2, (4611686018427387905, 4))

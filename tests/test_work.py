@@ -43,7 +43,7 @@ def _seeded(shape, seed):
     [
         (coordination_2x2, 88),
         (matching_pennies, 88),
-        (lambda: one_player_game([1.0, 0.0]), 67),
+        (lambda: one_player_game([1.0, 0.0]), 31),
         (lambda: _seeded((3, 3, 3), 1007), 1317),
         (lambda: _seeded((4, 4, 4), 1000), 1155),
     ],
