@@ -13,7 +13,19 @@ import numpy as np
 import pytest
 
 import logitgraph
-from logitgraph import StrategicGameForm, convergence_study, run_property_suite, trace_logit_path
+from logitgraph import (
+    StrategicGameForm,
+    approximation_gap,
+    convergence_study,
+    immersion_rank_check,
+    phi,
+    phi_inv,
+    phi_n,
+    phi_n_inv,
+    run_property_suite,
+    sample_target_points,
+    trace_logit_path,
+)
 from logitgraph.games import _contract
 from conftest import coordination_2x2, matching_pennies, one_player_game, random_game
 
@@ -63,3 +75,22 @@ def test_property_suite_contractions(contractions):
 def test_study_contractions(contractions):
     convergence_study(StrategicGameForm(3, (3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
     assert contractions[0] == 18
+
+
+def test_graph_map_contractions(contractions):
+    for t in sample_target_points(StrategicGameForm(3, (2, 3, 4)), 5, 3, 10.0):
+        nash, logit = phi_inv(t), phi_n_inv(10.0, t)
+        phi(nash)
+        phi_n(10.0, logit)
+        approximation_gap(10.0, t)
+    assert contractions[0] == 180
+
+
+def test_rank_check_contractions(contractions):
+    immersion_rank_check(10.0, StrategicGameForm(3, (2, 2, 2)), 5, 0)
+    assert contractions[0] == 48
+
+
+def test_property_suite_with_a_game_contractions(contractions):
+    run_property_suite(matching_pennies())
+    assert contractions[0] == 339
