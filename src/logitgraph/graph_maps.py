@@ -23,21 +23,28 @@ from .games import (
     _graph_residual,
     _lift_bar,
     _logit_gap,
+    _nash_gap_rows,
     _one_row,
     _profile_vectors,
     km_decompose,
-    nash_residual,
 )
 from .maps import _check_n, _check_n_tol, _invert_rows, _stall_error, _water_level, softmax
 
 GRAPH_RESIDUAL_TOL = 1e-8
 
 
+def _z_rows(form, payoffs, vectors, n=None):
+    """``z_nash`` of every sample, or ``z_logit`` when ``n`` is given; one array per player."""
+    w = _deviation_rows(form, payoffs, vectors)
+    if n is None:
+        return tuple(d + v for d, v in zip(w, vectors))
+    return tuple(d + softmax(n * d) for d in w)
+
+
 def z_nash(game, x):
     """Per-player vectors ``deviation_payoffs + own probabilities``."""
     vectors = _profile_vectors(game.form, x)
-    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
-    return tuple(d[0] + v for d, v in zip(w, vectors))
+    return tuple(z[0] for z in _z_rows(game.form, _one_row(game.payoffs), _one_row(vectors)))
 
 
 def z_logit(n, game, x):
@@ -49,34 +56,29 @@ def z_logit(n, game, x):
     """
     _check_n(n)
     vectors = _profile_vectors(game.form, x)
-    w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
-    return tuple(d[0] + softmax(n * d[0]) for d in w)
+    return tuple(z[0] for z in _z_rows(game.form, _one_row(game.payoffs), _one_row(vectors), n))
+
+
+def _phi(point, n, tol):
+    """Split coordinates of a Nash (``n`` None) or logit graph point; residual re-verified."""
+    kind = "nash" if n is None else "logit"
+    if point.kind != kind:
+        raise InvalidInputError(f"expected a {kind} graph point, got kind {point.kind!r}")
+    game = point.game
+    _graph_residual(game, point.profile, n, tol)
+    rep = km_decompose(game)
+    y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), n)
+    return TargetPoint(form=game.form, tilde_u=rep.tilde_u, y_bar=tuple(z[0] for z in y_bar))
 
 
 def phi(point, tol=GRAPH_RESIDUAL_TOL):
     """Split coordinates of a Nash graph point; the input's residual is re-verified."""
-    if point.kind != "nash":
-        raise InvalidInputError(f"expected a nash graph point, got kind {point.kind!r}")
-    _graph_residual(point.game, point.profile, None, tol)
-    rep = km_decompose(point.game)
-    return TargetPoint(
-        form=point.game.form,
-        tilde_u=rep.tilde_u,
-        y_bar=z_nash(point.game, point.profile),
-    )
+    return _phi(point, None, tol)
 
 
 def phi_n(n, point, tol=GRAPH_RESIDUAL_TOL):
     """Split coordinates of a logit graph point at precision ``n``; residual re-verified."""
-    if point.kind != "logit":
-        raise InvalidInputError(f"expected a logit graph point, got kind {point.kind!r}")
-    _graph_residual(point.game, point.profile, n, tol)
-    rep = km_decompose(point.game)
-    return TargetPoint(
-        form=point.game.form,
-        tilde_u=rep.tilde_u,
-        y_bar=z_logit(n, point.game, point.profile),
-    )
+    return _phi(point, n, tol)
 
 
 def _payoff_rows(form, tilde_u, values, x_vectors):
@@ -91,10 +93,14 @@ def _payoff_rows(form, tilde_u, values, x_vectors):
 
 
 def _nash_rows(form, tilde_u, y_bar):
-    """``phi_inv`` of every sample: returns (payoffs, profile vectors), one array per player."""
+    """``phi_inv`` of all samples: (payoffs, vectors, residuals); NotOnGraphError above 1e-9."""
     values = tuple(np.minimum(b, _water_level(b)[:, None]) for b in y_bar)
     x_vectors = tuple(b - h for b, h in zip(y_bar, values))
-    return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors
+    payoffs = _payoff_rows(form, tilde_u, values, x_vectors)
+    residual = _nash_gap_rows(form, payoffs, x_vectors)
+    if residual.max() > 1e-9:
+        raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
+    return payoffs, x_vectors, residual
 
 
 def _logit_rows(n, form, tilde_u, y_bar, tol):
@@ -108,12 +114,12 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
     """
     solved = [_invert_rows(n, b, tol) for b in y_bar]
     failure = None
-    failed = np.array([r > tol for _, r in solved])  # (players, samples)
+    failed = np.array([r > tol for _, r, _ in solved])  # (players, samples)
     if failed.any():
         row = int(np.flatnonzero(failed.any(axis=0))[0])
-        w, r = solved[int(np.flatnonzero(failed[:, row])[0])]
-        failure = (row, _stall_error(w[row], r[row], tol))
-    values = tuple(w for w, _ in solved)
+        w, r, iterations = solved[int(np.flatnonzero(failed[:, row])[0])]
+        failure = (row, _stall_error(w[row], r[row], tol, iterations[row]))
+    values = tuple(w for w, _, _ in solved)
     x_vectors = tuple(softmax(n * w) for w in values)
     return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
 
@@ -126,13 +132,10 @@ def phi_inv(t):
     (the clipped vector); the construction is total and the result's residual
     is exactly zero up to rounding.
     """
-    payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
+    payoffs, x_vectors, residual = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
     game = Game(t.form, tuple(p[0] for p in payoffs))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
-    residual = nash_residual(game, profile)
-    if residual > 1e-9:
-        raise NotOnGraphError(f"reconstruction left nash residual {residual:.3e}")
-    return GraphPoint(game=game, profile=profile, kind="nash", residual=residual)
+    return GraphPoint(game=game, profile=profile, kind="nash", residual=float(residual[0]))
 
 
 def phi_n_inv(n, t, tol=1e-12):
@@ -153,13 +156,18 @@ def phi_n_inv(n, t, tol=1e-12):
     return GraphPoint(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
 
 
+def _gap_rows(a, b):
+    """Per-sample Euclidean norm of ``a - b``, sequences of arrays with a leading sample axis."""
+    squares = ((d[:, None, :] @ d[:, :, None])[:, 0, 0] for d in (u - v for u, v in zip(a, b)))
+    return np.sqrt(sum(squares))  # the matmul row dot rounds as np.dot does
+
+
 def graph_point_gap(a, b):
     """Euclidean norm of the concatenated payoff and probability differences."""
     if a.game.form != b.game.form:
         raise InvalidInputError("graph points live over different forms")
-    du = [pa - pb for pa, pb in zip(a.game.payoffs, b.game.payoffs)]
-    dx = [xa - xb for xa, xb in zip(a.profile.vectors, b.profile.vectors)]
-    return float(np.sqrt(sum(float(np.dot(v, v)) for v in du + dx)))
+    rows = (_one_row(p.game.payoffs + p.profile.vectors) for p in (a, b))
+    return float(_gap_rows(*rows)[0])
 
 
 def approximation_gap(n, t, tol=1e-12):

@@ -128,16 +128,16 @@ def _check_n_tol(n, tol):
         raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
-def _stall_error(best, residual, tol, max_iter=MAX_INVERSE_ITER):
+def _stall_error(best, residual, tol, iterations):
     return ConvergenceError(
         f"softmax-displacement inversion stalled at residual {residual:.3e} (tol {tol:.3e})",
         best=best,
         residual=float(residual),
-        iterations=max_iter,
+        iterations=int(iterations),
     )
 
 
-def h_numeric(n, y, tol=1e-10, max_iter=MAX_INVERSE_ITER):
+def h_numeric(n, y, tol=1e-10):
     """Invert ``g_map``: find ``x`` with ``max|g_map(n, x) - y| <= tol``.
 
     Validates its arguments once, then runs the row kernel on ``y`` as a batch
@@ -150,14 +150,14 @@ def h_numeric(n, y, tol=1e-10, max_iter=MAX_INVERSE_ITER):
     iteration converges from any start; the water-filling value warm-starts
     it for ``n >= 1``.
 
-    Raises ConvergenceError (carrying the best iterate and its residual) if the
-    tolerance is not reached within ``max_iter`` iterations.
+    Raises ConvergenceError (carrying the best iterate, its residual and the
+    iterations it ran) if the tolerance is not reached.
     """
     y = _as_vector(y, "y")
     _check_n_tol(n, tol)
-    x, residual = _invert_rows(n, y[None], tol, max_iter)
+    x, residual, iterations = _invert_rows(n, y[None], tol)
     if residual[0] > tol:
-        raise _stall_error(x[0], residual[0], tol, max_iter)
+        raise _stall_error(x[0], residual[0], tol, iterations[0])
     return x[0]
 
 
@@ -172,35 +172,35 @@ def _g_solve(n, s, r):
     return r / a + u * (n * (u * r).sum(axis=1) / u.sum(axis=1))[:, None]
 
 
-def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
+def _invert_rows(n, y, tol):
     """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
 
     ``y`` is a finite ``(rows, d)`` array; ``n`` and ``tol`` are trusted.
     Rows iterate independently and leave the live set once their sup-norm
     residual is at most ``tol``, once backtracking finds no decrease (the
-    floating-point floor for that row), or when ``max_iter`` runs out.
-    Returns ``(x, residual)``: per row the first iterate within ``tol``, or
-    else the best iterate seen, and its sup-norm residual. A row converged
-    exactly when its residual is at most ``tol``.
+    floating-point floor for that row), or after ``MAX_INVERSE_ITER`` steps.
+    Returns ``(x, residual, iterations)``: per row the first iterate within
+    ``tol``, or else the best iterate seen, its sup-norm residual and the
+    iterations it ran. A row converged exactly when its residual is at most ``tol``.
     """
     x = np.minimum(y, _water_level(y)[:, None]) if n >= 1.0 else y - 1.0 / y.shape[1]
     s = softmax(n * x)
     r = y - (x + s)
     norm = np.sqrt((r * r).sum(axis=1))
-    out_x, out_res = np.empty_like(y), np.empty(y.shape[0])
+    out_x, out_res, out_iter = np.empty_like(y), np.empty(y.shape[0]), np.empty(y.shape[0], int)
     live, target = np.arange(y.shape[0]), y
     best_x, best_res = x.copy(), np.abs(r).max(axis=1)  # per live row
     stuck = False
-    for iteration in range(max_iter + 1):
+    for iteration in range(MAX_INVERSE_ITER + 1):
         res = np.abs(r).max(axis=1)
         better = res < best_res
         if better.any():
             best_x[better] = x[better]
             best_res[better] = res[better]
-        leave = (res <= tol) | stuck | (iteration == max_iter)
+        leave = (res <= tol) | stuck | (iteration == MAX_INVERSE_ITER)
         if leave.any():
-            out_x[live[leave]] = best_x[leave]
-            out_res[live[leave]] = best_res[leave]
+            rows = live[leave]
+            out_x[rows], out_res[rows], out_iter[rows] = best_x[leave], best_res[leave], iteration
             keep = ~leave
             if not keep.any():
                 break
@@ -227,7 +227,7 @@ def _invert_rows(n, y, tol, max_iter=MAX_INVERSE_ITER):
             for new, old in ((x_new, x), (s_new, s), (r_new, r), (new_norm, norm)):
                 new[stuck] = old[stuck]
         x, s, r, norm = x_new, s_new, r_new, new_norm
-    return out_x, out_res
+    return out_x, out_res, out_iter
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, NotOnGraphError
+from .errors import ConvergenceError, InvalidInputError
 from .games import (
     StrategicGameForm,
     TargetPoint,
@@ -21,10 +21,9 @@ from .games import (
     _contract,
     _cross_blocks,
     _lift_bar,
-    _nash_gap_rows,
     _split_payoff,
 )
-from .graph_maps import _logit_rows, _nash_rows
+from .graph_maps import _gap_rows, _logit_rows, _nash_rows
 from .maps import _check_n_tol, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
@@ -38,25 +37,28 @@ def _target_blocks(form, samples, seed, bound_box, block):
     Each block is one uniform draw of shape ``(rows, k*|A| + sum(m_i))``:
     per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
     vectors, in the order a per-sample draw would take them from the stream.
-    The raw tensors are projected to zero opponent means. A draw numpy cannot
-    shape or allocate, or whose range ``2*bound_box`` overflows, raises
+    The raw tensors are projected to zero opponent means. A ``bound_box``
+    above 2**53, or a draw numpy cannot shape or allocate, raises
     InvalidInputError naming the form and ``samples``.
     """
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
     if not bound_box > 0:
         raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
-    rng = np.random.default_rng(seed)
     size, k = form.profile_count, form.num_players
+    cannot = f"cannot draw {samples} samples of form {k}:{','.join(map(str, form.action_counts))}: "
+    if bound_box > 2.0**53:
+        reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
+        raise InvalidInputError(f"{cannot}bound_box {bound_box:g} exceeds 2**53: {reason}")
+    rng = np.random.default_rng(seed)
     edges = np.cumsum((0, k * size) + form.action_counts)
     for start in range(0, samples, block):
         try:
             raw = rng.uniform(
                 -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
             )
-        except (ValueError, MemoryError, OverflowError) as exc:
-            counts = ",".join(map(str, form.action_counts))
-            raise InvalidInputError(f"cannot draw {samples} samples of form {k}:{counts}: {exc}") from exc
+        except (ValueError, MemoryError) as exc:
+            raise InvalidInputError(f"{cannot}{exc}") from exc
         tilde = tuple(
             _split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0] for i in range(k)
         )
@@ -149,23 +151,16 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
     for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, STUDY_BLOCK):
-        nash_payoffs, nash_x = _nash_rows(form, tilde, y_bar)
+        nash_payoffs, nash_x, _ = _nash_rows(form, tilde, y_bar)
         _check_rows(form, nash_payoffs, nash_x, start)
-        residual = _nash_gap_rows(form, nash_payoffs, nash_x)
-        if residual.max() > 1e-9:
-            raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
         for j, n in enumerate(n_list):
             payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
             _raise_failure(failure, seed, start, n)
             _check_rows(form, payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
-            # row-wise np.dot via matmul, summed in graph_point_gap's order
-            squares = sum(
-                (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-                for d in (a - b for a, b in zip(nash_payoffs + nash_x, payoffs + x))
-            )
+            gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
             sup_x[j] = max(sup_x[j], float(gap_x.max()))
-            sup_full[j] = max(sup_full[j], float(np.sqrt(squares).max()))
+            sup_full[j] = max(sup_full[j], float(gap_full.max()))
     rows = [
         ReportRow(n=n, sup_gap_x=gx, sup_gap_full=gf, lemma_bound=bound)
         for n, gx, gf, bound in zip(n_list, sup_x, sup_full, bounds)

@@ -12,12 +12,14 @@ from logitgraph import (
     deviation_payoff,
     deviation_payoffs,
     evaluate_mixed,
+    graph_point_gap,
     km_decompose,
     km_recompose,
     logit_residual,
     nash_residual,
 )
 from logitgraph.games import _contract, _nash_gap_rows
+from logitgraph.graph_maps import _gap_rows
 from conftest import (
     brute_force_expected_payoff,
     matching_pennies,
@@ -213,6 +215,15 @@ class TestNashResidual:
             devs = [deviation_payoffs(game, i, x) for i in range(form.num_players)]
             formula = max(0.0, max(float(d.max() - np.dot(v, d)) for d, v in zip(devs, x)))
             assert gap == formula == nash_residual(game, x)
+        # the graph gap rounds the same row dot: alone, in a batch and by np.dot
+        points = [GraphPoint(g, MixedProfile(x), "nash", 0.0) for g, x in zip(games, profiles)]
+        rows = payoffs + vectors
+        batched = _gap_rows(tuple(r[:-1] for r in rows), tuple(r[1:] for r in rows))
+        for gap, a, b in zip(batched, points, points[1:]):
+            du = [u - v for u, v in zip(a.game.payoffs, b.game.payoffs)]
+            dx = [u - v for u, v in zip(a.profile.vectors, b.profile.vectors)]
+            formula = float(np.sqrt(sum(float(np.dot(d, d)) for d in du + dx)))
+            assert gap == formula == graph_point_gap(a, b)
 
 
 class TestLogitResidual:

@@ -19,7 +19,7 @@ from logitgraph import (
     phi_inv,
     phi_n_inv,
 )
-from logitgraph import cli
+from logitgraph import cli, graph_maps
 from logitgraph.cli import run_cli
 from logitgraph.io import (
     _RECORDS,
@@ -335,6 +335,15 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 2 samples of form 2:2,2: ")
 
+    def test_study_box_past_2_to_the_53_exits_one_without_blaming_a_sample(self):
+        argv = ["study", "--form", "3:3,3,3", "--n-list", "1", "--samples", "200", "--seed", "0"]
+        code, out, err = invoke(argv + ["--bound-box", "9.0e15"])
+        assert code == 0 and err == ""
+        code, out, err = invoke(argv + ["--bound-box", "9.1e15"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot draw 200 samples of form 3:3,3,3: ")
+        assert "exceeds 2**53" in err
+
     @pytest.mark.parametrize(
         "command, text",
         [(["invert-logit", "--n", "10"], TARGET_JSON), (["trace", "--n-final", "10"], PENNIES_JSON)],
@@ -350,6 +359,17 @@ class TestCli:
         code, out, _ = invoke(["verify", "none"])
         assert code == 0
         assert out.count("PASS") >= 10 and "FAIL" not in out
+
+    def test_verify_nash_round_trip_off_the_graph_exits_one(self, monkeypatch):
+        # the reconstruction's own residual check raises, as the logit round
+        # trip's failed inversion does, so the suite prints no FAIL line
+        def far(form, payoffs, vectors):
+            return np.ones(len(vectors[0]))
+
+        monkeypatch.setattr(graph_maps, "_nash_gap_rows", far)
+        code, out, err = invoke(["verify", "none"])
+        assert code == 1 and out == ""
+        assert err == "error: reconstruction left nash residual 1.000e+00\n"
 
     def test_verify_game(self, tmp_path):
         path = tmp_path / "pennies.json"

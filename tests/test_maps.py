@@ -16,6 +16,7 @@ from logitgraph import (
     is_cl_matrix,
     softmax,
 )
+from logitgraph import maps
 from conftest import fd_jacobian
 
 E = np.e
@@ -231,12 +232,22 @@ class TestHNumeric:
                 gap = np.abs(h_numeric(n, y, tol=1e-12) - h_exact(y).h_value).max()
                 assert gap <= d * ceiling
 
-    def test_budget_exhaustion_carries_best(self):
+    def test_budget_exhaustion_carries_best(self, monkeypatch):
+        monkeypatch.setattr(maps, "MAX_INVERSE_ITER", 1)
         with pytest.raises(ConvergenceError) as info:
-            h_numeric(5.0, [4.0, -3.0, 1.0], tol=1e-12, max_iter=1)
+            h_numeric(5.0, [4.0, -3.0, 1.0], tol=1e-12)
         err = info.value
         assert err.best is not None and err.best.shape == (3,)
         assert err.residual is not None and err.residual > 1e-12
+
+    def test_stall_reports_the_iterations_run(self):
+        # an unreachable tol: the row stops at its floating-point floor, well
+        # before the MAX_INVERSE_ITER budget, and says how far it got
+        with pytest.raises(ConvergenceError) as info:
+            h_numeric(1e6, [1.3, 0.7], tol=1e-30)
+        err = info.value
+        assert err.iterations == 7
+        assert 0 < err.residual < 1e-11
 
     def test_invalid_tol(self):
         with pytest.raises(InvalidInputError):

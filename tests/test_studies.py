@@ -56,6 +56,12 @@ class TestSampling:
         with pytest.raises(InvalidInputError, match="cannot draw 2 samples of form 2:2,2"):
             sample_target_points(FORM_2X2, 2, 0, box)
 
+    def test_box_past_2_to_the_53_is_rejected_before_any_sample(self):
+        # doubles are 2 apart there, so no reconstructed profile can sum to 1
+        prefix = "cannot draw 20 samples of form 2:2,2: "
+        with pytest.raises(InvalidInputError, match=rf"^{prefix}.*2\*\*53"):
+            convergence_study(FORM_2X2, [1.0], 20, 0, bound_box=1e16)
+
     def test_unshapeable_draw_names_form_and_samples(self):
         form = StrategicGameForm(2, (4611686018427387905, 4))
         with pytest.raises(InvalidInputError, match="1 samples of form 2:4611686018427387905,4"):
