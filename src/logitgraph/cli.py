@@ -10,13 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import io as formats
 from .errors import ConvergenceError, InvalidInputError, ParseError
 from .games import StrategicGameForm, km_decompose
-from .graph_maps import phi_inv, phi_n_inv
-from .solver import trace_logit_path
-from .studies import convergence_study
-from .verification import run_property_suite
+from .io import parse_game, parse_target_point, render
 
 
 class _UsageError(Exception):
@@ -111,14 +107,41 @@ def _parse_n_list(text):
 
 
 def _game(args):
-    return formats.parse_game(_read(args.game))
+    return parse_game(_read(args.game))
 
 
 def _target(args):
-    return formats.parse_target_point(_read(args.target), project_tilde=args.project_tilde)
+    return parse_target_point(_read(args.target), project_tilde=args.project_tilde)
+
+
+# Each handler imports the layers it runs, so a process loads only those.
+def _trace(args):
+    from .solver import trace_logit_path
+
+    return trace_logit_path(_game(args), n_final=args.n_final, tol=args.tol)
+
+
+def _solve(args):
+    from .solver import trace_logit_path
+
+    return trace_logit_path(_game(args), n_final=args.n, tol=args.tol).entries[-1]
+
+
+def _invert_nash(args):
+    from .graph_maps import phi_inv
+
+    return phi_inv(_target(args))
+
+
+def _invert_logit(args):
+    from .graph_maps import phi_n_inv
+
+    return phi_n_inv(args.n, _target(args), tol=args.tol)
 
 
 def _study(args):
+    from .studies import convergence_study
+
     form = _parse_form(args.form)
     return convergence_study(form, _parse_n_list(args.n_list), args.samples, args.seed, args.bound_box)
 
@@ -126,18 +149,17 @@ def _study(args):
 # command -> (builds its record from the parsed arguments, its default format)
 _COMMANDS = {
     "decompose": (lambda args: km_decompose(_game(args)), "json"),
-    "solve": (
-        lambda args: trace_logit_path(_game(args), n_final=args.n, tol=args.tol).entries[-1],
-        "json",
-    ),
-    "trace": (lambda args: trace_logit_path(_game(args), n_final=args.n_final, tol=args.tol), "csv"),
-    "invert-nash": (lambda args: phi_inv(_target(args)), "json"),
-    "invert-logit": (lambda args: phi_n_inv(args.n, _target(args), tol=args.tol), "json"),
+    "solve": (_solve, "json"),
+    "trace": (_trace, "csv"),
+    "invert-nash": (_invert_nash, "json"),
+    "invert-logit": (_invert_logit, "json"),
     "study": (_study, "json"),
 }
 
 
 def _verify(args):
+    from .verification import run_property_suite
+
     game = None if args.game == "none" else _game(args)
     results = run_property_suite(game)
     lines = [
@@ -154,7 +176,7 @@ def _dispatch(args):
     if args.command == "verify":
         return _verify(args)
     build, default_format = _COMMANDS[args.command]
-    return formats.render(build(args), args.format or default_format), 0
+    return render(build(args), args.format or default_format), 0
 
 
 def run_cli(argv, stdout=None, stderr=None):

@@ -33,6 +33,13 @@ from .maps import _check_n, _check_n_tol, _invert_rows, _stall_error, _water_lev
 GRAPH_RESIDUAL_TOL = 1e-8
 
 
+def _check_below_2_53(what, magnitude):
+    """Reject a coordinate magnitude past 2**53, where no reconstructed profile can sum to 1."""
+    if magnitude > 2.0**53:
+        reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
+        raise InvalidInputError(f"{what} {magnitude:g} exceeds 2**53: {reason}")
+
+
 def _z_rows(form, payoffs, vectors, n=None):
     """``z_nash`` of every sample, or ``z_logit`` when ``n`` is given; one array per player."""
     w = _deviation_rows(form, payoffs, vectors)
@@ -130,8 +137,10 @@ def phi_inv(t):
     Per player, the water-filling split of ``y_bar`` gives the equilibrium
     probabilities (the simplex projection) and the deviation-payoff values
     (the clipped vector); the construction is total and the result's residual
-    is exactly zero up to rounding.
+    is exactly zero up to rounding. A ``y_bar`` entry past 2**53 in
+    magnitude raises InvalidInputError.
     """
+    _check_below_2_53("y_bar entry", max(float(np.abs(b).max()) for b in t.y_bar))
     payoffs, x_vectors, residual = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
     game = Game(t.form, tuple(p[0] for p in payoffs))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))

@@ -16,16 +16,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .games import (
-    Game,
-    GraphPoint,
-    KMRepresentation,
-    StrategicGameForm,
-    TargetPoint,
-    _split_payoff,
-)
-from .solver import PathEntry, PathTrace
-from .studies import ConvergenceReport, RankReport
+from .games import Game, StrategicGameForm, TargetPoint, _split_payoff
 
 
 def _load_json(data):
@@ -217,26 +208,27 @@ def _rank_dict(report):
     return {**dataclasses.asdict(report), "form": _form_dict(report.form), "passed": report.passed}
 
 
-# record type -> (JSON dict builder, CSV row generator, CSV header)
+# record class name -> (JSON dict builder, CSV row generator, CSV header); keyed
+# by name so that rendering a record does not import the layers of the others
 _RECORDS = {
-    KMRepresentation: (
+    "KMRepresentation": (
         lambda rep: {"tilde_u": _vectors(rep.tilde_u), "bar_u": _vectors(rep.bar_u)},
         _split_rows,
         "player,component,index,value",
     ),
-    PathEntry: (_entry_dict, _entry_rows, "n,player,action,probability,residual"),
-    PathTrace: (
+    "PathEntry": (_entry_dict, _entry_rows, "n,player,action,probability,residual"),
+    "PathTrace": (
         trace_to_dict,
         lambda trace: (row for e in trace.entries for row in _entry_rows(e)),
         "n,player,action,probability,residual",
     ),
-    GraphPoint: (_point_dict, _point_rows, "section,player,index,value"),
-    ConvergenceReport: (
+    "GraphPoint": (_point_dict, _point_rows, "section,player,index,value"),
+    "ConvergenceReport": (
         _study_dict,
         lambda report: map(dataclasses.astuple, report.rows),
         "n,sup_gap_x,sup_gap_full,lemma_bound",
     ),
-    RankReport: (
+    "RankReport": (
         _rank_dict,
         lambda report: [tuple(v for k, v in _rank_dict(report).items() if k != "form")],
         "n,sample_points,expected_rank,min_singular_value,threshold,passed",
@@ -261,7 +253,7 @@ def render(record, fmt):
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    to_dict, rows, header = _RECORDS[type(record)]
+    to_dict, rows, header = _RECORDS[type(record).__name__]
     if fmt == "json":
         return json.dumps(to_dict(record)) + "\n"
     return "\n".join([header] + [",".join(map(_cell, row)) for row in rows(record)]) + "\n"

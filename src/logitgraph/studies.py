@@ -23,7 +23,7 @@ from .games import (
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import _gap_rows, _logit_rows, _nash_rows
+from .graph_maps import _check_below_2_53, _gap_rows, _logit_rows, _nash_rows
 from .maps import _check_n_tol, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
@@ -47,9 +47,7 @@ def _target_blocks(form, samples, seed, bound_box, block):
         raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
     size, k = form.profile_count, form.num_players
     cannot = f"cannot draw {samples} samples of form {k}:{','.join(map(str, form.action_counts))}: "
-    if bound_box > 2.0**53:
-        reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
-        raise InvalidInputError(f"{cannot}bound_box {bound_box:g} exceeds 2**53: {reason}")
+    _check_below_2_53(f"{cannot}bound_box", bound_box)
     rng = np.random.default_rng(seed)
     edges = np.cumsum((0, k * size) + form.action_counts)
     for start in range(0, samples, block):

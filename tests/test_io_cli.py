@@ -10,6 +10,7 @@ from logitgraph import (
     MixedProfile,
     ParseError,
     StrategicGameForm,
+    TargetPoint,
     convergence_study,
     deviation_payoff,
     immersion_rank_check,
@@ -18,6 +19,7 @@ from logitgraph import (
     parse_target_point,
     phi_inv,
     phi_n_inv,
+    sample_target_points,
 )
 from logitgraph import cli, graph_maps
 from logitgraph.cli import run_cli
@@ -197,13 +199,12 @@ HEADERS = {
 
 class TestRender:
     def test_every_record_type_is_covered(self):
-        assert {type(r) for r in _records()} == set(_RECORDS)
-        assert {t.__name__ for t in _RECORDS} == set(HEADERS)
+        assert {type(r).__name__ for r in _records()} == set(_RECORDS) == set(HEADERS)
 
     @pytest.mark.parametrize("index", range(7))
     def test_json_and_csv(self, index):
         record = _records()[index]
-        to_dict, rows, _ = _RECORDS[type(record)]
+        to_dict, rows, _ = _RECORDS[type(record).__name__]
         text = render(record, "json")
         assert text.endswith("\n") and text.count("\n") == 1
         assert json.loads(text) == to_dict(record)
@@ -343,6 +344,24 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 200 samples of form 3:3,3,3: ")
         assert "exceeds 2**53" in err
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_invert_nash_target_past_2_to_the_53_exits_one(self, tmp_path, seed):
+        # y_bar uniform in +-1e100 used to fail as "nash residual 2.899e+299" (seed 0)
+        form = StrategicGameForm(2, (2, 3))
+        tilde = sample_target_points(form, 1, seed, 1.0)[0].tilde_u
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "target.json"
+        for box in (1e100, 1e15):
+            y_bar = tuple(rng.uniform(-box, box, size=m) for m in form.action_counts)
+            path.write_text(target_point_to_json(TargetPoint(form, tilde, y_bar)))
+            code, out, err = invoke(["invert-nash", str(path)])
+            if box == 1e100:
+                assert code == 1 and out == ""
+                assert err.startswith("error: y_bar entry ") and "exceeds 2**53" in err
+            else:
+                assert code == 0 and err == ""
+                assert json.loads(out)["residual"] == 0.0
 
     @pytest.mark.parametrize(
         "command, text",
