@@ -21,13 +21,13 @@ _EXPORTS = {
         "PathFailureError",
     ),
     "games": (
-        "Game", "GraphPoint", "KMRepresentation", "MixedProfile", "StrategicGameForm",
-        "TargetPoint", "deviation_payoff", "deviation_payoffs", "evaluate_mixed", "km_decompose",
-        "km_recompose", "logit_residual", "nash_residual",
+        "Game", "KMRepresentation", "MixedProfile", "StrategicGameForm", "deviation_payoff",
+        "deviation_payoffs", "evaluate_mixed", "km_decompose", "km_recompose", "logit_residual",
+        "nash_residual", "softmax",
     ),
     "graph_maps": (
-        "approximation_gap", "graph_point_gap", "phi", "phi_inv", "phi_n", "phi_n_inv", "z_logit",
-        "z_nash",
+        "GraphPoint", "TargetPoint", "approximation_gap", "graph_point_gap", "phi", "phi_inv",
+        "phi_n", "phi_n_inv", "z_logit", "z_nash",
     ),
     "io": (
         "game_to_json", "parse_game", "parse_target_point", "target_point_to_json", "trace_to_csv",
@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "maps": (
         "ConvergenceBound", "SimplexProjection", "alpha_star", "epsilon_bound", "g_jacobian",
-        "g_map", "h_exact", "h_numeric", "is_cl_matrix", "softmax",
+        "g_map", "h_exact", "h_numeric", "is_cl_matrix",
     ),
     "solver": (
         "PathEntry", "PathTrace", "approximate_nash", "logit_response", "solve_newton",

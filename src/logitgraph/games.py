@@ -1,27 +1,26 @@
-"""Finite normal-form games: payoffs, residuals, and the payoff-space split.
+"""Finite normal-form games: payoffs, residuals, the softmax response and the payoff-space split.
 
 Payoff tensors are stored flat, one per player, in column-major order: the
 flat index of the pure profile ``a`` is ``a[0] + m0*(a[1] + m1*(a[2] + ...))``
 where ``m[j]`` is player ``j``'s action count, so player 0's action index
 moves fastest. ``Game.payoff_tensor`` reshapes to the d-dimensional view.
+This is the bottom layer: it imports no other, and every other layer sits on it.
 """
 
 from __future__ import annotations
 
 import math
-import string
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotOnGraphError
-from .maps import _check_n, softmax
+from .errors import InvalidInputError
 
 PROBABILITY_TOL = 1e-9
 ZERO_MEAN_TOL = 1e-9
 
-_AXES = string.ascii_lowercase
+_AXES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _freeze(arr, dtype=float):
@@ -192,6 +191,24 @@ def _contract(form, flat_rows, vector_rows, keep):
 def _deviation_rows(form, payoffs, vectors):
     """Every player's deviation payoffs, for payoffs and profiles with a leading sample axis."""
     return tuple(_contract(form, p, vectors, (i,)) for i, p in enumerate(payoffs))
+
+
+def softmax(v):
+    """Overflow-safe softmax over the last axis: subtracts each row's max before exponentiating."""
+    v = np.asarray(v, dtype=float)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _check_n(n):
+    if not (n > 0 and math.isfinite(n)):
+        raise InvalidInputError(f"n must be positive and finite, got {n}")
+
+
+def _check_n_tol(n, tol):
+    _check_n(n)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
 def _cross_blocks(form, payoffs, vectors):
@@ -365,68 +382,3 @@ def km_recompose(rep):
         for i, (t, b) in enumerate(zip(rep.tilde_u, rep.bar_u))
     )
     return Game(rep.form, payoffs)
-
-
-@dataclass(frozen=True, eq=False)
-class TargetPoint:
-    """A payoff-space point in split coordinates: zero-mean part plus free per-action vectors.
-
-    ``y_bar`` is unconstrained; ``tilde_u`` must satisfy the same zero-mean
-    invariant as in KMRepresentation. These are the coordinates the graph maps
-    in :mod:`logitgraph.graph_maps` land in and invert from.
-    """
-
-    form: StrategicGameForm
-    tilde_u: tuple[np.ndarray, ...]
-    y_bar: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        tilde, ybar = _checked_split(self.form, self.tilde_u, self.y_bar, "y_bar")
-        object.__setattr__(self, "tilde_u", tilde)
-        object.__setattr__(self, "y_bar", ybar)
-
-
-@dataclass(frozen=True, eq=False)
-class GraphPoint:
-    """A (game, profile) pair asserted to lie on an equilibrium graph.
-
-    ``kind`` is ``"nash"`` or ``"logit"``; ``n`` is the logit precision and is
-    present exactly when ``kind == "logit"``. ``residual`` records the check
-    value at construction time. Use the ``nash``/``logit`` factories to have
-    the residual computed and verified.
-    """
-
-    game: Game
-    profile: MixedProfile
-    kind: str
-    residual: float
-    n: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("nash", "logit"):
-            raise InvalidInputError(f"kind must be 'nash' or 'logit', got {self.kind!r}")
-        if (self.kind == "logit") != (self.n is not None):
-            raise InvalidInputError("n must be present exactly when kind is 'logit'")
-        if self.n is not None:
-            _check_n(self.n)
-
-    @classmethod
-    def nash(cls, game, profile, tol=1e-8):
-        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = _graph_residual(game, profile, None, tol)
-        return cls(game=game, profile=profile, kind="nash", residual=residual)
-
-    @classmethod
-    def logit(cls, game, profile, n, tol=1e-8):
-        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = _graph_residual(game, profile, n, tol)
-        return cls(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
-
-
-def _graph_residual(game, profile, n, tol):
-    """Nash residual if ``n`` is None, else logit residual at ``n``; NotOnGraphError above ``tol``."""
-    residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
-    if residual > tol:
-        kind = "nash" if n is None else "logit"
-        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
-    return residual

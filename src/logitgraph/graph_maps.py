@@ -6,31 +6,103 @@ do the same for the logit graph at precision ``n``. Both inverses work one
 player at a time: the profile comes straight out of the player's ``y_bar``
 coordinate, then the mean payoffs are back-solved, so there is no fixed-point
 coupling anywhere in the inverse direction. The reconstructions run on arrays
-with a leading sample axis; the public inverses are batches of one.
+with a leading sample axis; the public inverses are batches of one. The
+coordinates (``TargetPoint``) and the graph points (``GraphPoint``) live here.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NotOnGraphError
 from .games import (
     Game,
-    GraphPoint,
     MixedProfile,
-    TargetPoint,
+    StrategicGameForm,
+    _check_n,
+    _check_n_tol,
+    _checked_split,
     _deviation_rows,
-    _graph_residual,
     _lift_bar,
     _logit_gap,
     _nash_gap_rows,
     _one_row,
     _profile_vectors,
     km_decompose,
+    logit_residual,
+    nash_residual,
+    softmax,
 )
-from .maps import _check_n, _check_n_tol, _invert_rows, _stall_error, _water_level, softmax
+from .maps import _invert_rows, _stall_error, _water_level
 
 GRAPH_RESIDUAL_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class TargetPoint:
+    """A payoff-space point in split coordinates: zero-mean part plus free per-action vectors.
+
+    ``y_bar`` is unconstrained; ``tilde_u`` must satisfy the same zero-mean
+    invariant as in KMRepresentation. These are the coordinates the graph maps
+    below land in and invert from.
+    """
+
+    form: StrategicGameForm
+    tilde_u: tuple[np.ndarray, ...]
+    y_bar: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        tilde, ybar = _checked_split(self.form, self.tilde_u, self.y_bar, "y_bar")
+        object.__setattr__(self, "tilde_u", tilde)
+        object.__setattr__(self, "y_bar", ybar)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphPoint:
+    """A (game, profile) pair asserted to lie on an equilibrium graph.
+
+    ``kind`` is ``"nash"`` or ``"logit"``; ``n`` is the logit precision and is
+    present exactly when ``kind == "logit"``. ``residual`` records the check
+    value at construction time. Use the ``nash``/``logit`` factories to have
+    the residual computed and verified.
+    """
+
+    game: Game
+    profile: MixedProfile
+    kind: str
+    residual: float
+    n: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("nash", "logit"):
+            raise InvalidInputError(f"kind must be 'nash' or 'logit', got {self.kind!r}")
+        if (self.kind == "logit") != (self.n is not None):
+            raise InvalidInputError("n must be present exactly when kind is 'logit'")
+        if self.n is not None:
+            _check_n(self.n)
+
+    @classmethod
+    def nash(cls, game, profile, tol=1e-8):
+        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
+        residual = _graph_residual(game, profile, None, tol)
+        return cls(game=game, profile=profile, kind="nash", residual=residual)
+
+    @classmethod
+    def logit(cls, game, profile, n, tol=1e-8):
+        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
+        residual = _graph_residual(game, profile, n, tol)
+        return cls(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
+
+
+def _graph_residual(game, profile, n, tol):
+    """Nash residual if ``n`` is None, else logit residual at ``n``; NotOnGraphError above ``tol``."""
+    residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
+    if residual > tol:
+        kind = "nash" if n is None else "logit"
+        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
+    return residual
 
 
 def _check_below_2_53(what, magnitude):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .games import Game, StrategicGameForm, TargetPoint, _split_payoff
+from .games import Game, StrategicGameForm, _split_payoff
 
 
 def _load_json(data):
@@ -98,6 +98,8 @@ def parse_target_point(data, project_tilde=False):
     larger means are rejected unless ``project_tilde`` is set, in which case
     they are removed too.
     """
+    from .graph_maps import TargetPoint  # imported here, so game commands never load graph_maps
+
     obj = _load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")

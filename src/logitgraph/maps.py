@@ -3,7 +3,8 @@
 The central object is the map ``g_map(n, v) = v + softmax(n*v)``, which is
 invertible for every ``n > 0``. Its inverse is computed numerically by
 ``h_numeric``; as ``n`` grows the inverse approaches the exact water-filling
-map ``h_exact``, with a uniform error controlled by ``epsilon_bound``.
+map ``h_exact``, with a uniform error controlled by ``epsilon_bound``. The
+softmax itself is ``games.softmax``, re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
+from .games import _check_n, _check_n_tol, softmax
 
 MAX_INVERSE_ITER = 200  # Newton iterations per row of the softmax-displacement inverse
 
@@ -25,13 +27,6 @@ def _as_vector(v, name="v"):
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} must be finite")
     return arr
-
-
-def softmax(v):
-    """Overflow-safe softmax over the last axis: subtracts each row's max before exponentiating."""
-    v = np.asarray(v, dtype=float)
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def g_map(n, v):
@@ -115,17 +110,6 @@ def h_exact(y):
     a = alpha_star(y)
     h = np.minimum(y, a)
     return SimplexProjection(alpha_star=a, h_value=h, residual=y - h)
-
-
-def _check_n(n):
-    if not (n > 0 and math.isfinite(n)):
-        raise InvalidInputError(f"n must be positive and finite, got {n}")
-
-
-def _check_n_tol(n, tol):
-    _check_n(n)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
 
 
 def _stall_error(best, residual, tol, iterations):

@@ -20,14 +20,15 @@ from .errors import ConvergenceError, InvalidInputError, PathFailureError
 from .games import (
     Game,
     MixedProfile,
+    _check_n_tol,
     _cross_blocks,
     _deviation_rows,
     _logit_gap,
     _one_row,
     _profile_vectors,
     nash_residual,
+    softmax,
 )
-from .maps import _check_n_tol, softmax
 
 
 def logit_response(n, game, x):

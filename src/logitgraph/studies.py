@@ -16,19 +16,25 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError
 from .games import (
     StrategicGameForm,
-    TargetPoint,
+    _check_n_tol,
     _check_rows,
     _contract,
     _cross_blocks,
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import _check_below_2_53, _gap_rows, _logit_rows, _nash_rows
-from .maps import _check_n_tol, _g_solve, epsilon_bound
+from .graph_maps import TargetPoint, _check_below_2_53, _gap_rows, _logit_rows, _nash_rows
+from .maps import _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
 STUDY_BLOCK = 1024  # samples a study reconstructs at once; bounds its working set
 STUDY_TOL = 1e-12  # inversion tolerance of the study's logit reconstructions
+
+
+def _check_seed(seed):
+    """Accept a nonnegative Python or NumPy integer, the seeds every draw here is fixed by."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _target_blocks(form, samples, seed, bound_box, block):
@@ -37,10 +43,11 @@ def _target_blocks(form, samples, seed, bound_box, block):
     Each block is one uniform draw of shape ``(rows, k*|A| + sum(m_i))``:
     per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
     vectors, in the order a per-sample draw would take them from the stream.
-    The raw tensors are projected to zero opponent means. A ``bound_box``
-    above 2**53, or a draw numpy cannot shape or allocate, raises
-    InvalidInputError naming the form and ``samples``.
+    The raw tensors are projected to zero opponent means. A ``seed`` that is not a
+    nonnegative integer raises InvalidInputError; so does a ``bound_box`` above 2**53
+    or a draw numpy cannot shape or allocate, naming the form and ``samples``.
     """
+    _check_seed(seed)
     if samples < 1:
         raise InvalidInputError(f"samples must be >= 1, got {samples}")
     if not bound_box > 0:

@@ -22,11 +22,12 @@ from .games import (
     km_recompose,
     logit_residual,
     nash_residual,
+    softmax,
 )
 from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
-from .maps import epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix, softmax
+from .maps import epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
 from .solver import logit_response, trace_logit_path
-from .studies import _target_blocks
+from .studies import _check_seed, _target_blocks
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,8 @@ def _game_checks(game, seed=10):
 
 
 def run_property_suite(game=None, seed=0):
-    """Run every desk-scale check; when ``game`` is given, audit it too."""
+    """Run every desk-scale check from a nonnegative integer ``seed``; audit ``game`` if given."""
+    _check_seed(seed)
     results = [
         check_displacement_identities(seed),
         check_jacobian_columns(seed + 1),

@@ -13,8 +13,7 @@ from logitgraph import (
     logit_response,
     solve_newton,
 )
-from logitgraph.games import _profile_vectors
-from logitgraph.maps import _check_n_tol
+from logitgraph.games import _check_n_tol, _profile_vectors
 from logitgraph.solver import _homotopy
 
 

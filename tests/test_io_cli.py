@@ -1,6 +1,10 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from logitgraph.io import (
 from logitgraph.solver import trace_logit_path
 from conftest import matching_pennies, one_player_game, random_game
 
+ROOT = Path(__file__).resolve().parents[1]
 PENNIES_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 ONE_PLAYER_JSON = '{"players": 1, "actions": [2], "payoffs": [[1, 0]]}'
 TARGET_JSON = '{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}'
@@ -344,6 +349,19 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 200 samples of form 3:3,3,3: ")
         assert "exceeds 2**53" in err
+
+    def test_study_negative_seed_exits_one_without_a_traceback(self):
+        # a process, so an exception escaping run_cli would show as a traceback
+        argv = ["study", "--form", "2:2,2", "--n-list", "1", "--samples", "2", "--seed", "-1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "logitgraph.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_invert_nash_target_past_2_to_the_53_exits_one(self, tmp_path, seed):

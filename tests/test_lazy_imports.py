@@ -54,8 +54,13 @@ def inputs(tmp_path):
 @pytest.mark.parametrize(
     "command, runs, skips",
     [
-        (["trace", "--n-final", "5", "GAME"], "solver", {"graph_maps", "studies", "verification"}),
-        (["solve", "--n", "5", "GAME"], "solver", {"graph_maps", "studies", "verification"}),
+        (["trace", "--n-final", "5", "GAME"], "solver", {"maps", "graph_maps", "studies", "verification"}),
+        (["solve", "--n", "5", "GAME"], "solver", {"maps", "graph_maps", "studies", "verification"}),
+        (
+            ["decompose", "GAME"],
+            "games",
+            {"maps", "graph_maps", "solver", "studies", "verification"},
+        ),
         (["invert-logit", "--n", "5", "TARGET"], "graph_maps", {"solver", "studies", "verification"}),
         (["invert-nash", "TARGET"], "graph_maps", {"solver", "studies", "verification"}),
         (
@@ -71,6 +76,22 @@ def test_command_loads_only_its_layers(inputs, command, runs, skips):
     layers = loaded_layers(argv)
     assert runs in layers
     assert not layers & skips
+
+
+def test_help_loads_only_the_front_end_and_core():
+    # -X importtime lists every module the process imports; cli itself runs as __main__
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "logitgraph.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0 and result.stdout.startswith("usage: logitgraph")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert {m for m in imported if m.startswith("logitgraph.")} == {
+        "logitgraph.errors", "logitgraph.games", "logitgraph.io",
+    }
 
 
 def test_bare_import_loads_no_layer_and_submodules_stay_reachable():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from logitgraph import (
     km_decompose,
     km_recompose,
     phi_n_inv,
+    run_property_suite,
     sample_target_points,
 )
 from logitgraph.io import render
@@ -67,16 +69,41 @@ class TestSampling:
         with pytest.raises(InvalidInputError, match="1 samples of form 2:4611686018427387905,4"):
             sample_target_points(form, 1, 1, 1.0)
 
-    def test_failed_allocation_names_form_and_samples(self):
-        # a generator whose draw fails as numpy does when it cannot allocate;
-        # default_rng hands a Generator back unchanged, so nothing is allocated
+    def test_failed_allocation_names_form_and_samples(self, monkeypatch):
+        # the study draws from a generator whose draw fails as numpy does when
+        # it cannot allocate, so nothing is allocated
         class OutOfMemory(np.random.Generator):
             def uniform(self, *args, **kwargs):
                 raise MemoryError("Unable to allocate 137. GiB")
 
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: OutOfMemory(np.random.PCG64(seed)))
         form = StrategicGameForm(2, (3000, 3000))
         with pytest.raises(InvalidInputError, match="2000 samples of form 2:3000,3000: Unable"):
-            convergence_study(form, [1.0], 2000, OutOfMemory(np.random.PCG64(0)))
+            convergence_study(form, [1.0], 2000, 0)
+
+
+class TestSeed:
+    """Every seeded draw takes a nonnegative integer seed, and nothing else."""
+
+    DRAWS = {
+        "sample_target_points": lambda seed: sample_target_points(FORM_2X2, 2, seed, 1.0),
+        "convergence_study": lambda seed: convergence_study(FORM_2X2, [1.0], 2, seed),
+        "immersion_rank_check": lambda seed: immersion_rank_check(1.0, FORM_1X2, 2, seed),
+        "run_property_suite": lambda seed: run_property_suite(seed=seed),
+    }
+
+    @pytest.mark.parametrize("name", DRAWS)
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, np.int64(-1)], ids=repr)
+    def test_rejects_what_is_not_a_nonnegative_integer(self, name, seed):
+        # -1 used to fail inside numpy, 1.5 with a numpy TypeError, and None
+        # drew from OS entropy
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            self.DRAWS[name](seed)
+
+    def test_numpy_integer_draws_as_the_python_integer(self):
+        for a, b in zip(*(sample_target_points(FORM_2X2, 2, s, 1.0) for s in (7, np.uint8(7)))):
+            assert all(np.array_equal(u, v) for u, v in zip(a.y_bar + a.tilde_u, b.y_bar + b.tilde_u))
 
 
 class TestConvergenceStudy:
