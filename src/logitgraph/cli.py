@@ -8,6 +8,9 @@ or usage error, 2 convergence failure.
 from __future__ import annotations
 
 import argparse
+import atexit
+import math
+import os
 import sys
 
 from .errors import ConvergenceError, InvalidInputError, ParseError
@@ -173,6 +176,9 @@ def _dispatch(args):
     # solve and invert-logit check --n before they read any input file
     if not getattr(args, "n", 1.0) > 0:
         raise InvalidInputError(f"--n must be positive, got {args.n}")
+    # only solve, trace and invert-logit read --tol, but every command rejects a bad one
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise InvalidInputError(f"tol must be positive and finite, got {args.tol}")
     if args.command == "verify":
         return _verify(args)
     build, default_format = _COMMANDS[args.command]
@@ -211,7 +217,24 @@ def run_cli(argv, stdout=None, stderr=None):
 
 
 def main():
-    sys.exit(run_cli(sys.argv[1:]))
+    """Console entry point: ``run_cli`` on ``sys.argv``, then end the process.
+
+    Once the output is flushed and the ``atexit`` handlers have run,
+    ``os._exit`` skips interpreter teardown, which would free numpy and every
+    module one object at a time after the answer is already written.
+    """
+    try:
+        try:
+            code = run_cli(sys.argv[1:])
+        except SystemExit as exc:  # argparse after printing --help
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc.strerror}\n")
+        code = 1
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,9 @@ from logitgraph import (
     phi_n_inv,
     sample_target_points,
 )
-from logitgraph import cli, graph_maps
+from logitgraph import InvalidInputError, cli, graph_maps
 from logitgraph.cli import run_cli
+from logitgraph.games import _check_n_tol
 from logitgraph.io import (
     _RECORDS,
     game_to_json,
@@ -391,6 +392,27 @@ class TestCli:
         code, out, err = invoke(command + ["--tol", "inf", str(path)])
         assert code == 1 and out == ""
         assert err == "error: tol must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "1", "GAME", "--tol", "0"],
+            ["study", "--form", "2:2,2", "--n-list", "1", "--samples", "1", "--seed", "0", "--tol", "-5"],
+            ["decompose", "GAME", "--tol", "nan"],
+            ["verify", "none", "--tol", "-1"],
+            ["invert-nash", "TARGET", "--tol", "inf"],
+        ],
+    )
+    def test_bad_tol_exits_one_on_every_command(self, tmp_path, argv):
+        # study, decompose, verify and invert-nash never read --tol
+        (tmp_path / "game.json").write_text(PENNIES_JSON)
+        (tmp_path / "target.json").write_text(TARGET_JSON)
+        paths = {"GAME": str(tmp_path / "game.json"), "TARGET": str(tmp_path / "target.json")}
+        code, out, err = invoke([paths.get(arg, arg) for arg in argv])
+        with pytest.raises(InvalidInputError) as library:
+            _check_n_tol(1.0, float(argv[-1]))
+        assert code == 1 and out == ""
+        assert err == f"error: {library.value}\n"
 
     def test_verify_none(self):
         code, out, _ = invoke(["verify", "none"])
