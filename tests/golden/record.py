@@ -19,7 +19,9 @@ one file, ``<name>.<command>.<json|csv>``. Commands:
 - ``invert-nash`` and ``invert-logit --n 10`` on two seeded target files
   written here;
 - ``verify`` on ``none`` and on matching pennies, whose text output ignores
-  ``--format`` (``<name>.verify.txt``).
+  ``--format`` (``<name>.verify.txt``);
+- ``--help`` and ``<command> -h`` for every command, once, at 80 columns
+  (``logitgraph.help.txt`` and ``<command>.help.txt``).
 
 Every one of these must exit 0 with empty stderr. The error cases
 (``<name>.error.json``) store the exit code and stderr of invocations that
@@ -31,6 +33,8 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 
@@ -62,6 +66,9 @@ TARGET_COMMANDS = {"invert-nash": ["invert-nash"], "invert-logit": ["invert-logi
 # softmax(n*w) by about 1e-11, so the inversion cannot reach tol 1e-30
 STALL_TARGET = {"tilde_u": [[0, 0]], "y_bar": [[1.3, 0.7]]}
 FORMATS = (["--format", "json"], ["--format", "csv"], [])
+HELP_COMMANDS = (
+    "decompose", "solve", "trace", "invert-nash", "invert-logit", "verify", "study",
+)
 
 
 def zero_sum_game(seed, shape):
@@ -135,13 +142,23 @@ def cases(directory=HERE):
         ],
     }
     out.extend((f"{name}.error.json", argv) for name, argv in errors.items())
+    out.append(("logitgraph.help.txt", ["--help"]))
+    out.extend((f"{command}.help.txt", [command, "-h"]) for command in HELP_COMMANDS)
     return out
 
 
 def invoke(argv):
-    """Exit code, stdout and stderr of one in-process CLI run."""
+    """Exit code, stdout and stderr of one in-process CLI run.
+
+    argparse prints ``--help`` to ``sys.stdout``, wrapped to ``COLUMNS``, and
+    then raises ``SystemExit``; both streams are captured and the width pinned.
+    """
     out, err = io.StringIO(), io.StringIO()
-    code = run_cli(argv, stdout=out, stderr=err)
+    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run_cli(argv, stdout=out, stderr=err)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

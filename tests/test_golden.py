@@ -12,8 +12,8 @@ by 1e-9, and every stored residual must meet the solve tolerance and equal
 outputs: the form, seed, sample count, kind, ``n`` and ``lemma_bound`` must be
 the same exactly; gaps, payoffs, probabilities and residuals within
 ``1e-12*max(1, |v|)``. ``verify``: the same check names, each PASS or FAIL
-alike. Error cases: the same exit code and stderr, except the residual a
-stalled solve reports.
+alike. Help screens: the same bytes. Error cases: the same exit code and
+stderr, except the residual a stalled solve reports.
 """
 
 import csv
@@ -193,6 +193,8 @@ def test_matches_golden(file_name, argv):
         _check_study(ext, got, want)
     elif command.startswith("invert-"):
         _check_inversion(ext, got, want)
+    elif command == "help":
+        assert got == want
     else:
         assert command == "verify"
         assert _checks(got) == _checks(want)
