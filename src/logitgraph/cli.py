@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import math
 import os
 import sys
 
 from .errors import ConvergenceError, InvalidInputError, ParseError
-from .games import StrategicGameForm, km_decompose
+from .games import StrategicGameForm, _check_n_tol, km_decompose
 from .io import parse_game, parse_target_point, render
 
 
@@ -26,30 +25,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-
-def _add_global_options(parser, suppress):
-    # the same flags live on the main parser (with real defaults) and on every
-    # subparser (suppressed defaults), so they work before or after the command
-    tol_default = argparse.SUPPRESS if suppress else 1e-10
-    text_default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--tol", type=float, default=tol_default, help="solver tolerance")
-    parser.add_argument(
-        "--out", default=text_default, help="write output to this path instead of stdout"
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default=text_default, help="output format"
-    )
+    def print_help(self, file=None):
+        # argparse's own printer swallows a failed write; main() must see it
+        (sys.stdout if file is None else file).write(self.format_help())
 
 
 def _build_parser():
-    parser = _Parser(prog="logitgraph", description=__doc__)
-    _add_global_options(parser, suppress=False)
+    # the global flags, shared by the main parser and every subparser so they
+    # work before or after the command; run_cli fills their defaults
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--tol", type=float, help="solver tolerance")
+    shared.add_argument("--out", help="write output to this path instead of stdout")
+    shared.add_argument("--format", choices=("json", "csv"), help="output format")
+    parser = _Parser(prog="logitgraph", description=__doc__, parents=[shared])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_global_options(p, suppress=True)
-        return p
+        return sub.add_parser(name, help=help_text, parents=[shared])
 
     p = command("decompose", "split a game into mean and zero-mean payoff parts")
     p.add_argument("game", help="path to a game JSON file")
@@ -173,12 +165,9 @@ def _verify(args):
 
 
 def _dispatch(args):
-    # solve and invert-logit check --n before they read any input file
-    if not getattr(args, "n", 1.0) > 0:
-        raise InvalidInputError(f"--n must be positive, got {args.n}")
-    # only solve, trace and invert-logit read --tol, but every command rejects a bad one
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise InvalidInputError(f"tol must be positive and finite, got {args.tol}")
+    # checked before any input file is read: the precision of solve, trace and
+    # invert-logit, and --tol, which only they read but every command rejects
+    _check_n_tol(getattr(args, "n", getattr(args, "n_final", 1.0)), args.tol)
     if args.command == "verify":
         return _verify(args)
     build, default_format = _COMMANDS[args.command]
@@ -191,7 +180,7 @@ def run_cli(argv, stdout=None, stderr=None):
     stderr = sys.stderr if stderr is None else stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(tol=1e-10, out=None, format=None))
     except _UsageError as exc:
         stderr.write(parser.format_usage())
         stderr.write(f"error: {exc}\n")

@@ -129,3 +129,21 @@ def test_stdout_without_a_reader_exits_one_without_a_traceback(argv):
         os.close(write_end)
     assert code == 1
     assert err == b"error: cannot write output: Broken pipe\n"
+
+
+def test_help_without_a_reader_exits_one():
+    # unbuffered, argparse's own printer used to swallow the failed write and exit 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "logitgraph.cli", "--help"],
+            env=dict(ENV, PYTHONUNBUFFERED="1"),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b"error: cannot write output: Broken pipe\n"

@@ -414,6 +414,17 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == f"error: {library.value}\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("solve", "--n", "inf"), ("invert-logit", "--n", "nan"), ("trace", "--n-final", "-1")],
+    )
+    def test_bad_precision_exits_one_before_reading_input(self, command, flag, value):
+        code, out, err = invoke([command, flag, value, "/nonexistent/input.json"])
+        with pytest.raises(InvalidInputError) as library:
+            _check_n_tol(float(value), 1e-10)
+        assert code == 1 and out == ""
+        assert err == f"error: {library.value}\n"
+
     def test_verify_none(self):
         code, out, _ = invoke(["verify", "none"])
         assert code == 0
