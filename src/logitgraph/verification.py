@@ -37,18 +37,18 @@ class CheckResult:
     detail: str
 
 
-def _sample_nv(rng, count, box=10.0, scale_box_to_n=False):
+def _sample_nv(rng, count, scale_box_to_n=False):
     for _ in range(count):
         d = int(rng.integers(1, 9))
         n = float(10.0 ** rng.uniform(-3, 3))
-        radius = min(3.0, 150.0 / n) if scale_box_to_n else box
+        radius = min(3.0, 150.0 / n) if scale_box_to_n else 10.0
         yield n, rng.uniform(-radius, radius, size=d)
 
 
-def _random_game(rng, form, box=10.0):
+def _random_game(rng, form):
     return Game(
         form,
-        tuple(rng.uniform(-box, box, size=form.profile_count) for _ in range(form.num_players)),
+        tuple(rng.uniform(-10, 10, size=form.profile_count) for _ in range(form.num_players)),
     )
 
 
@@ -57,18 +57,21 @@ def _max_gap(a, b):
     return max(float(np.abs(u - v).max()) for u, v in zip(a, b))
 
 
-def _permuted(game, profile, rng):
+def _permuted(game, rng):
+    """An interior profile drawn from ``rng``, and the game and profile with actions relabeled."""
+    raw = [rng.uniform(0.05, 1.0, size=m) for m in game.form.action_counts]
+    profile = MixedProfile(tuple(v / v.sum() for v in raw))
     perms = [rng.permutation(m) for m in game.form.action_counts]
     tensors = [game.payoff_tensor(i)[np.ix_(*perms)] for i in range(game.form.num_players)]
     permuted_game = Game.from_payoff_tensors(tensors)
     permuted_profile = MixedProfile(tuple(v[p] for v, p in zip(profile.vectors, perms)))
-    return permuted_game, permuted_profile
+    return profile, permuted_game, permuted_profile
 
 
-def check_displacement_identities(seed=0, count=150):
+def check_displacement_identities(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, v in _sample_nv(rng, count):
+    for n, v in _sample_nv(rng, 150):
         g = g_map(n, v)
         worst = max(worst, abs(g.sum() - 1.0 - v.sum()))
         if np.linalg.norm(g - v) > 1.0 + 1e-12:
@@ -79,27 +82,27 @@ def check_displacement_identities(seed=0, count=150):
     return CheckResult("displacement-identities", worst <= 1e-12, f"max sum defect {worst:.2e}")
 
 
-def check_jacobian_columns(seed=1, count=150):
+def check_jacobian_columns(seed=1):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, v in _sample_nv(rng, count):
+    for n, v in _sample_nv(rng, 150):
         cols = g_jacobian(n, v).sum(axis=0)
         worst = max(worst, float(np.abs(cols - 1.0).max()))
     return CheckResult("jacobian-column-sums", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
-def check_cl_certificate(seed=2, count=150):
+def check_cl_certificate(seed=2):
     rng = np.random.default_rng(seed)
-    for n, v in _sample_nv(rng, count, scale_box_to_n=True):
+    for n, v in _sample_nv(rng, 150, scale_box_to_n=True):
         if not is_cl_matrix(g_jacobian(n, v)):
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
-    return CheckResult("cl-certificate", True, f"{count} Jacobians certified")
+    return CheckResult("cl-certificate", True, "150 Jacobians certified")
 
 
-def check_water_filling(seed=3, count=150):
+def check_water_filling(seed=3):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(150):
         d = int(rng.integers(1, 9))
         y = rng.uniform(-10, 10, size=d)
         split = h_exact(y)
@@ -114,10 +117,10 @@ def check_water_filling(seed=3, count=150):
     return CheckResult("water-filling", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
-def check_inverse_round_trip(seed=4, count=60):
+def check_inverse_round_trip(seed=4):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(60):
         d = int(rng.integers(1, 9))
         n = float(10.0 ** rng.uniform(-2, 2))
         v = rng.uniform(-5, 5, size=d)
@@ -126,11 +129,11 @@ def check_inverse_round_trip(seed=4, count=60):
     return CheckResult("inverse-round-trip", worst <= 1e-9, f"max error {worst:.2e}")
 
 
-def check_uniform_limit_bound(seed=5, count=40):
+def check_uniform_limit_bound(seed=5):
     rng = np.random.default_rng(seed)
     for n in (1.0, 10.0, 100.0, 1000.0):
         ceiling = epsilon_bound(n).epsilon_star * (1.0 + 1e-6)
-        for _ in range(count):
+        for _ in range(40):
             d = int(rng.integers(1, 9))
             y = rng.uniform(-10, 10, size=d)
             gap = float(np.abs(h_numeric(n, y, tol=1e-12) - h_exact(y).h_value).max())
@@ -141,7 +144,7 @@ def check_uniform_limit_bound(seed=5, count=40):
     return CheckResult("uniform-limit-bound", True, "bound holds at n in {1,10,100,1000}")
 
 
-def check_epsilon_bound(seed=None):
+def check_epsilon_bound():
     if abs(epsilon_bound(0).epsilon_star - 0.5) > 1e-12:
         return CheckResult("epsilon-bound", False, "value at n=0 is not 0.5")
     previous = 0.5
@@ -164,25 +167,23 @@ _SUITE_FORMS = (
 )
 
 
-def check_km_round_trip(seed=6, count=6):
+def check_km_round_trip(seed=6):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for form in _SUITE_FORMS:
-        for _ in range(count):
+        for _ in range(6):
             game = _random_game(rng, form)
             worst = max(worst, _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs))
     return CheckResult("km-round-trip", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
-def check_residual_relabeling(seed=7, count=8):
+def check_residual_relabeling(seed=7):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(8):
         form = _SUITE_FORMS[int(rng.integers(len(_SUITE_FORMS)))]
         game = _random_game(rng, form)
-        raw = [rng.uniform(0.05, 1.0, size=m) for m in form.action_counts]
-        profile = MixedProfile(tuple(v / v.sum() for v in raw))
-        permuted_game, permuted_profile = _permuted(game, profile, rng)
+        profile, permuted_game, permuted_profile = _permuted(game, rng)
         worst = max(
             worst,
             abs(nash_residual(game, profile) - nash_residual(permuted_game, permuted_profile)),
@@ -200,10 +201,10 @@ def _round_trip_defect(form, tilde, y_bar, payoffs, back_y_bar):
     return _max_gap(tilde + y_bar, back_tilde + back_y_bar)
 
 
-def check_nash_round_trip(seed=8, count=8):
+def check_nash_round_trip(seed=8):
     worst = 0.0
     for form in _SUITE_FORMS:
-        _, tilde, y_bar = next(_target_blocks(form, count, seed, 10.0, count))
+        _, tilde, y_bar = next(_target_blocks(form, 8, seed, 10.0, 8))
         payoffs, x, _ = _nash_rows(form, tilde, y_bar)
         _check_rows(form, payoffs, x)
         back = _z_rows(form, payoffs, x)
@@ -211,10 +212,10 @@ def check_nash_round_trip(seed=8, count=8):
     return CheckResult("nash-round-trip", worst <= 1e-9, f"max defect {worst:.2e}")
 
 
-def check_logit_round_trip(seed=9, count=8):
+def check_logit_round_trip(seed=9):
     worst = 0.0
     for form in _SUITE_FORMS:
-        _, tilde, y_bar = next(_target_blocks(form, count, seed, 10.0, count))
+        _, tilde, y_bar = next(_target_blocks(form, 8, seed, 10.0, 8))
         for n in (1.0, 10.0):
             payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, 1e-12)
             if failure:
@@ -254,9 +255,7 @@ def _game_checks(game, seed=10):
     defect = _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs)
     results.append(CheckResult("game-km-round-trip", defect <= 1e-12, f"defect {defect:.2e}"))
 
-    raw = [rng.uniform(0.05, 1.0, size=m) for m in game.form.action_counts]
-    profile = MixedProfile(tuple(v / v.sum() for v in raw))
-    permuted_game, permuted_profile = _permuted(game, profile, rng)
+    profile, permuted_game, permuted_profile = _permuted(game, rng)
     defect = abs(nash_residual(game, profile) - nash_residual(permuted_game, permuted_profile))
     results.append(CheckResult("game-residual-relabeling", defect <= 1e-12, f"defect {defect:.2e}"))
 
