@@ -30,8 +30,7 @@ _EXPORTS = {
         "phi_n", "phi_n_inv", "z_logit", "z_nash",
     ),
     "io": (
-        "game_to_json", "parse_game", "parse_target_point", "target_point_to_json", "trace_to_csv",
-        "trace_to_json",
+        "game_to_json", "parse_game", "parse_target_point", "target_point_to_json",
     ),
     "maps": (
         "ConvergenceBound", "SimplexProjection", "alpha_star", "epsilon_bound", "g_jacobian",

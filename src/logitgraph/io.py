@@ -144,14 +144,6 @@ def trace_to_dict(trace):
     }
 
 
-def trace_to_json(trace):
-    return json.dumps(trace_to_dict(trace))
-
-
-def trace_to_csv(trace):
-    return render(trace, "csv")
-
-
 def _form_dict(form):
     return {"players": form.num_players, "actions": list(form.action_counts)}
 

@@ -33,9 +33,7 @@ from logitgraph.io import (
     game_to_json,
     render,
     target_point_to_json,
-    trace_to_csv,
     trace_to_dict,
-    trace_to_json,
 )
 from logitgraph.solver import trace_logit_path
 from conftest import matching_pennies, one_player_game, random_game
@@ -150,7 +148,7 @@ class TestParseTargetPoint:
 class TestTraceSerialization:
     def test_csv_round_trip(self):
         trace = trace_logit_path(one_player_game([1.0, 0.0]), 5.0, tol=1e-12)
-        text = trace_to_csv(trace)
+        text = render(trace, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "n,player,action,probability,residual"
         parsed = [line.split(",") for line in lines[1:]]
@@ -163,7 +161,7 @@ class TestTraceSerialization:
 
     def test_json_mirrors_fields(self):
         trace = trace_logit_path(one_player_game([1.0, 0.0]), 5.0, tol=1e-12)
-        data = json.loads(trace_to_json(trace))
+        data = json.loads(render(trace, "json"))
         assert set(data) == {"game", "entries", "terminal_nash_residual"}
         assert data["terminal_nash_residual"] == trace.terminal_nash_residual
         assert len(data["entries"]) == len(trace.entries)
@@ -174,7 +172,7 @@ class TestTraceSerialization:
 
     def test_dict_matches_json(self):
         trace = trace_logit_path(one_player_game([1.0, 0.0]), 2.0, tol=1e-12)
-        assert json.loads(trace_to_json(trace)) == trace_to_dict(trace)
+        assert json.loads(render(trace, "json")) == trace_to_dict(trace)
 
 
 def _records():
