@@ -37,8 +37,8 @@ class CheckResult:
     detail: str
 
 
-def _sample_nv(rng, count, scale_box_to_n=False):
-    for _ in range(count):
+def _sample_nv(rng, scale_box_to_n=False):
+    for _ in range(150):
         d = int(rng.integers(1, 9))
         n = float(10.0 ** rng.uniform(-3, 3))
         radius = min(3.0, 150.0 / n) if scale_box_to_n else 10.0
@@ -71,7 +71,7 @@ def _permuted(game, rng):
 def check_displacement_identities(seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, v in _sample_nv(rng, 150):
+    for n, v in _sample_nv(rng):
         g = g_map(n, v)
         worst = max(worst, abs(g.sum() - 1.0 - v.sum()))
         if np.linalg.norm(g - v) > 1.0 + 1e-12:
@@ -85,7 +85,7 @@ def check_displacement_identities(seed=0):
 def check_jacobian_columns(seed=1):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, v in _sample_nv(rng, 150):
+    for n, v in _sample_nv(rng):
         cols = g_jacobian(n, v).sum(axis=0)
         worst = max(worst, float(np.abs(cols - 1.0).max()))
     return CheckResult("jacobian-column-sums", worst <= 1e-12, f"max defect {worst:.2e}")
@@ -93,7 +93,7 @@ def check_jacobian_columns(seed=1):
 
 def check_cl_certificate(seed=2):
     rng = np.random.default_rng(seed)
-    for n, v in _sample_nv(rng, 150, scale_box_to_n=True):
+    for n, v in _sample_nv(rng, scale_box_to_n=True):
         if not is_cl_matrix(g_jacobian(n, v)):
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
     return CheckResult("cl-certificate", True, "150 Jacobians certified")
