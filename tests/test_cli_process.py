@@ -27,11 +27,11 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
 ENV.pop("PYTHONUNBUFFERED", None)
 
 
-def process(argv, stdout=subprocess.PIPE):
+def process(argv, stdout=subprocess.PIPE, env=ENV):
     """(exit code, stdout bytes, stderr bytes) of ``python -m logitgraph.cli argv``."""
     result = subprocess.run(
         [sys.executable, "-m", "logitgraph.cli", *argv],
-        env=ENV,
+        env=env,
         stdout=stdout,
         stderr=subprocess.PIPE,
         timeout=120,
@@ -115,35 +115,23 @@ def test_unexpected_exception_keeps_its_traceback():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["decompose", PENNIES], ["trace", "--n-final", "1e308", PENNIES]],
-    ids=["flush", "write"],
+    "argv, env",
+    [
+        (["decompose", PENNIES], ENV),
+        (["trace", "--n-final", "1e308", PENNIES], ENV),
+        (["--help"], dict(ENV, PYTHONUNBUFFERED="1")),
+    ],
+    ids=["flush", "write", "help"],
 )
-def test_stdout_without_a_reader_exits_one_without_a_traceback(argv):
-    # small outputs fail in main's flush, large ones in run_cli's write
+def test_stdout_without_a_reader_exits_one_without_a_traceback(argv, env):
+    # small outputs fail in main's flush, large ones in run_cli's write; an
+    # unbuffered --help fails in the write that argparse's own printer swallowed
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        code, _, err = process(argv, stdout=write_end)
+        code, _, err = process(argv, stdout=write_end, env=env)
     finally:
         os.close(write_end)
     assert code == 1
     assert err == b"error: cannot write output: Broken pipe\n"
 
-
-def test_help_without_a_reader_exits_one():
-    # unbuffered, argparse's own printer used to swallow the failed write and exit 0
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "logitgraph.cli", "--help"],
-            env=dict(ENV, PYTHONUNBUFFERED="1"),
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert result.returncode == 1
-    assert result.stderr == b"error: cannot write output: Broken pipe\n"
