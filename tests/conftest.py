@@ -40,6 +40,27 @@ def random_game(rng, form, box=10.0):
     )
 
 
+def zero_sum_game(rng, shape):
+    """Pairwise zero-sum polymatrix game, drawn as the benchmark corpus draws it.
+
+    ``u_i(a) = sum_j A_ij[a_i, a_j]`` with ``A_ji = -A_ij^T`` and each ``A_ij``
+    (i < j) uniform in [-1, 1] over the number of opponents. Such a game has
+    one logit equilibrium at every ``n``, so its branch has no fold.
+    """
+    k = len(shape)
+    tensors = [np.zeros(shape) for _ in shape]
+    for i in range(k):
+        for j in range(i + 1, k):
+            block = rng.uniform(-1.0, 1.0, (shape[i], shape[j])) / max(k - 1, 1)
+            axes = [shape[d] if d in (i, j) else 1 for d in range(k)]
+            tensors[i] = tensors[i] + block.reshape(axes)
+            tensors[j] = tensors[j] - block.reshape(axes)
+    return Game.from_payoff_tensors(tensors)
+
+
+ZERO_SUM_SHAPES = ((2, 2), (3, 3), (8, 8), (3, 3, 3), (4, 4, 4))
+
+
 def random_interior_profile(rng, form):
     raw = [rng.uniform(0.05, 1.0, size=m) for m in form.action_counts]
     return MixedProfile(tuple(v / v.sum() for v in raw))

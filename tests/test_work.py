@@ -3,7 +3,9 @@
 ``games._contract`` is the library's only payoff contraction, so its call
 count is a machine-independent measure of the work a trace, the property
 suite or a study does. A change that should leave the work alone must leave
-these counts alone too.
+these counts alone too. The tracer's corrector builds one Jacobian
+(``solver._homotopy``) per iterate, so its call count measures a trace's work
+in the same way.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import logitgraph
+import logitgraph.solver
 from logitgraph import (
     StrategicGameForm,
     approximation_gap,
@@ -27,7 +30,14 @@ from logitgraph import (
     trace_logit_path,
 )
 from logitgraph.games import _contract
-from conftest import coordination_2x2, matching_pennies, one_player_game, random_game
+from conftest import (
+    ZERO_SUM_SHAPES,
+    coordination_2x2,
+    matching_pennies,
+    one_player_game,
+    random_game,
+    zero_sum_game,
+)
 
 
 @pytest.fixture
@@ -43,6 +53,20 @@ def contractions(monkeypatch):
         module = importlib.import_module(f"logitgraph.{info.name}")
         if getattr(module, "_contract", None) is _contract:
             monkeypatch.setattr(module, "_contract", counted)
+    return calls
+
+
+@pytest.fixture
+def jacobians(monkeypatch):
+    """A one-element list counting ``solver._homotopy`` calls: one per corrector iterate."""
+    calls = [0]
+    homotopy = logitgraph.solver._homotopy
+
+    def counted(*args):
+        calls[0] += 1
+        return homotopy(*args)
+
+    monkeypatch.setattr(logitgraph.solver, "_homotopy", counted)
     return calls
 
 
@@ -65,6 +89,18 @@ def test_trace_contractions(contractions, make, expected):
     game = make()
     trace_logit_path(game, 400.0)
     assert contractions[0] == expected
+
+
+# per zero-sum form (default_rng(1000), one branch without a fold each): traced to 400, to 10
+TRACE_JACOBIANS = {(2, 2): (55, 42), (3, 3): (69, 44), (8, 8): (54, 38), (3, 3, 3): (80, 52),
+                   (4, 4, 4): (74, 46)}
+
+
+@pytest.mark.parametrize("final", [0, 1], ids=["n400", "n10"])
+@pytest.mark.parametrize("shape", ZERO_SUM_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_trace_jacobians(jacobians, shape, final):
+    trace_logit_path(zero_sum_game(np.random.default_rng(1000), shape), (400.0, 10.0)[final])
+    assert jacobians[0] == TRACE_JACOBIANS[shape][final]
 
 
 def test_property_suite_contractions(contractions):
