@@ -82,30 +82,35 @@ TRACE_START = 1e-3  # precision of the first trace entry when every payoff is in
 MAX_NEWTON_ITER = 100  # Newton updates a solve at fixed n may take
 
 
-def _homotopy(game, x, n):
-    """``H(x, lam) = x - response(x, n)`` at ``lam = log n`` and its Jacobian ``[H_x, H_lam]``.
+def _homotopy(game, x, n, out):
+    """``H(x, lam) = x - response(x, n)`` at ``lam = log n``; its Jacobian ``[H_x, H_lam]`` in ``out``.
 
-    Block (i, j) of the response Jacobian is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``, and
-    ``w_i`` is block ``dw_i/dx_j`` times ``x_j`` for the last other player ``j``.
+    ``out`` has ``x.size + 1`` columns and at least ``x.size`` rows; its first
+    ``x.size`` rows are overwritten, player by player. Block (i, j) of the
+    response Jacobian is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``, and ``w_i`` is
+    block ``dw_i/dx_j`` times ``x_j`` for the last other player ``j``.
     ``ds_i/dlam = (diag(s_i) - s_i s_i^T) log s_i``: ``log s_i`` is ``n w_i`` up to a
     constant, which that matrix annihilates.
     """
     form, vectors = game.form, _unstack(game.form, x)
     blocks, k = _cross_blocks(form, game.payoffs, vectors), form.num_players
-    responses = []
-    for i, w in enumerate(game.payoffs):
+    residual = np.empty_like(x)
+    for i, (w, rows, h) in enumerate(zip(game.payoffs, _unstack(form, out), _unstack(form, residual))):
         j = k - 1 if i < k - 1 else k - 2  # the last other player; a lone player's w is its payoffs
-        responses.append(softmax(n * (blocks[i, j] @ vectors[j] if j >= 0 else w)))
-    edges = np.cumsum((0,) + form.action_counts)
-    fill = np.zeros((x.size, x.size))
-    for (i, j), block in blocks.items():
-        s = responses[i]
-        fill[edges[i] : edges[i + 1], edges[j] : edges[j + 1]] = n * (
-            s[:, None] * block - np.outer(s, s @ block)
-        )
-    ds = [r * np.log(r, out=np.zeros_like(r), where=r > 0) for r in responses]
-    ds = np.concatenate([d - r * d.sum() for r, d in zip(responses, ds)])
-    return x - np.concatenate(responses), np.column_stack([np.eye(x.size) - fill, -ds])
+        s = softmax(n * (blocks[i, j] @ vectors[j] if j >= 0 else w))
+        h[:] = vectors[i] - s
+        col = 0
+        for l, m in enumerate(form.action_counts):
+            part = rows[:, col : col + m]
+            if l == i:
+                part[:] = 0.0
+                np.fill_diagonal(part, 1.0)
+            else:  # minus the response block, rounded as 0 - n*(s b - s (s b)) rounds
+                part[:] = n * (np.outer(s, s @ blocks[i, l]) - s[:, None] * blocks[i, l])
+            col += m
+        d = s * np.log(s, out=np.zeros_like(s), where=s > 0)
+        rows[:, -1] = -(d - s * d.sum())
+    return residual
 
 
 def _newton_iterates(game, z, normal, n=None):
@@ -116,14 +121,16 @@ def _newton_iterates(game, z, normal, n=None):
     ``normal . tangent = 1``, both None where that matrix is singular. The iterates
     end there or at an update that is not finite. With ``n``, ``lam`` stays at
     ``log n`` and the response is taken at ``n`` itself; else at ``e^lam``, which
-    saturates just below the largest float.
+    saturates just below the largest float. The bordered matrix and the
+    right-hand sides ``[e_last, (-H, 0)]`` live in two buffers that every iterate refills.
     """
-    unit = np.eye(z.size)[-1]
+    system, rhs = np.empty((z.size, z.size)), np.zeros((z.size, 2))
+    system[-1], rhs[-1, 0] = normal, 1.0
     while True:
-        residual, jac = _homotopy(game, z[:-1], math.exp(min(z[-1], 709.78)) if n is None else n)
-        rhs = np.column_stack([unit, np.append(-residual, 0.0)])
+        residual = _homotopy(game, z[:-1], math.exp(min(z[-1], 709.78)) if n is None else n, system)
+        np.negative(residual, out=rhs[:-1, 1])
         try:
-            tangent, update = np.linalg.solve(np.vstack([jac, normal]), rhs).T
+            tangent, update = np.linalg.solve(system, rhs).T
         except np.linalg.LinAlgError:
             tangent = update = None
         yield z, float(np.abs(residual).max()), tangent, update

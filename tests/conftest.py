@@ -171,7 +171,9 @@ def fine_arclength(game, n_final, h=0.02):
         for i, r in enumerate(responses):
             w = deviation_payoffs(game, i, x)
             ds.append(-n * (r * w - r * (r @ w)))
-        jac = _homotopy(game, y[:-1], n)[1][:, :-1]
+        jac = np.empty((y.size - 1, y.size))
+        _homotopy(game, y[:-1], n, jac)
+        jac = jac[:, :-1]
         return y[:-1] - np.concatenate(responses), np.column_stack([jac, np.concatenate(ds)])
 
     start = solve_newton(1e-3, game, MixedProfile.uniform(form), tol=1e-12)

@@ -118,7 +118,8 @@ class TestResponseJacobian:
             x = random_interior_profile(rng, form).vectors
             # [H_x, H_lam], differenced over (x, log n)
             y = np.append(np.concatenate(x), np.log(n))
-            residual, jac = _homotopy(game, y[:-1], n)
+            jac = np.empty((y.size - 1, y.size))
+            residual = _homotopy(game, y[:-1], n, jac)
             oracle = fd_jacobian(homotopy, y)
             assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max()
             assert np.abs(residual - homotopy(y)).max() <= 1e-14 * n
