@@ -185,13 +185,22 @@ def _nash_rows(form, tilde_u, y_bar):
 def _logit_rows(n, form, tilde_u, y_bar, tol):
     """``phi_n_inv`` of every sample: returns (payoffs, profile vectors, failure).
 
-    ``failure`` is None when every inversion reached ``tol``, else
+    ``n`` is one precision for every sample or a ``(samples,)`` array of one
+    per sample. The players of each action count are inverted in one kernel
+    call. ``failure`` is None when every inversion reached ``tol``, else
     ``(sample, error)`` for the first failing sample, with the ConvergenceError
     ``h_numeric`` raises for its first failing player. The displacement
     ``y_bar - w`` equals ``softmax(n*w)`` up to the solve tolerance; the
     softmax form avoids cancellation and keeps tiny probabilities positive.
     """
-    solved = [_invert_rows(n, b, tol) for b in y_bar]
+    samples = len(y_bar[0])
+    n = np.broadcast_to(np.asarray(n, dtype=float), (samples,))
+    solved = [None] * len(y_bar)
+    for m in set(form.action_counts):
+        players = [i for i, b in enumerate(y_bar) if b.shape[1] == m]
+        stacked = _invert_rows(np.tile(n, len(players)), np.concatenate([y_bar[i] for i in players]), tol)
+        for p, i in enumerate(players):
+            solved[i] = tuple(a[p * samples : (p + 1) * samples] for a in stacked)
     failure = None
     failed = np.array([r > tol for _, r, _ in solved])  # (players, samples)
     if failed.any():
@@ -199,7 +208,7 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
         w, r, iterations = solved[int(np.flatnonzero(failed[:, row])[0])]
         failure = (row, _stall_error(w[row], r[row], tol, iterations[row]))
     values = tuple(w for w, _, _ in solved)
-    x_vectors = tuple(softmax(n * w) for w in values)
+    x_vectors = tuple(softmax(n[:, None] * w) for w in values)
     return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
 
 

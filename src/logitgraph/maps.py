@@ -149,17 +149,19 @@ def _g_solve(n, s, r):
     """Row-wise ``J^{-1} r`` for ``J = g_jacobian = diag(a) - n s s^T``, ``a = 1 + n s``.
 
     Sherman-Morrison in O(d); its denominator ``1 - n s.(s/a)`` equals
-    ``sum(s/a) > 0``. ``s`` has the rows of ``r``, or one row shared by all.
+    ``sum(s/a) > 0``. ``s`` has the rows of ``r``, or one row shared by all;
+    ``n`` is a scalar or a ``(rows, 1)`` column, one precision per row.
     """
     a = 1.0 + n * s
     u = s / a
-    return r / a + u * (n * (u * r).sum(axis=1) / u.sum(axis=1))[:, None]
+    return r / a + u * (n * (u * r).sum(axis=1, keepdims=True) / u.sum(axis=1, keepdims=True))
 
 
 def _invert_rows(n, y, tol):
     """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
 
-    ``y`` is a finite ``(rows, d)`` array; ``n`` and ``tol`` are trusted.
+    ``y`` is a finite ``(rows, d)`` array; ``n``, one precision for every row
+    or a ``(rows,)`` array of one per row, and ``tol`` are trusted.
     Rows iterate independently and leave the live set once their sup-norm
     residual is at most ``tol``, once backtracking finds no decrease (the
     floating-point floor for that row), or after ``MAX_INVERSE_ITER`` steps.
@@ -167,7 +169,8 @@ def _invert_rows(n, y, tol):
     ``tol``, or else the best iterate seen, its sup-norm residual and the
     iterations it ran. A row converged exactly when its residual is at most ``tol``.
     """
-    x = np.minimum(y, _water_level(y)[:, None]) if n >= 1.0 else y - 1.0 / y.shape[1]
+    n = np.broadcast_to(np.asarray(n, dtype=float), y.shape[:1])[:, None]
+    x = np.where(n >= 1.0, np.minimum(y, _water_level(y)[:, None]), y - 1.0 / y.shape[1])
     s = softmax(n * x)
     r = y - (x + s)
     norm = np.sqrt((r * r).sum(axis=1))
@@ -188,7 +191,7 @@ def _invert_rows(n, y, tol):
             keep = ~leave
             if not keep.any():
                 break
-            live, target, x, s, r, norm = (v[keep] for v in (live, target, x, s, r, norm))
+            live, n, target, x, s, r, norm = (v[keep] for v in (live, n, target, x, s, r, norm))
             best_x, best_res = best_x[keep], best_res[keep]
         step = _g_solve(n, s, r)
         x_new = x + step
@@ -202,7 +205,7 @@ def _invert_rows(n, y, tol):
             while retry.size:
                 t[retry] *= 0.5
                 x_new[retry] = x[retry] + t[retry, None] * step[retry]
-                s_new[retry] = softmax(n * x_new[retry])
+                s_new[retry] = softmax(n[retry] * x_new[retry])
                 r_new[retry] = target[retry] - (x_new[retry] + s_new[retry])
                 new_norm[retry] = np.sqrt((r_new[retry] * r_new[retry]).sum(axis=1))
                 done = new_norm[retry] <= (1.0 - 1e-4 * t[retry]) * norm[retry]

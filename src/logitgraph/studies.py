@@ -27,7 +27,7 @@ from .graph_maps import TargetPoint, _check_below_2_53, _gap_rows, _logit_rows, 
 from .maps import _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
-STUDY_BLOCK = 1024  # samples a study reconstructs at once; bounds its working set
+STUDY_BLOCK = 1024  # target rows a study reconstructs at once; bounds its working set
 STUDY_TOL = 1e-12  # inversion tolerance of the study's logit reconstructions
 
 
@@ -142,10 +142,12 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     ``lemma_bound`` the proven ceiling ``max_i |A_i| * epsilon_star(n)`` for
     the profile part. Deterministic in ``seed``.
 
-    Targets are reconstructed in blocks of ``STUDY_BLOCK`` samples, each block
-    at every ``n`` as one batch. A failed logit reconstruction raises
-    ConvergenceError naming the seed, ``n`` and the first failing sample of
-    the first block that fails, with that sample's best iterate.
+    Targets are reconstructed in blocks of ``STUDY_BLOCK // len(n_list)``
+    samples (at least one), each block at every ``n`` as one batch. In the
+    first block that fails, the first ``n`` that fails raises: a failed logit
+    reconstruction raises ConvergenceError naming the seed, ``n`` and the
+    first failing sample, with that sample's best iterate; else the profile
+    check names its first failing sample.
     """
     n_list = [float(n) for n in n_list]
     if not n_list:
@@ -155,12 +157,18 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in n_list]
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
-    for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, STUDY_BLOCK):
+    count, k = len(n_list), form.num_players
+    for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, max(1, STUDY_BLOCK // count)):
         nash_payoffs, nash_x, _ = _nash_rows(form, tilde, y_bar)
         _check_rows(form, nash_payoffs, nash_x, start)
+        size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
+        tiled = [np.tile(a, (count, 1)) for a in tilde + y_bar]
+        logit = _logit_rows(np.repeat(n_list, size), form, tiled[:k], tiled[k:], STUDY_TOL)
+        failure = logit[2]
         for j, n in enumerate(n_list):
-            payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
-            _raise_failure(failure, seed, start, n)
+            if failure and failure[0] // size == j:
+                _raise_failure((failure[0] % size, failure[1]), seed, start, n)
+            payoffs, x = ([a[j * size : (j + 1) * size] for a in rows] for rows in logit[:2])
             _check_rows(form, payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)

@@ -14,6 +14,7 @@ import pytest
 from logitgraph import (
     ConvergenceError,
     Game,
+    InvalidInputError,
     KMRepresentation,
     MixedProfile,
     StrategicGameForm,
@@ -185,6 +186,42 @@ def test_row_alone_matches_row_in_batch():
             assert np.abs(alone[0] - x[k]).max() <= 1e-14
             assert abs(alone_residual[0] - residual[k]) <= 1e-14
             assert alone_iterations[0] == iterations[k]
+
+
+def test_one_precision_per_row_matches_one_call_per_precision():
+    rng = np.random.default_rng(12)
+    y = rng.uniform(-10, 10, size=(40, 3))
+    n = np.repeat(NS + [1e6], 8)
+    x, residual, iterations = _invert_rows(n, y, 1e-12)
+    for value in set(n):
+        rows = n == value
+        alone = _invert_rows(value, y[rows], 1e-12)
+        assert all(np.array_equal(a, b[rows]) for a, b in zip(alone, (x, residual, iterations)))
+
+
+def test_study_failure_names_the_first_failing_precision():
+    form = StrategicGameForm(2, (2, 3))
+    with pytest.raises(ConvergenceError) as alone:
+        convergence_study(form, [1e6], 20, 0)
+    with pytest.raises(ConvergenceError) as info:
+        convergence_study(form, [1.0, 1e6, 1e7], 20, 0)
+    assert str(info.value) == str(alone.value)
+
+
+def test_study_profile_check_at_an_earlier_precision_raises_first(monkeypatch):
+    import logitgraph.studies as studies
+
+    checks, check_rows = [], studies._check_rows
+
+    def failing_second(form, payoffs, vectors, first=0):  # the first is the Nash check
+        checks.append(first)
+        if len(checks) == 2:
+            raise InvalidInputError("profile check at n = 1")
+        check_rows(form, payoffs, vectors, first)
+
+    monkeypatch.setattr(studies, "_check_rows", failing_second)
+    with pytest.raises(InvalidInputError, match="profile check at n = 1"):
+        convergence_study(StrategicGameForm(2, (2, 3)), [1.0, 1e6], 20, 0)
 
 
 def test_study_failure_names_a_failing_sample():

@@ -110,7 +110,7 @@ def test_property_suite_contractions(contractions):
 
 def test_study_contractions(contractions):
     convergence_study(StrategicGameForm(3, (3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
-    assert contractions[0] == 18
+    assert contractions[0] == 9
 
 
 def test_graph_map_contractions(contractions):
