@@ -61,6 +61,12 @@ def zero_sum_game(rng, shape):
 ZERO_SUM_SHAPES = ((2, 2), (3, 3), (8, 8), (3, 3, 3), (4, 4, 4))
 
 
+def zero_sum_games(seed):
+    """One zero-sum game per form of ``ZERO_SUM_SHAPES``, drawn in order from one generator."""
+    rng = np.random.default_rng(seed)
+    return [zero_sum_game(rng, shape) for shape in ZERO_SUM_SHAPES]
+
+
 def random_interior_profile(rng, form):
     raw = [rng.uniform(0.05, 1.0, size=m) for m in form.action_counts]
     return MixedProfile(tuple(v / v.sum() for v in raw))
