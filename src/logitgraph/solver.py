@@ -78,7 +78,7 @@ class PathTrace:
                 )
 
 
-TRACE_START = 1e-3  # precision of the first trace entry when every payoff is in [-1, 1]
+START_CONTRACTION = 0.5  # Lipschitz bound of the response map where a trace starts
 MAX_NEWTON_ITER = 100  # Newton updates a solve at fixed n may take
 
 
@@ -200,8 +200,13 @@ def solve_newton(n, game, x0, tol=1e-10):
 def trace_logit_path(game, n_final, tol=1e-10):
     """Follow the logit branch through the uniform profile up to ``n_final``.
 
-    The first entry solves from the uniform profile at ``min(n_final, TRACE_START
-    / max(1, max|u|))``, where the response map is a contraction. From there
+    The first entry solves from the uniform profile at ``n = min(n_final,
+    START_CONTRACTION / (max(k-1, 1) * max(1, max|u|)))`` for ``k`` players,
+    where the response map is a contraction with constant at most
+    ``START_CONTRACTION``, so its fixed point is unique and Newton from the
+    centroid finds it. In the norm ``max_i |x_i|_1`` that constant is at most
+    ``n (k-1) max|u|``: the softmax Jacobian maps ``v`` to l1 size at most
+    ``osc(v)/2``, and ``osc(dw_i) <= 2 max|u| sum_{j != i} |dx_j|_1``. From there
     pseudo-arclength continuation of ``H(x, log n) = 0`` (Turocy's QRE homotopy)
     sets off along that solve's tangent and passes folds where ``n`` turns back:
     a rejected step halves the arclength step ``h``, an accepted one grows it by
@@ -212,7 +217,8 @@ def trace_logit_path(game, n_final, tol=1e-10):
     """
     _check_n_tol(n_final, tol)
     scale = max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
-    form, entries, start = game.form, [], min(n_final, TRACE_START / scale)
+    form, entries = game.form, []
+    start = min(n_final, START_CONTRACTION / (max(form.num_players - 1, 1) * scale))
 
     def partial():
         last = entries[-1].profile if entries else MixedProfile.uniform(form)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from logitgraph import (
     solve_newton,
     trace_logit_path,
 )
-from logitgraph.solver import TRACE_START, _homotopy, _unstack
+from logitgraph.solver import START_CONTRACTION, _homotopy, _newton_iterates, _unstack
 from conftest import (
     coordination_2x2,
     fd_jacobian,
@@ -31,6 +33,7 @@ from conftest import (
     random_game,
     random_interior_profile,
     solve_fixed_point,
+    zero_sum_games,
 )
 
 E = np.e
@@ -177,8 +180,8 @@ class TestFollowsTheCentroidBranch:
 class TestPayoffScale:
     """Payoffs ``B*u`` at precision ``n`` are payoffs ``u`` at ``B*n``, so the traces agree.
 
-    The trace starts at ``TRACE_START / max|u|``, where the response map is a
-    contraction. A start fixed at ``n = 1e-3`` underflowed its first step,
+    The trace starts at ``START_CONTRACTION / ((k-1) max|u|)``, where the response map
+    is a contraction. A start fixed at ``n = 1e-3`` underflowed its first step,
     failed correction, or ended 0.59 and 0.94 away on another branch on these
     draws.
     """
@@ -193,10 +196,92 @@ class TestPayoffScale:
         game = _seeded(shape, seed)
         scaled = Game(game.form, tuple(scale * u for u in game.payoffs))
         trace = trace_logit_path(scaled, 10.0)
-        assert trace.entries[0].n == TRACE_START / max(np.abs(u).max() for u in scaled.payoffs)
+        largest = max(np.abs(u).max() for u in scaled.payoffs)
+        assert trace.entries[0].n == START_CONTRACTION / (max(len(shape) - 1, 1) * largest)
         reference = trace_logit_path(game, 10.0 * scale).entries[-1].profile
         terminal = trace.entries[-1].profile
         assert max(np.abs(a - b).max() for a, b in zip(terminal.vectors, reference.vectors)) <= 1e-9
+
+
+def _start(game):
+    largest = max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
+    return START_CONTRACTION / (max(game.form.num_players - 1, 1) * largest)
+
+
+def _max_l1(a, b):
+    return max(float(np.abs(u - v).sum()) for u, v in zip(a, b))
+
+
+class TestStartIsAContraction:
+    """At the first trace entry the response map halves distances in ``max_i |x_i|_1``.
+
+    So the start has one fixed point, and Newton from the centroid reaches it.
+    Pairs include profiles near the vertices, where the softmax bound is tightest.
+    """
+
+    @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
+    @pytest.mark.parametrize(
+        "counts", [(3,), (2, 3), (4, 4), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)], ids=_case_id
+    )
+    def test_response_halves_distances(self, rng, counts, box):
+        form = StrategicGameForm(len(counts), counts)
+        game = random_game(rng, form, box=box)
+        n = _start(game)
+        assert trace_logit_path(game, 2.0 * n).entries[0].n == n
+        for _ in range(20):
+            x, y = (
+                [rng.dirichlet(np.full(m, concentration)) for m in counts]
+                for concentration in (rng.choice([0.1, 1.0]), rng.choice([0.1, 1.0]))
+            )
+            moved = _max_l1(logit_response(n, game, x).vectors, logit_response(n, game, y).vectors)
+            assert moved <= 0.5 * _max_l1(x, y) + 1e-15
+
+    @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
+    @pytest.mark.parametrize(
+        "counts", [(3,), (2, 3), (4, 4), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)], ids=_case_id
+    )
+    def test_start_solve_takes_at_most_five_updates(self, rng, counts, box):
+        form = StrategicGameForm(len(counts), counts)
+        game = random_game(rng, form, box=box)
+        n = _start(game)
+        z = np.append(np.concatenate(MixedProfile.uniform(form).vectors), np.log(n))
+        normal = np.append(np.zeros(z.size - 1), 1.0)
+        gaps = [gap for _, gap, _, _ in itertools.islice(_newton_iterates(game, z, normal, n), 6)]
+        assert min(gaps) <= 1e-10, gaps
+
+
+def _tensordot_gap(game, vectors, n):
+    """The logit gap as the benchmark checker computes it: deviation payoffs by ``np.tensordot``."""
+    gap = 0.0
+    for i, u in enumerate(game.payoffs):
+        tensor = game.payoff_tensor(i)
+        for j in reversed(range(game.form.num_players)):
+            if j != i:
+                tensor = np.tensordot(tensor, vectors[j], axes=([j], [0]))
+        e = np.exp(n * tensor - (n * tensor).max())
+        gap = max(gap, float(np.abs(vectors[i] - e / e.sum()).max()))
+    return gap
+
+
+class TestZeroSumTracesPassTheBenchmarkChecks:
+    """Seeded zero-sum traces against the benchmark's trace checks.
+
+    A pairwise zero-sum game has one logit equilibrium at every ``n``, so its
+    trace must climb in ``n``, end at exactly ``n_final`` with a logit gap of at
+    most 1e-8 recomputed without the library's contraction, and print no entry
+    below -1e-9.
+    """
+
+    @pytest.mark.parametrize("n_final", [400.0, 10.0])
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_trace_passes(self, seed, n_final):
+        for game in zero_sum_games(seed):
+            entries = trace_logit_path(game, n_final).entries
+            ns = [e.n for e in entries]
+            assert all(b > a for a, b in zip(ns, ns[1:]))
+            assert ns[-1] == n_final
+            assert _tensordot_gap(game, entries[-1].profile.vectors, n_final) <= 1e-8
+            assert min(float(v.min()) for e in entries for v in e.profile.vectors) >= -1e-9
 
 
 class TestSolveFixedPoint:
@@ -358,9 +443,10 @@ class TestTraceLogitPath:
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_final_precision_at_or_below_the_start(self, rng, fraction):
-        # payoffs in [-1, 1] start at TRACE_START; below it the start solve is the trace
+        # two players with payoffs in [-1, 1] start at START_CONTRACTION; below it
+        # the start solve is the trace
         game = random_game(rng, StrategicGameForm(2, (3, 2)), box=1.0)
-        n_final = fraction * TRACE_START
+        n_final = fraction * START_CONTRACTION
         trace = trace_logit_path(game, n_final, tol=1e-12)
         assert [e.n for e in trace.entries] == [n_final]
         assert trace.entries[0].residual <= 1e-12

@@ -77,11 +77,11 @@ def _seeded(shape, seed):
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (coordination_2x2, 88),
-        (matching_pennies, 88),
-        (lambda: one_player_game([1.0, 0.0]), 31),
-        (lambda: _seeded((3, 3, 3), 1007), 1317),
-        (lambda: _seeded((4, 4, 4), 1000), 1155),
+        (coordination_2x2, 52),
+        (matching_pennies, 52),
+        (lambda: one_player_game([1.0, 0.0]), 17),
+        (lambda: _seeded((3, 3, 3), 1007), 1125),
+        (lambda: _seeded((4, 4, 4), 1000), 1113),
     ],
     ids=["coordination", "pennies", "one-player", "3x3x3-1007", "4x4x4-1000"],
 )
@@ -94,8 +94,8 @@ def test_trace_contractions(contractions, make, expected):
 # pairwise zero-sum games drawn in form order from one default_rng(1000), as the
 # benchmark corpus draws them (one branch without a fold each)
 ZERO_SUM = dict(zip(ZERO_SUM_SHAPES, zero_sum_games(1000)))
-TRACE_JACOBIANS = {(2, 2): (55, 42), (3, 3): (55, 48), (8, 8): (62, 44), (3, 3, 3): (81, 51),
-                   (4, 4, 4): (72, 42)}  # traced to 400, to 10
+TRACE_JACOBIANS = {(2, 2): (39, 22), (3, 3): (39, 32), (8, 8): (58, 30), (3, 3, 3): (60, 31),
+                   (4, 4, 4): (54, 28)}  # traced to 400, to 10
 
 
 @pytest.mark.parametrize("final", [0, 1], ids=["n400", "n10"])
@@ -107,7 +107,7 @@ def test_trace_jacobians(jacobians, shape, final):
 
 def test_property_suite_contractions(contractions):
     run_property_suite(None)
-    assert contractions[0] == 205
+    assert contractions[0] == 169
 
 
 def test_study_contractions(contractions):
@@ -131,4 +131,4 @@ def test_rank_check_contractions(contractions):
 
 def test_property_suite_with_a_game_contractions(contractions):
     run_property_suite(matching_pennies())
-    assert contractions[0] == 339
+    assert contractions[0] == 225
