@@ -185,22 +185,19 @@ def _nash_rows(form, tilde_u, y_bar):
 def _logit_rows(n, form, tilde_u, y_bar, tol):
     """``phi_n_inv`` of every sample: returns (payoffs, profile vectors, failure).
 
-    ``n`` is one precision for every sample or a ``(samples,)`` array of one
-    per sample. The players of each action count are inverted in one kernel
-    call. ``failure`` is None when every inversion reached ``tol``, else
+    ``n`` is a scalar or one precision per sample; players of equal width are inverted
+    in one kernel call. ``failure`` is None when every inversion reached ``tol``, else
     ``(sample, error)`` for the first failing sample, with the ConvergenceError
     ``h_numeric`` raises for its first failing player. The displacement
     ``y_bar - w`` equals ``softmax(n*w)`` up to the solve tolerance; the
     softmax form avoids cancellation and keeps tiny probabilities positive.
     """
-    samples = len(y_bar[0])
-    n = np.broadcast_to(np.asarray(n, dtype=float), (samples,))
-    solved = [None] * len(y_bar)
+    n, solved = np.broadcast_to(np.asarray(n, dtype=float), y_bar[0].shape[:1]), [None] * len(y_bar)
     for m in set(form.action_counts):
         players = [i for i, b in enumerate(y_bar) if b.shape[1] == m]
         stacked = _invert_rows(np.tile(n, len(players)), np.concatenate([y_bar[i] for i in players]), tol)
-        for p, i in enumerate(players):
-            solved[i] = tuple(a[p * samples : (p + 1) * samples] for a in stacked)
+        for i, *part in zip(players, *(np.split(a, len(players)) for a in stacked)):
+            solved[i] = part
     failure = None
     failed = np.array([r > tol for _, r, _ in solved])  # (players, samples)
     if failed.any():

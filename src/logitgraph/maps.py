@@ -148,9 +148,8 @@ def h_numeric(n, y, tol=1e-10):
 def _g_solve(n, s, r):
     """Row-wise ``J^{-1} r`` for ``J = g_jacobian = diag(a) - n s s^T``, ``a = 1 + n s``.
 
-    Sherman-Morrison in O(d); its denominator ``1 - n s.(s/a)`` equals
-    ``sum(s/a) > 0``. ``s`` has the rows of ``r``, or one row shared by all;
-    ``n`` is a scalar or a ``(rows, 1)`` column, one precision per row.
+    Sherman-Morrison in O(d); its denominator ``1 - n s.(s/a)`` equals ``sum(s/a) > 0``.
+    ``s`` has the rows of ``r`` or one row for all; ``n`` is a scalar or one per row, a column.
     """
     a = 1.0 + n * s
     u = s / a
@@ -160,11 +159,11 @@ def _g_solve(n, s, r):
 def _invert_rows(n, y, tol):
     """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
 
-    ``y`` is a finite ``(rows, d)`` array; ``n``, one precision for every row
-    or a ``(rows,)`` array of one per row, and ``tol`` are trusted.
-    Rows iterate independently and leave the live set once their sup-norm
-    residual is at most ``tol``, once backtracking finds no decrease (the
-    floating-point floor for that row), or after ``MAX_INVERSE_ITER`` steps.
+    ``y`` is a finite ``(rows, d)`` array; ``n`` (a scalar, or a ``(rows,)`` array
+    of one precision per row) and ``tol`` are trusted. Rows iterate independently
+    and leave the live set once their sup-norm residual is at most ``tol``, once
+    backtracking finds no decrease (the floating-point floor for that row), or
+    after ``MAX_INVERSE_ITER`` steps.
     Returns ``(x, residual, iterations)``: per row the first iterate within
     ``tol``, or else the best iterate seen, its sup-norm residual and the
     iterations it ran. A row converged exactly when its residual is at most ``tol``.

@@ -83,34 +83,26 @@ MAX_NEWTON_ITER = 100  # Newton updates a solve at fixed n may take
 
 
 def _homotopy(game, x, n, out):
-    """``H(x, lam) = x - response(x, n)`` at ``lam = log n``; its Jacobian ``[H_x, H_lam]`` in ``out``.
+    """``H(x, lam) = x - response(x, n)`` at ``lam = log n``; ``[H_x, H_lam]`` into ``out[:x.size]``.
 
-    ``out`` has ``x.size + 1`` columns and at least ``x.size`` rows; its first
-    ``x.size`` rows are overwritten, player by player. Block (i, j) of the
-    response Jacobian is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``, and ``w_i`` is
-    block ``dw_i/dx_j`` times ``x_j`` for the last other player ``j``.
+    Block (i, j) of the response Jacobian is ``n*(diag(s_i) - s_i s_i^T) dw_i/dx_j``, and
+    ``w_i`` is block ``dw_i/dx_j`` times ``x_j`` for the last other player ``j``.
     ``ds_i/dlam = (diag(s_i) - s_i s_i^T) log s_i``: ``log s_i`` is ``n w_i`` up to a
     constant, which that matrix annihilates.
     """
     form, vectors = game.form, _unstack(game.form, x)
     blocks, k = _cross_blocks(form, game.payoffs, vectors), form.num_players
-    residual = np.empty_like(x)
-    for i, (w, rows, h) in enumerate(zip(game.payoffs, _unstack(form, out), _unstack(form, residual))):
+    responses = []
+    for i, (w, rows) in enumerate(zip(game.payoffs, _unstack(form, out))):
         j = k - 1 if i < k - 1 else k - 2  # the last other player; a lone player's w is its payoffs
         s = softmax(n * (blocks[i, j] @ vectors[j] if j >= 0 else w))
-        h[:] = vectors[i] - s
-        col = 0
-        for l, m in enumerate(form.action_counts):
-            part = rows[:, col : col + m]
-            if l == i:
-                part[:] = 0.0
-                np.fill_diagonal(part, 1.0)
-            else:  # minus the response block, rounded as 0 - n*(s b - s (s b)) rounds
-                part[:] = n * (np.outer(s, s @ blocks[i, l]) - s[:, None] * blocks[i, l])
-            col += m
+        for l, part in enumerate(c.T for c in _unstack(form, rows.T)):  # block (i, l) of H_x
+            b = blocks.get((i, l))  # None on the diagonal, where H_x is the identity
+            part[:] = np.eye(len(s)) if b is None else n * (np.outer(s, s @ b) - s[:, None] * b)
         d = s * np.log(s, out=np.zeros_like(s), where=s > 0)
         rows[:, -1] = -(d - s * d.sum())
-    return residual
+        responses.append(s)
+    return x - np.concatenate(responses)
 
 
 def _newton_iterates(game, z, normal, n=None):
@@ -121,19 +113,17 @@ def _newton_iterates(game, z, normal, n=None):
     ``normal . tangent = 1``, both None where that matrix is singular. The iterates
     end there or at an update that is not finite. With ``n``, ``lam`` stays at
     ``log n`` and the response is taken at ``n`` itself; else at ``e^lam``, which
-    saturates just below the largest float. The bordered matrix and the
-    right-hand sides ``[e_last, (-H, 0)]`` live in two buffers that every iterate refills.
+    saturates just below the largest float.
     """
-    system, rhs = np.empty((z.size, z.size)), np.zeros((z.size, 2))
+    system, rhs = np.empty((z.size, z.size)), np.zeros((z.size, 2))  # refilled per iterate
     system[-1], rhs[-1, 0] = normal, 1.0
     while True:
-        residual = _homotopy(game, z[:-1], math.exp(min(z[-1], 709.78)) if n is None else n, system)
-        np.negative(residual, out=rhs[:-1, 1])
+        rhs[:-1, 1] = -_homotopy(game, z[:-1], math.exp(min(z[-1], 709.78)) if n is None else n, system)
         try:
             tangent, update = np.linalg.solve(system, rhs).T
         except np.linalg.LinAlgError:
             tangent = update = None
-        yield z, float(np.abs(residual).max()), tangent, update
+        yield z, float(np.abs(rhs[:-1, 1]).max()), tangent, update
         if update is None or not np.all(np.isfinite(update)):
             return
         z = z + update
@@ -146,9 +136,8 @@ def _arclength_step(game, y, t, h, tol):
     than ``acos(0.98)``, the first update is longer than ``0.3*h``, or 8 updates
     do not reach ``tol``. ``t . tangent = 1``, so the turn's cosine is ``1/|tangent|``.
     """
-    for updates, (z, gap, tangent, update) in enumerate(
-        itertools.islice(_newton_iterates(game, y + h * t, t), 9)
-    ):
+    iterates = itertools.islice(_newton_iterates(game, y + h * t, t), 9)
+    for updates, (z, gap, tangent, update) in enumerate(iterates):
         if tangent is None:
             return None
         norm = np.linalg.norm(tangent)
@@ -200,24 +189,19 @@ def solve_newton(n, game, x0, tol=1e-10):
 def trace_logit_path(game, n_final, tol=1e-10):
     """Follow the logit branch through the uniform profile up to ``n_final``.
 
-    The first entry solves from the uniform profile at ``n = min(n_final,
-    START_CONTRACTION / (max(k-1, 1) * max(1, max|u|)))`` for ``k`` players,
-    where the response map is a contraction with constant at most
-    ``START_CONTRACTION``, so its fixed point is unique and Newton from the
-    centroid finds it. In the norm ``max_i |x_i|_1`` that constant is at most
-    ``n (k-1) max|u|``: the softmax Jacobian maps ``v`` to l1 size at most
-    ``osc(v)/2``, and ``osc(dw_i) <= 2 max|u| sum_{j != i} |dx_j|_1``. From there
-    pseudo-arclength continuation of ``H(x, log n) = 0`` (Turocy's QRE homotopy)
-    sets off along that solve's tangent and passes folds where ``n`` turns back:
-    a rejected step halves the arclength step ``h``, an accepted one grows it by
-    1.3 up to 1. The last two accepted points bracket the first crossing of
-    ``n_final``, solved from their chord. Raises PathFailureError (partial
-    trace, last accepted point as ``best``) when ``h`` underflows 1e-12 or a
-    solve at fixed ``n`` fails.
+    The first entry solves from the uniform profile at ``min(n_final, START_CONTRACTION /
+    (max(k-1, 1) max(1, max|u|)))`` for ``k`` players, where the response map is a contraction:
+    in the norm ``max_i |x_i|_1`` its Lipschitz constant is at most ``n (k-1) max|u|``, as the
+    softmax Jacobian maps ``v`` to l1 size at most ``osc(v)/2`` and ``osc(dw_i) <= 2 max|u|
+    sum_{j != i} |dx_j|_1``. From there pseudo-arclength continuation of ``H(x, log n) = 0``
+    (Turocy's QRE homotopy) sets off along that solve's tangent and passes folds where ``n``
+    turns back: a rejected step halves the arclength step ``h``, an accepted one grows it by
+    1.3 up to 1. The last two accepted points bracket the first crossing of ``n_final``, solved
+    from their chord. Raises PathFailureError (partial trace, last accepted point as ``best``)
+    when ``h`` underflows 1e-12 or a solve at fixed ``n`` fails.
     """
     _check_n_tol(n_final, tol)
-    scale = max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
-    form, entries = game.form, []
+    form, entries, scale = game.form, [], max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
     start = min(n_final, START_CONTRACTION / (max(form.num_players - 1, 1) * scale))
 
     def partial():

@@ -142,12 +142,10 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     ``lemma_bound`` the proven ceiling ``max_i |A_i| * epsilon_star(n)`` for
     the profile part. Deterministic in ``seed``.
 
-    Targets are reconstructed in blocks of ``STUDY_BLOCK // len(n_list)``
-    samples (at least one), each block at every ``n`` as one batch. In the
-    first block that fails, the first ``n`` that fails raises: a failed logit
-    reconstruction raises ConvergenceError naming the seed, ``n`` and the
-    first failing sample, with that sample's best iterate; else the profile
-    check names its first failing sample.
+    Blocks of ``STUDY_BLOCK // len(n_list)`` samples (at least one) are reconstructed
+    at every ``n`` as one batch. The first ``n`` that fails in the first failing block
+    raises: a failed inversion as ConvergenceError naming the seed, ``n`` and the first
+    failing sample, with its best iterate; else the profile check for its first sample.
     """
     n_list = [float(n) for n in n_list]
     if not n_list:
@@ -163,12 +161,11 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
         _check_rows(form, nash_payoffs, nash_x, start)
         size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
         tiled = [np.tile(a, (count, 1)) for a in tilde + y_bar]
-        logit = _logit_rows(np.repeat(n_list, size), form, tiled[:k], tiled[k:], STUDY_TOL)
-        failure = logit[2]
+        *logit, failure = _logit_rows(np.repeat(n_list, size), form, tiled[:k], tiled[k:], STUDY_TOL)
         for j, n in enumerate(n_list):
             if failure and failure[0] // size == j:
                 _raise_failure((failure[0] % size, failure[1]), seed, start, n)
-            payoffs, x = ([a[j * size : (j + 1) * size] for a in rows] for rows in logit[:2])
+            payoffs, x = ([a[j * size : (j + 1) * size] for a in rows] for rows in logit)
             _check_rows(form, payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
