@@ -212,6 +212,9 @@ def _max_l1(a, b):
     return max(float(np.abs(u - v).sum()) for u, v in zip(a, b))
 
 
+START_FORMS = [(3,), (2, 3), (4, 4), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)]
+
+
 class TestStartIsAContraction:
     """At the first trace entry the response map halves distances in ``max_i |x_i|_1``.
 
@@ -220,9 +223,7 @@ class TestStartIsAContraction:
     """
 
     @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
-    @pytest.mark.parametrize(
-        "counts", [(3,), (2, 3), (4, 4), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)], ids=_case_id
-    )
+    @pytest.mark.parametrize("counts", START_FORMS, ids=_case_id)
     def test_response_halves_distances(self, rng, counts, box):
         form = StrategicGameForm(len(counts), counts)
         game = random_game(rng, form, box=box)
@@ -237,9 +238,7 @@ class TestStartIsAContraction:
             assert moved <= 0.5 * _max_l1(x, y) + 1e-15
 
     @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
-    @pytest.mark.parametrize(
-        "counts", [(3,), (2, 3), (4, 4), (2, 2, 2), (3, 2, 4), (2, 2, 2, 2)], ids=_case_id
-    )
+    @pytest.mark.parametrize("counts", START_FORMS, ids=_case_id)
     def test_start_solve_takes_at_most_five_updates(self, rng, counts, box):
         form = StrategicGameForm(len(counts), counts)
         game = random_game(rng, form, box=box)
@@ -253,7 +252,7 @@ class TestStartIsAContraction:
 def _tensordot_gap(game, vectors, n):
     """The logit gap as the benchmark checker computes it: deviation payoffs by ``np.tensordot``."""
     gap = 0.0
-    for i, u in enumerate(game.payoffs):
+    for i in range(game.form.num_players):
         tensor = game.payoff_tensor(i)
         for j in reversed(range(game.form.num_players)):
             if j != i:
