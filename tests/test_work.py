@@ -5,7 +5,8 @@ count is a machine-independent measure of the work a trace, the property
 suite or a study does. A change that should leave the work alone must leave
 these counts alone too. The tracer's corrector builds one Jacobian
 (``solver._homotopy``) per iterate, so its call count measures a trace's work
-in the same way.
+in the same way. ``maps._invert_rows`` is the only softmax-displacement
+inverse, so its call count measures how many row batches the work is cut into.
 """
 
 import importlib
@@ -30,6 +31,7 @@ from logitgraph import (
     trace_logit_path,
 )
 from logitgraph.games import _contract
+from logitgraph.maps import _invert_rows
 from conftest import (
     ZERO_SUM_SHAPES,
     coordination_2x2,
@@ -40,20 +42,31 @@ from conftest import (
 )
 
 
-@pytest.fixture
-def contractions(monkeypatch):
-    """A one-element list counting ``_contract`` calls from every module that holds it."""
+def _count_calls(monkeypatch, name, function):
+    """A one-element list counting calls of ``function`` from every module that holds it as ``name``."""
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return _contract(*args)
+        return function(*args)
 
     for info in pkgutil.iter_modules(logitgraph.__path__):
         module = importlib.import_module(f"logitgraph.{info.name}")
-        if getattr(module, "_contract", None) is _contract:
-            monkeypatch.setattr(module, "_contract", counted)
+        if getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """A one-element list counting ``_contract`` calls."""
+    return _count_calls(monkeypatch, "_contract", _contract)
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """A one-element list counting ``_invert_rows`` calls: one per row batch inverted."""
+    return _count_calls(monkeypatch, "_invert_rows", _invert_rows)
 
 
 @pytest.fixture
@@ -108,6 +121,11 @@ def test_trace_jacobians(jacobians, shape, final):
 def test_property_suite_contractions(contractions):
     run_property_suite(None)
     assert contractions[0] == 169
+
+
+def test_property_suite_inversions(inversions):
+    run_property_suite(None)
+    assert inversions[0] == 230
 
 
 def test_study_contractions(contractions):
