@@ -182,8 +182,8 @@ def _nash_rows(form, tilde_u, y_bar):
     return payoffs, x_vectors, residual
 
 
-def _logit_rows(n, form, tilde_u, y_bar, tol):
-    """``phi_n_inv`` of every sample: returns (payoffs, profile vectors, failure).
+def _logit_values(n, y_bar, tol):
+    """Invert every sample's ``y_bar``: returns (deviation-payoff values, profiles, failure).
 
     ``n`` is a scalar or one precision per sample; players of equal width are inverted
     in one kernel call. ``failure`` is None when every inversion reached ``tol``, else
@@ -193,7 +193,7 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
     softmax form avoids cancellation and keeps tiny probabilities positive.
     """
     n, solved = np.broadcast_to(np.asarray(n, dtype=float), y_bar[0].shape[:1]), [None] * len(y_bar)
-    for m in set(form.action_counts):
+    for m in {b.shape[1] for b in y_bar}:
         players = [i for i, b in enumerate(y_bar) if b.shape[1] == m]
         stacked = _invert_rows(np.tile(n, len(players)), np.concatenate([y_bar[i] for i in players]), tol)
         for i, *part in zip(players, *(np.split(a, len(players)) for a in stacked)):
@@ -205,7 +205,12 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
         w, r, iterations = solved[int(np.flatnonzero(failed[:, row])[0])]
         failure = (row, _stall_error(w[row], r[row], tol, iterations[row]))
     values = tuple(w for w, _, _ in solved)
-    x_vectors = tuple(softmax(n[:, None] * w) for w in values)
+    return values, tuple(softmax(n[:, None] * w) for w in values), failure
+
+
+def _logit_rows(n, form, tilde_u, y_bar, tol):
+    """``phi_n_inv`` of every sample: (payoffs, profile vectors, failure) as in ``_logit_values``."""
+    values, x_vectors, failure = _logit_values(n, y_bar, tol)
     return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
 
 

@@ -23,7 +23,9 @@ from .games import (
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import TargetPoint, _check_below_2_53, _gap_rows, _logit_rows, _nash_rows
+from .graph_maps import (
+    TargetPoint, _check_below_2_53, _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
+)
 from .maps import _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
@@ -142,10 +144,11 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     ``lemma_bound`` the proven ceiling ``max_i |A_i| * epsilon_star(n)`` for
     the profile part. Deterministic in ``seed``.
 
-    Blocks of ``STUDY_BLOCK // len(n_list)`` samples (at least one) are reconstructed
-    at every ``n`` as one batch. The first ``n`` that fails in the first failing block
-    raises: a failed inversion as ConvergenceError naming the seed, ``n`` and the first
-    failing sample, with its best iterate; else the profile check for its first sample.
+    Blocks of ``STUDY_BLOCK // len(n_list)`` samples (at least one) are inverted at
+    every ``n`` as one batch; their payoffs are then built one ``n`` at a time. The
+    first ``n`` that fails in the first failing block raises: a failed inversion as
+    ConvergenceError naming the seed, ``n`` and the first failing sample, with its best
+    iterate; else the profile check for its first sample.
     """
     n_list = [float(n) for n in n_list]
     if not n_list:
@@ -155,17 +158,18 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in n_list]
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
-    count, k = len(n_list), form.num_players
+    count = len(n_list)
     for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, max(1, STUDY_BLOCK // count)):
         nash_payoffs, nash_x, _ = _nash_rows(form, tilde, y_bar)
         _check_rows(form, nash_payoffs, nash_x, start)
         size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
-        tiled = [np.tile(a, (count, 1)) for a in tilde + y_bar]
-        *logit, failure = _logit_rows(np.repeat(n_list, size), form, tiled[:k], tiled[k:], STUDY_TOL)
+        tiled = tuple(np.tile(b, (count, 1)) for b in y_bar)
+        *logit, failure = _logit_values(np.repeat(n_list, size), tiled, STUDY_TOL)
         for j, n in enumerate(n_list):
             if failure and failure[0] // size == j:
                 _raise_failure((failure[0] % size, failure[1]), seed, start, n)
-            payoffs, x = ([a[j * size : (j + 1) * size] for a in rows] for rows in logit)
+            values, x = (tuple(a[j * size : (j + 1) * size] for a in rows) for rows in logit)
+            payoffs = _payoff_rows(form, tilde, values, x)  # one precision's payoffs at a time
             _check_rows(form, payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
