@@ -129,8 +129,9 @@ def test_property_suite_inversions(inversions):
 
 
 def test_study_contractions(contractions):
+    # one block: the Nash payoffs and residual (3 + 3), then each n's payoffs (4 * 3)
     convergence_study(StrategicGameForm(3, (3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
-    assert contractions[0] == 9
+    assert contractions[0] == 18
 
 
 def test_graph_map_contractions(contractions):
