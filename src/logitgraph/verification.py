@@ -25,7 +25,7 @@ from .games import (
     softmax,
 )
 from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
-from .maps import epsilon_bound, g_jacobian, g_map, h_exact, h_numeric, is_cl_matrix
+from .maps import _invert_rows, _stall_error, _water_level, epsilon_bound
 from .solver import logit_response, trace_logit_path
 from .studies import _check_seed, _target_blocks
 
@@ -37,12 +37,34 @@ class CheckResult:
     detail: str
 
 
-def _sample_nv(rng, scale_box_to_n=False):
-    for _ in range(150):
-        d = int(rng.integers(1, 9))
-        n = float(10.0 ** rng.uniform(-3, 3))
-        radius = min(3.0, 150.0 / n) if scale_box_to_n else 10.0
-        yield n, rng.uniform(-radius, radius, size=d)
+def _sample_nv(rng, samples=150, decades=3, radius=lambda n: 10.0):
+    """Draws ``(v, n)``: ``n`` log-uniform in ``10**±decades``, ``v`` of width 1..8 in ``±radius(n)``."""
+    draws = []
+    for _ in range(samples):
+        d, n = int(rng.integers(1, 9)), float(10.0 ** rng.uniform(-decades, decades))
+        draws.append((rng.uniform(-radius(n), radius(n), size=d), n))
+    return draws
+
+
+def _by_width(kernel, draws):
+    """``(draw, outputs)`` per draw ``(v, ...)``, in draw order; ``kernel`` runs once per width of ``v``."""
+    outputs = {}
+    for d in {draw[0].size for draw in draws}:
+        index = [i for i, draw in enumerate(draws) if draw[0].size == d]
+        outputs.update(zip(index, zip(*kernel(*map(np.array, zip(*(draws[i] for i in index)))))))
+    return [(draw, outputs[i]) for i, draw in enumerate(draws)]
+
+
+def _jacobian_rows(v, n):
+    """``g_jacobian`` at every row of ``v``, each at its own ``n``, as a ``(rows, d, d)`` array."""
+    s, eye = softmax(n[:, None] * v), np.eye(v.shape[1])
+    return eye + n[:, None, None] * (s[:, :, None] * eye - s[:, :, None] * s[:, None, :])
+
+
+def _inverse_gaps(y, n, target):
+    """``_invert_rows`` of the rows ``y`` at ``tol=1e-12``, and each row's sup-norm gap to ``target``."""
+    x, residual, iterations = _invert_rows(n, y, 1e-12)
+    return x, residual, iterations, np.abs(x - target).max(axis=1)
 
 
 def _random_game(rng, form):
@@ -69,78 +91,79 @@ def _permuted(game, rng):
 
 
 def check_displacement_identities(seed=0):
-    rng = np.random.default_rng(seed)
+    def rows(v, n):
+        g = v + softmax(n[:, None] * v)
+        reordered = np.diff(np.take_along_axis(g, np.argsort(v, axis=1), axis=1), axis=1) < -1e-12
+        too_far = np.linalg.norm(g - v, axis=1) > 1.0 + 1e-12
+        return np.abs(g.sum(1) - 1.0 - v.sum(1)), too_far, reordered.any(1)
+
     worst = 0.0
-    for n, v in _sample_nv(rng):
-        g = g_map(n, v)
-        worst = max(worst, abs(g.sum() - 1.0 - v.sum()))
-        if np.linalg.norm(g - v) > 1.0 + 1e-12:
-            return CheckResult("displacement-identities", False, "displacement norm exceeds 1")
-        order = np.argsort(v)
-        if np.any(np.diff(g[order]) < -1e-12):
-            return CheckResult("displacement-identities", False, "order not preserved")
+    for _, (defect, too_far, reordered) in _by_width(rows, _sample_nv(np.random.default_rng(seed))):
+        worst = max(worst, defect)
+        if too_far or reordered:
+            detail = "displacement norm exceeds 1" if too_far else "order not preserved"
+            return CheckResult("displacement-identities", False, detail)
     return CheckResult("displacement-identities", worst <= 1e-12, f"max sum defect {worst:.2e}")
 
 
 def check_jacobian_columns(seed=1):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n, v in _sample_nv(rng):
-        cols = g_jacobian(n, v).sum(axis=0)
-        worst = max(worst, float(np.abs(cols - 1.0).max()))
+    draws = _sample_nv(np.random.default_rng(seed))
+    columns = _by_width(lambda v, n: (_jacobian_rows(v, n).sum(axis=1),), draws)
+    worst = max(float(np.abs(cols - 1.0).max()) for _, (cols,) in columns)
     return CheckResult("jacobian-column-sums", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
 def check_cl_certificate(seed=2):
-    rng = np.random.default_rng(seed)
-    for n, v in _sample_nv(rng, scale_box_to_n=True):
-        if not is_cl_matrix(g_jacobian(n, v)):
+    def rows(v, n):  # is_cl_matrix of every Jacobian
+        m, off = _jacobian_rows(v, n), ~np.eye(v.shape[1], dtype=bool)
+        return ((np.diagonal(m, 0, 1, 2) > 0).all(1) & (m[:, off] < 0).all(1) & (m.sum(1) > 0).all(1),)
+
+    draws = _sample_nv(np.random.default_rng(seed), radius=lambda n: min(3.0, 150.0 / n))
+    for (v, n), (certified,) in _by_width(rows, draws):
+        if not certified:
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
     return CheckResult("cl-certificate", True, "150 Jacobians certified")
 
 
 def check_water_filling(seed=3):
+    def rows(y):  # the h_exact split of every row: its defects, and whether a weight is negative
+        a = _water_level(y)[:, None]
+        h = np.minimum(y, a)
+        defects = np.abs([np.maximum(y - a, 0.0).sum(1) - 1.0, (y - h).sum(1) - 1.0])
+        return np.maximum(defects.max(0), np.abs(h - np.minimum(y, a)).max(1)), (y - h).min(1) < 0
+
     rng = np.random.default_rng(seed)
+    draws = [(rng.uniform(-10, 10, size=int(rng.integers(1, 9))),) for _ in range(150)]
     worst = 0.0
-    for _ in range(150):
-        d = int(rng.integers(1, 9))
-        y = rng.uniform(-10, 10, size=d)
-        split = h_exact(y)
-        worst = max(
-            worst,
-            abs(np.maximum(y - split.alpha_star, 0.0).sum() - 1.0),
-            abs(split.residual.sum() - 1.0),
-            float(np.abs(split.h_value - np.minimum(y, split.alpha_star)).max()),
-        )
-        if split.residual.min() < 0:
+    for _, (defect, negative) in _by_width(rows, draws):
+        worst = max(worst, defect)
+        if negative:
             return CheckResult("water-filling", False, "negative projection weight")
     return CheckResult("water-filling", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
 def check_inverse_round_trip(seed=4):
-    rng = np.random.default_rng(seed)
+    draws = _sample_nv(np.random.default_rng(seed), 60, 2, lambda n: 5.0)
+    round_trips = _by_width(lambda v, n: _inverse_gaps(v + softmax(n[:, None] * v), n, v), draws)
     worst = 0.0
-    for _ in range(60):
-        d = int(rng.integers(1, 9))
-        n = float(10.0 ** rng.uniform(-2, 2))
-        v = rng.uniform(-5, 5, size=d)
-        x = h_numeric(n, g_map(n, v), tol=1e-12)
-        worst = max(worst, float(np.abs(x - v).max()))
+    for _, (x, residual, iterations, error) in round_trips:
+        if residual > 1e-12:
+            raise _stall_error(x, residual, 1e-12, iterations)
+        worst = max(worst, float(error))
     return CheckResult("inverse-round-trip", worst <= 1e-9, f"max error {worst:.2e}")
 
 
 def check_uniform_limit_bound(seed=5):
     rng = np.random.default_rng(seed)
-    for n in (1.0, 10.0, 100.0, 1000.0):
-        ceiling = epsilon_bound(n).epsilon_star * (1.0 + 1e-6)
-        for _ in range(40):
-            d = int(rng.integers(1, 9))
-            y = rng.uniform(-10, 10, size=d)
-            gap = float(np.abs(h_numeric(n, y, tol=1e-12) - h_exact(y).h_value).max())
-            if gap > d * ceiling:
-                return CheckResult(
-                    "uniform-limit-bound", False, f"gap {gap:.3e} > {d * ceiling:.3e} at n={n}"
-                )
+    ceilings = {n: epsilon_bound(n).epsilon_star * (1.0 + 1e-6) for n in (1.0, 10.0, 100.0, 1000.0)}
+    draws = [(rng.uniform(-10, 10, size=int(rng.integers(1, 9))), n) for n in ceilings for _ in range(40)]
+    limits = _by_width(lambda y, n: _inverse_gaps(y, n, np.minimum(y, _water_level(y)[:, None])), draws)
+    for (y, n), (x, residual, iterations, gap) in limits:
+        if residual > 1e-12:
+            raise _stall_error(x, residual, 1e-12, iterations)
+        if gap > y.size * ceilings[n]:
+            detail = f"gap {gap:.3e} > {y.size * ceilings[n]:.3e} at n={n}"
+            return CheckResult("uniform-limit-bound", False, detail)
     return CheckResult("uniform-limit-bound", True, "bound holds at n in {1,10,100,1000}")
 
 

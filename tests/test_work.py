@@ -125,7 +125,7 @@ def test_property_suite_contractions(contractions):
 
 def test_property_suite_inversions(inversions):
     run_property_suite(None)
-    assert inversions[0] == 230
+    assert inversions[0] == 26
 
 
 def test_study_contractions(contractions):
