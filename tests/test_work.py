@@ -11,6 +11,7 @@ inverse, so its call count measures how many row batches the work is cut into.
 
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ def test_study_contractions(contractions):
     # one block: the Nash payoffs and residual (3 + 3), then each n's payoffs (4 * 3)
     convergence_study(StrategicGameForm(3, (3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
     assert contractions[0] == 18
+
+
+def test_study_working_set():
+    # each n's payoff rows are built from the block's own zero-mean rows, not a tiled copy
+    form, n_list = StrategicGameForm(3, (5, 5, 5)), [1.0, 10.0, 100.0, 1000.0]
+    convergence_study(form, n_list, 60, 7)  # import and cache everything first
+    tracemalloc.start()
+    try:
+        convergence_study(form, n_list, 60, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6  # bytes; 2.38e6 with every n's payoffs built over a tiled batch
 
 
 def test_graph_map_contractions(contractions):
