@@ -51,7 +51,8 @@ def _by_width(kernel, draws):
     outputs = {}
     for d in {draw[0].size for draw in draws}:
         index = [i for i, draw in enumerate(draws) if draw[0].size == d]
-        outputs.update(zip(index, zip(*kernel(*map(np.array, zip(*(draws[i] for i in index)))))))
+        columns = map(np.array, zip(*(draws[i] for i in index)))  # the v rows, then each other field
+        outputs.update(zip(index, zip(*kernel(*columns))))
     return [(draw, outputs[i]) for i, draw in enumerate(draws)]
 
 
