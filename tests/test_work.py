@@ -7,11 +7,17 @@ these counts alone too. The tracer's corrector builds one Jacobian
 (``solver._homotopy``) per iterate, so its call count measures a trace's work
 in the same way. ``maps._invert_rows`` is the only softmax-displacement
 inverse, so its call count measures how many row batches the work is cut into.
+Start-up work is counted too: the source text a fresh process generates and
+executes while it imports the package.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +171,31 @@ def test_rank_check_contractions(contractions):
 def test_property_suite_with_a_game_contractions(contractions):
     run_property_suite(matching_pennies())
     assert contractions[0] == 225
+
+
+# run by a fresh interpreter: numpy is imported before the hook, so only the
+# package's own imports are counted; the count is the same with or without bytecode
+GENERATED_SOURCE = """
+import importlib, pkgutil, sys, numpy, logitgraph
+count = 0
+def hook(event, args):
+    global count
+    count += event == "exec" and getattr(args[0], "co_filename", None) == "<string>"
+sys.addaudithook(hook)
+for info in pkgutil.iter_modules(logitgraph.__path__):
+    importlib.import_module("logitgraph." + info.name)
+print(count)
+"""
+
+
+def test_startup_generated_source_execs():
+    # one exec of generated "<string>" source per method a class decorator writes
+    result = subprocess.run(
+        [sys.executable, "-c", GENERATED_SOURCE],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) == 64
