@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,46 @@ def _freeze(arr, dtype=float):
     return out
 
 
-@dataclass(frozen=True)
-class StrategicGameForm:
+class Record:
+    """Base of the frozen result records: the fields are the class's own annotations, in order.
+
+    A class attribute of the same name is a field's default. ``class R(Record, eq=True)``
+    compares and hashes by field values; other records compare by identity.
+    """
+
+    def __init_subclass__(cls, eq=False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if eq:
+            cls.__eq__ = lambda a, b: a._asdict() == b._asdict() if type(b) is type(a) else NotImplemented
+            cls.__hash__ = lambda a: hash(tuple(a._asdict().values()))
+
+    def __init__(self, *args, **kwargs):
+        fields, bound = self._fields, dict(zip(self._fields, args))
+        values = {**self._defaults, **bound, **kwargs}
+        if len(args) > len(fields) or bound.keys() & kwargs.keys() or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, got {len(args)} "
+                            f"positional and the keywords {sorted(kwargs)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks and normalizes the bound fields; a record with checks overrides it."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+    def _asdict(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+
+class StrategicGameForm(Record, eq=True):
     """Player count and per-player action counts; fixes the profile index space."""
 
     num_players: int
@@ -59,8 +96,7 @@ class StrategicGameForm:
         return self.num_players * self.profile_count
 
 
-@dataclass(frozen=True, eq=False)
-class Game:
+class Game(Record):
     """A strategic form plus one flat payoff tensor per player."""
 
     form: StrategicGameForm
@@ -95,8 +131,7 @@ class Game:
         return self.payoffs[player].reshape(self.form.action_counts, order="F")
 
 
-@dataclass(frozen=True, eq=False)
-class MixedProfile:
+class MixedProfile(Record):
     """One probability vector per player; validated on construction.
 
     Each vector must be nonnegative and sum to 1 within 1e-9. Residual
@@ -289,8 +324,7 @@ def _logit_gap(game, vectors, n):
     return max(float(np.abs(v - softmax(n * d[0])).max()) for v, d in zip(vectors, w))
 
 
-@dataclass(frozen=True, eq=False)
-class KMRepresentation:
+class KMRepresentation(Record):
     """Payoffs split into own-action means and a zero-mean remainder.
 
     ``bar_u[i][a_i]`` is the mean of player ``i``'s payoff to ``a_i`` over all

@@ -12,7 +12,6 @@ coordinates (``TargetPoint``) and the graph points (``GraphPoint``) live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import InvalidInputError, NotOnGraphError
 from .games import (
     Game,
     MixedProfile,
+    Record,
     StrategicGameForm,
     _check_n,
     _check_n_tol,
@@ -40,8 +40,7 @@ from .maps import _invert_rows, _stall_error, _water_level
 GRAPH_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class TargetPoint:
+class TargetPoint(Record):
     """A payoff-space point in split coordinates: zero-mean part plus free per-action vectors.
 
     ``y_bar`` is unconstrained; ``tilde_u`` must satisfy the same zero-mean
@@ -59,8 +58,7 @@ class TargetPoint:
         object.__setattr__(self, "y_bar", ybar)
 
 
-@dataclass(frozen=True, eq=False)
-class GraphPoint:
+class GraphPoint(Record):
     """A (game, profile) pair asserted to lie on an equilibrium graph.
 
     ``kind`` is ``"nash"`` or ``"logit"``; ``n`` is the logit precision and is

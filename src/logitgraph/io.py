@@ -9,7 +9,6 @@ floats use 17 significant digits. Both re-read to the identical double.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -194,12 +193,12 @@ def _study_dict(report):
         "form": _form_dict(report.form),
         "seed": report.seed,
         "samples": report.samples,
-        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "rows": [r._asdict() for r in report.rows],
     }
 
 
 def _rank_dict(report):
-    return {**dataclasses.asdict(report), "form": _form_dict(report.form), "passed": report.passed}
+    return {**report._asdict(), "form": _form_dict(report.form), "passed": report.passed}
 
 
 # record class name -> (JSON dict builder, CSV row generator, CSV header); keyed
@@ -219,7 +218,7 @@ _RECORDS = {
     "GraphPoint": (_point_dict, _point_rows, "section,player,index,value"),
     "ConvergenceReport": (
         _study_dict,
-        lambda report: map(dataclasses.astuple, report.rows),
+        lambda report: (r._asdict().values() for r in report.rows),
         "n,sup_gap_x,sup_gap_full,lemma_bound",
     ),
     "RankReport": (

@@ -10,12 +10,11 @@ softmax itself is ``games.softmax``, re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .games import _check_n, _check_n_tol, softmax
+from .games import Record, _check_n, _check_n_tol, softmax
 
 MAX_INVERSE_ITER = 200  # Newton iterations per row of the softmax-displacement inverse
 
@@ -91,8 +90,7 @@ def _water_level(y):
     return thresholds[np.arange(y.shape[0]), k]
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexProjection:
+class SimplexProjection(Record):
     """Water-filling split of a vector ``y``.
 
     ``h_value = min(y, alpha_star)`` coordinatewise; ``residual = y - h_value``
@@ -216,8 +214,7 @@ def _invert_rows(n, y, tol):
     return out_x, out_res, out_iter
 
 
-@dataclass(frozen=True)
-class ConvergenceBound:
+class ConvergenceBound(Record, eq=True):
     """Uniform error level for the numeric inverse at parameter ``n``.
 
     ``epsilon_star`` solves ``eps * (1 + exp(eps*n)) = 1``; the inverse of

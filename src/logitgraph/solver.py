@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import ConvergenceError, InvalidInputError, PathFailureError
 from .games import (
     Game,
     MixedProfile,
+    Record,
     _check_n_tol,
     _cross_blocks,
     _deviation_rows,
@@ -51,8 +51,7 @@ def _unstack(form, flat):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PathEntry:
+class PathEntry(Record):
     """One solved point along a continuation path."""
 
     n: float
@@ -60,8 +59,7 @@ class PathEntry:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class PathTrace:
+class PathTrace(Record):
     """Solutions in branch order, plus the terminal Nash gap; ``n`` falls between a fold's turns."""
 
     entries: tuple[PathEntry, ...]

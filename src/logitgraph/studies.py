@@ -9,12 +9,12 @@ parametrization of the logit graph by payoff space, has full-rank derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .games import (
+    Record,
     StrategicGameForm,
     _check_n_tol,
     _check_rows,
@@ -101,8 +101,7 @@ def _raise_failure(failure, seed, first, n):
         ) from stall
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record, eq=True):
     """Per-precision suprema over the sampled targets."""
 
     n: float
@@ -111,8 +110,7 @@ class ReportRow:
     lemma_bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Gap suprema per precision; the profile-gap bound is enforced on emit."""
 
     form: StrategicGameForm
@@ -182,8 +180,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     return ConvergenceReport(form=form, seed=int(seed), samples=int(samples), rows=tuple(rows))
 
 
-@dataclass(frozen=True, eq=False)
-class RankReport:
+class RankReport(Record):
     """Smallest singular value of the reconstruction derivative over samples."""
 
     n: float

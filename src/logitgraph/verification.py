@@ -7,13 +7,13 @@ not a replacement for the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .games import (
     Game,
     MixedProfile,
+    Record,
     StrategicGameForm,
     _check_rows,
     _deviation_rows,
@@ -30,8 +30,7 @@ from .solver import logit_response, trace_logit_path
 from .studies import _check_seed, _target_blocks
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record, eq=True):
     name: str
     passed: bool
     detail: str

@@ -17,6 +17,7 @@ import logitgraph
 ROOT = Path(__file__).resolve().parents[1]
 GAME_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 TARGET_JSON = '{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}'
+UNLOADED = ("dataclasses", "copy")  # standard modules no CLI process needs
 
 
 def fresh(code):
@@ -33,12 +34,16 @@ def fresh(code):
 
 
 def loaded_layers(argv):
-    """The logitgraph submodules a fresh process holds after running the CLI on ``argv``."""
+    """The logitgraph submodules a fresh process holds after running the CLI on ``argv``.
+
+    The set also names ``dataclasses`` and ``copy`` when the process loaded them.
+    """
     code = (
         "import json, sys\n"
         "from logitgraph.cli import run_cli\n"
         f"assert run_cli({argv!r}) == 0\n"
-        "print(json.dumps(sorted(m[11:] for m in sys.modules if m.startswith('logitgraph.'))))\n"
+        "print(json.dumps(sorted(m[11:] for m in sys.modules if m.startswith('logitgraph.'))\n"
+        f"                 + [m for m in {UNLOADED!r} if m in sys.modules]))\n"
     )
     return set(json.loads(fresh(code).splitlines()[-1]))
 
@@ -68,6 +73,7 @@ def inputs(tmp_path):
             "studies",
             {"solver", "verification"},
         ),
+        (["verify", "none"], "verification", set()),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
@@ -76,6 +82,7 @@ def test_command_loads_only_its_layers(inputs, command, runs, skips):
     layers = loaded_layers(argv)
     assert runs in layers
     assert not layers & skips
+    assert not layers & set(UNLOADED)
 
 
 def test_help_loads_only_the_front_end_and_core():
@@ -89,6 +96,7 @@ def test_help_loads_only_the_front_end_and_core():
     )
     assert result.returncode == 0 and result.stdout.startswith("usage: logitgraph")
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert not imported & set(UNLOADED)
     assert {m for m in imported if m.startswith("logitgraph.")} == {
         "logitgraph.errors", "logitgraph.games", "logitgraph.io",
     }

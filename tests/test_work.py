@@ -189,7 +189,7 @@ print(count)
 
 
 def test_startup_generated_source_execs():
-    # one exec of generated "<string>" source per method a class decorator writes
+    # the records are plain classes: no decorator writes their methods as source text
     result = subprocess.run(
         [sys.executable, "-c", GENERATED_SOURCE],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
@@ -198,4 +198,4 @@ def test_startup_generated_source_execs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) == 64
+    assert int(result.stdout) == 0  # 64 when dataclasses wrote the records' methods
