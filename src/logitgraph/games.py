@@ -55,13 +55,15 @@ class Record:
     def __post_init__(self):
         """Checks and normalizes the bound fields; a record with checks overrides it."""
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign to {name!r}")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
 
     def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
 
     def _asdict(self):
         return {name: getattr(self, name) for name in self._fields}

@@ -12,7 +12,6 @@ coordinates (``TargetPoint``) and the graph points (``GraphPoint``) live here.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .errors import InvalidInputError, NotOnGraphError

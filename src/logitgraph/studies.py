@@ -9,7 +9,6 @@ parametrization of the logit graph by payoff space, has full-rank derivative.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError

@@ -7,7 +7,6 @@ not a replacement for the test suite.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .games import (
