@@ -19,8 +19,6 @@ from .errors import InvalidInputError
 PROBABILITY_TOL = 1e-9
 ZERO_MEAN_TOL = 1e-9
 
-_AXES = "abcdefghijklmnopqrstuvwxyz"
-
 
 def _freeze(arr, dtype=float):
     out = np.array(arr, dtype=dtype)
@@ -80,6 +78,8 @@ class StrategicGameForm(Record, eq=True):
         object.__setattr__(self, "action_counts", tuple(int(m) for m in self.action_counts))
         if self.num_players < 1:
             raise InvalidInputError(f"num_players must be >= 1, got {self.num_players}")
+        if self.num_players > 31:  # numpy 1.x caps arrays at 32 axes and einsum at 32 operands
+            raise InvalidInputError(f"num_players must be <= 31, got {self.num_players}")
         if len(self.action_counts) != self.num_players:
             raise InvalidInputError(
                 f"expected {self.num_players} action counts, got {len(self.action_counts)}"
@@ -210,19 +210,15 @@ def _contract(form, flat_rows, vector_rows, keep):
     """Contract flat payoff rows with the mixtures of every player not in ``keep``.
 
     ``flat_rows`` is ``(samples, |A|)`` and ``vector_rows[j]`` is ``(samples, m_j)``;
-    the result is ``(samples, m_k, ...)`` over the players ``k`` in ``keep``.
+    the result is ``(samples, m_i, ...)`` over the players ``i`` in ``keep``.
     ``keep=(i,)`` gives player i's deviation payoffs, ``keep=(i, j)`` the block
     ``dw_i/dx_j``. This is the library's only payoff contraction.
     """
-    letters = _AXES[: form.num_players]
-    rest = [j for j in range(form.num_players) if j not in keep]
+    k = form.num_players  # einsum labels: player j's axis is j, the sample axis k
     # C order over the reversed action axes is the column-major profile order
     tensor = flat_rows.reshape(flat_rows.shape[:1] + form.action_counts[::-1])
-    eq = (
-        "Z" + letters[::-1] + "".join(",Z" + letters[j] for j in rest)
-        + "->Z" + "".join(letters[k] for k in keep)
-    )
-    return np.einsum(eq, tensor, *[vector_rows[j] for j in rest])
+    mixtures = [x for j in range(k) if j not in keep for x in (vector_rows[j], [k, j])]
+    return np.einsum(tensor, list(range(k, -1, -1)), *mixtures, [k, *keep])
 
 
 def _deviation_rows(form, payoffs, vectors):

@@ -34,7 +34,7 @@ from .games import (
     nash_residual,
     softmax,
 )
-from .maps import _invert_rows, _stall_error, _water_level
+from .maps import _check_below_2_53, _invert_rows, _stall_error, _water_level
 
 GRAPH_RESIDUAL_TOL = 1e-8
 
@@ -96,17 +96,10 @@ class GraphPoint(Record):
 def _graph_residual(game, profile, n, tol):
     """Nash residual if ``n`` is None, else logit residual at ``n``; NotOnGraphError above ``tol``."""
     residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
-    if residual > tol:
+    if not residual <= tol:
         kind = "nash" if n is None else "logit"
         raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
     return residual
-
-
-def _check_below_2_53(what, magnitude):
-    """Reject a coordinate magnitude past 2**53, where no reconstructed profile can sum to 1."""
-    if magnitude > 2.0**53:
-        reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
-        raise InvalidInputError(f"{what} {magnitude:g} exceeds 2**53: {reason}")
 
 
 def _z_rows(form, payoffs, vectors, n=None):
@@ -174,7 +167,7 @@ def _nash_rows(form, tilde_u, y_bar):
     x_vectors = tuple(b - h for b, h in zip(y_bar, values))
     payoffs = _payoff_rows(form, tilde_u, values, x_vectors)
     residual = _nash_gap_rows(form, payoffs, x_vectors)
-    if residual.max() > 1e-9:
+    if not residual.max() <= 1e-9:
         raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
     return payoffs, x_vectors, residual
 

@@ -46,8 +46,13 @@ def g_jacobian(n, v):
     """
     v = _as_vector(v)
     _check_n(n)
-    s = softmax(n * v)
-    return np.eye(v.size) + n * (np.diag(s) - np.outer(s, s))
+    return _jacobian_rows(v[None], np.array([n], dtype=float))[0]
+
+
+def _jacobian_rows(v, n):
+    """``g_jacobian`` at every row of ``v``, each at its own ``n``, as a ``(rows, d, d)`` array."""
+    s, eye = softmax(n[:, None] * v), np.eye(v.shape[1])
+    return eye + n[:, None, None] * (s[:, :, None] * eye - s[:, :, None] * s[:, None, :])
 
 
 def is_cl_matrix(m):
@@ -59,14 +64,20 @@ def is_cl_matrix(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    diag = np.diagonal(m)
-    if not np.all(diag > 0):
-        return False
-    off = m[~np.eye(d, dtype=bool)]
-    if off.size and not np.all(off < 0):
-        return False
-    return bool(np.all(m.sum(axis=0) > 0))
+    return bool(_cl_rows(m[None])[0])
+
+
+def _cl_rows(m):
+    """``is_cl_matrix`` of every matrix in a ``(rows, d, d)`` stack, as a ``(rows,)`` bool array."""
+    off = ~np.eye(m.shape[1], dtype=bool)
+    return (np.diagonal(m, 0, 1, 2) > 0).all(1) & (m[:, off] < 0).all(1) & (m.sum(1) > 0).all(1)
+
+
+def _check_below_2_53(what, magnitude):
+    """Reject a coordinate magnitude past 2**53, where no reconstructed profile can sum to 1."""
+    if magnitude > 2.0**53:
+        reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
+        raise InvalidInputError(f"{what} {magnitude:g} exceeds 2**53: {reason}")
 
 
 def alpha_star(y):
@@ -75,8 +86,10 @@ def alpha_star(y):
     Computed by the sort rule: sort descending, take the largest ``k`` with
     ``y_(k) > (sum of top k - 1)/k``, return that threshold. ``y - min(y, a)``
     is then the Euclidean projection of ``y`` onto the probability simplex.
+    An entry past 2**53 in magnitude raises InvalidInputError.
     """
     y = _as_vector(y, "y")
+    _check_below_2_53("y entry", float(np.abs(y).max()))
     return float(_water_level(y[None])[0])
 
 
@@ -164,7 +177,8 @@ def _invert_rows(n, y, tol):
     after ``MAX_INVERSE_ITER`` steps.
     Returns ``(x, residual, iterations)``: per row the first iterate within
     ``tol``, or else the best iterate seen, its sup-norm residual and the
-    iterations it ran. A row converged exactly when its residual is at most ``tol``.
+    iterations it ran. A row converged exactly when its residual is at most ``tol``;
+    a row whose every residual is NaN reports ``inf``.
     """
     n = np.broadcast_to(np.asarray(n, dtype=float), y.shape[:1])[:, None]
     x = np.where(n >= 1.0, np.minimum(y, _water_level(y)[:, None]), y - 1.0 / y.shape[1])
@@ -173,7 +187,7 @@ def _invert_rows(n, y, tol):
     norm = np.sqrt((r * r).sum(axis=1))
     out_x, out_res, out_iter = np.empty_like(y), np.empty(y.shape[0]), np.empty(y.shape[0], int)
     live, target = np.arange(y.shape[0]), y
-    best_x, best_res = x.copy(), np.abs(r).max(axis=1)  # per live row
+    best_x, best_res = x.copy(), np.full(y.shape[0], np.inf)  # per live row
     stuck = False
     for iteration in range(MAX_INVERSE_ITER + 1):
         res = np.abs(r).max(axis=1)

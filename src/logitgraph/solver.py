@@ -69,7 +69,7 @@ class PathTrace(Record):
     def __post_init__(self):
         for e in self.entries:
             recomputed = _logit_gap(self.game, e.profile.vectors, e.n)
-            if abs(recomputed - e.residual) > 1e-12:
+            if not abs(recomputed - e.residual) <= 1e-12:
                 raise InvalidInputError(
                     f"entry at n={e.n}: stored residual {e.residual:.3e} "
                     f"!= recomputed {recomputed:.3e}"

@@ -22,10 +22,8 @@ from .games import (
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import (
-    TargetPoint, _check_below_2_53, _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
-)
-from .maps import _g_solve, epsilon_bound
+from .graph_maps import TargetPoint, _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
+from .maps import _check_below_2_53, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
 STUDY_BLOCK = 1024  # target rows a study reconstructs at once; bounds its working set

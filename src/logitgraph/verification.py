@@ -24,7 +24,7 @@ from .games import (
     softmax,
 )
 from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
-from .maps import _invert_rows, _stall_error, _water_level, epsilon_bound
+from .maps import _cl_rows, _invert_rows, _jacobian_rows, _stall_error, _water_level, epsilon_bound
 from .solver import logit_response, trace_logit_path
 from .studies import _check_seed, _target_blocks
 
@@ -52,12 +52,6 @@ def _by_width(kernel, draws):
         columns = map(np.array, zip(*(draws[i] for i in index)))  # the v rows, then each other field
         outputs.update(zip(index, zip(*kernel(*columns))))
     return [(draw, outputs[i]) for i, draw in enumerate(draws)]
-
-
-def _jacobian_rows(v, n):
-    """``g_jacobian`` at every row of ``v``, each at its own ``n``, as a ``(rows, d, d)`` array."""
-    s, eye = softmax(n[:, None] * v), np.eye(v.shape[1])
-    return eye + n[:, None, None] * (s[:, :, None] * eye - s[:, :, None] * s[:, None, :])
 
 
 def _inverse_gaps(y, n, target):
@@ -113,12 +107,8 @@ def check_jacobian_columns(seed=1):
 
 
 def check_cl_certificate(seed=2):
-    def rows(v, n):  # is_cl_matrix of every Jacobian
-        m, off = _jacobian_rows(v, n), ~np.eye(v.shape[1], dtype=bool)
-        return ((np.diagonal(m, 0, 1, 2) > 0).all(1) & (m[:, off] < 0).all(1) & (m.sum(1) > 0).all(1),)
-
     draws = _sample_nv(np.random.default_rng(seed), radius=lambda n: min(3.0, 150.0 / n))
-    for (v, n), (certified,) in _by_width(rows, draws):
+    for (v, n), (certified,) in _by_width(lambda v, n: (_cl_rows(_jacobian_rows(v, n)),), draws):
         if not certified:
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
     return CheckResult("cl-certificate", True, "150 Jacobians certified")

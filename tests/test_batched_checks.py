@@ -1,11 +1,13 @@
 """The property suite's batched map checks against their per-sample loops.
 
 The references below are the earlier loop bodies, kept here as the oracle:
-one ``g_map``, ``g_jacobian``, ``h_exact`` or ``h_numeric`` call per drawn
-sample, in draw order, returning at the first failing sample. The suite draws
-the same samples and evaluates each vector width in one batch, so every check
-must return the same result, name the same failing sample and raise the same
-ConvergenceError as its reference.
+one ``g_map``, ``h_exact`` or ``h_numeric`` call, or one Jacobian and CL test,
+per drawn sample, in draw order, returning at the first failing sample. The
+suite draws the same samples and evaluates each vector width in one batch, so
+every check must return the same result, name the same failing sample and raise
+the same ConvergenceError as its reference. ``g_jacobian`` and ``is_cl_matrix``
+share their row kernels with the suite, so the Jacobian and the CL test are
+written out here, as a second implementation.
 """
 
 import numpy as np
@@ -40,11 +42,23 @@ def reference_displacement_identities(seed=0):
     return CheckResult("displacement-identities", worst <= 1e-12, f"max sum defect {worst:.2e}")
 
 
+def reference_jacobian(n, v):
+    """``I + n*(diag(s) - s s^T)`` with ``s`` the softmax of ``n*v`` that ``maps`` calls."""
+    s = maps.softmax(n * v)
+    return np.eye(v.size) + n * (np.diag(s) - np.outer(s, s))
+
+
+def reference_is_cl(m):
+    """Positive diagonal, negative off-diagonal and positive column sums."""
+    off = m[~np.eye(len(m), dtype=bool)]
+    return bool((np.diagonal(m) > 0).all() and (off < 0).all() and (m.sum(axis=0) > 0).all())
+
+
 def reference_jacobian_columns(seed=1):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, v in reference_sample_nv(rng):
-        cols = maps.g_jacobian(n, v).sum(axis=0)
+        cols = reference_jacobian(n, v).sum(axis=0)
         worst = max(worst, float(np.abs(cols - 1.0).max()))
     return CheckResult("jacobian-column-sums", worst <= 1e-12, f"max defect {worst:.2e}")
 
@@ -52,7 +66,7 @@ def reference_jacobian_columns(seed=1):
 def reference_cl_certificate(seed=2):
     rng = np.random.default_rng(seed)
     for n, v in reference_sample_nv(rng, scale_box_to_n=True):
-        if not maps.is_cl_matrix(maps.g_jacobian(n, v)):
+        if not reference_is_cl(reference_jacobian(n, v)):
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
     return CheckResult("cl-certificate", True, "150 Jacobians certified")
 
@@ -124,7 +138,7 @@ def outcome(check, seed):
 
 
 def patch_softmax(monkeypatch, faulty):
-    """Replace the softmax that ``g_map``, ``g_jacobian`` and the batched checks call."""
+    """Replace the softmax that ``g_map``, the reference Jacobian and the batched checks call."""
     monkeypatch.setattr(maps, "softmax", faulty)
     monkeypatch.setattr(verification, "softmax", faulty)
 

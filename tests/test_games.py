@@ -53,6 +53,10 @@ class TestTypes:
             StrategicGameForm(2, (2,))
         with pytest.raises(InvalidInputError):
             StrategicGameForm(1, (0,))
+        # numpy 1.x caps arrays at 32 axes: 31 players and the sample axis
+        assert StrategicGameForm(31, (1,) * 31).profile_count == 1
+        with pytest.raises(InvalidInputError, match="num_players must be <= 31, got 32"):
+            StrategicGameForm(32, (1,) * 32)
         form = StrategicGameForm(2, (3, 2))
         assert form.profile_count == 6
         assert form.payoff_coordinate_count == 12
@@ -111,7 +115,9 @@ class TestEvaluateMixed:
         assert oracle == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "counts", [(2,), (4,), (2, 3), (3, 4), (2, 2, 2), (4, 4, 4), (2, 3, 2, 2)]
+        "counts",
+        [(2,), (4,), (2, 3), (3, 4), (2, 2, 2), (4, 4, 4), (2, 3, 2, 2)]
+        + [(2, 2, 2) + (1,) * 24, (1,) * 14 + (2, 2) + (1,) * 15],  # 27 and 31 players
     )
     def test_agrees_with_brute_force(self, rng, counts):
         form = StrategicGameForm(len(counts), counts)
@@ -361,6 +367,16 @@ class TestGraphPoint:
         assert point.kind == "logit" and point.n == 1.0
         with pytest.raises(NotOnGraphError):
             GraphPoint.logit(game, MixedProfile((np.array([0.5, 0.5]),)), 1.0)
+
+    def test_logit_factory_rejects_a_nan_residual(self):
+        # at n = 1e308 the response overflows and logit_residual is NaN, which
+        # used to pass the "residual > tol" test as on the graph
+        game = Game.from_payoff_tensors(
+            [np.array([[4.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 4.0]])]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotOnGraphError, match="logit residual nan"):
+                GraphPoint.logit(game, uniform(game), 1e308)
 
     def test_kind_and_n_consistency(self):
         game = matching_pennies()

@@ -26,6 +26,7 @@ from logitgraph import (
     z_logit,
     z_nash,
 )
+from logitgraph import graph_maps
 from conftest import matching_pennies, one_player_game, random_game
 
 E = np.e
@@ -165,6 +166,12 @@ class TestPhiInv:
             assert np.abs(a - b).max() <= 1e-12
         for a, b in zip(recovered.profile.vectors, point.profile.vectors):
             assert np.abs(a - b).max() <= 1e-12
+
+    def test_nan_reconstruction_residual_rejected(self, monkeypatch):
+        # the gate reads "not residual <= 1e-9", so a NaN residual cannot pass it
+        monkeypatch.setattr(graph_maps, "_nash_gap_rows", lambda *args: np.array([np.nan]))
+        with pytest.raises(NotOnGraphError, match="nash residual nan"):
+            phi_inv(one_player_target([1.5, 0.5]))
 
     @pytest.mark.parametrize("form", FORMS, ids=str)
     def test_forward_round_trip(self, form):

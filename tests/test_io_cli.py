@@ -503,6 +503,25 @@ class TestCli:
         code, _, err = invoke(["invert-logit", "--n", "1e6", str(path), "--tol", "1e-30"])
         assert code == 2 and "convergence failure" in err
 
+    def test_overflowing_precision_is_a_convergence_failure(self):
+        # n*x overflows in the inversion; a NaN residual used to pass as converged
+        # and the NaN payoffs then failed as "error: payoffs[0]: entries must be finite"
+        target = str(ROOT / "tests" / "golden" / "target_2x3.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = invoke(["invert-logit", "--n", "1e308", target])
+        assert code == 2 and out == ""
+        assert err.startswith("convergence failure: softmax-displacement inversion stalled at ")
+        assert "residual inf" in err
+
+    def test_more_than_31_players_exits_one(self, tmp_path):
+        path = tmp_path / "game.json"
+        game = {"players": 32, "actions": [2] + [1] * 31, "payoffs": [[0, 1]] * 32}
+        path.write_text(json.dumps(game))
+        for argv in (["decompose"], ["solve", "--n", "1"], ["verify"]):
+            code, out, err = invoke(argv + [str(path)])
+            assert code == 1 and out == ""
+            assert err == "error: num_players must be <= 31, got 32\n"
+
     @pytest.mark.parametrize(
         "argv", [["solve", "--n", "inf"], ["trace", "--n-final", "inf"]]
     )

@@ -173,6 +173,17 @@ class TestAlphaStar:
         for _ in range(10):
             assert alpha_star(y[rng.permutation(y.size)]) == reference
 
+    def test_entry_past_2_to_the_53_rejected(self):
+        # past 2**53 the split cannot hold a unit sum: [1e17, 0] used to give level
+        # 5e16 and the "probability vector" [5e16, 0]
+        for call in (alpha_star, h_exact):
+            with pytest.raises(InvalidInputError, match=r"y entry 1e\+17 exceeds 2\*\*53"):
+                call([1e17, 0.0])
+            with pytest.raises(InvalidInputError, match="exceeds 2"):
+                call([0.0, -1e17])
+        split = h_exact([2.0**53, 0.0])
+        assert split.alpha_star == 2.0**53 - 1.0 and split.residual.tolist() == [1.0, 0.0]
+
 
 class TestHExact:
     def test_examples(self):
@@ -248,6 +259,13 @@ class TestHNumeric:
         err = info.value
         assert err.iterations == 7
         assert 0 < err.residual < 1e-11
+
+    def test_overflowing_precision_fails_instead_of_reporting_nan(self):
+        # n*x overflows, so every iterate's residual is NaN; the row used to leave
+        # with residual NaN, which passed the "residual > tol" test as converged
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as info:
+            h_numeric(1e308, [3.0, -2.0, 0.1])
+        assert info.value.residual == math.inf and np.isfinite(info.value.best).all()
 
     def test_invalid_tol(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -508,4 +509,10 @@ class TestPathTrace:
         x = MixedProfile((np.array([0.5, 0.5]),))
         entries = (PathEntry(n=1.0, profile=x, residual=0.0),)
         with pytest.raises(InvalidInputError, match="residual"):
+            PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+
+    def test_rejects_a_nan_stored_residual(self):
+        game = matching_pennies()
+        entries = (PathEntry(n=1.0, profile=MixedProfile.uniform(game.form), residual=math.nan),)
+        with pytest.raises(InvalidInputError, match="stored residual nan"):
             PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
