@@ -172,6 +172,7 @@ def _nash_rows(form, tilde_u, y_bar):
     return payoffs, x_vectors, residual
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a failed inversion's softmax may overflow
 def _logit_values(n, y_bar, tol):
     """Invert every sample's ``y_bar``: returns (deviation-payoff values, profiles, failure).
 
@@ -210,10 +211,10 @@ def phi_inv(t):
     Per player, the water-filling split of ``y_bar`` gives the equilibrium
     probabilities (the simplex projection) and the deviation-payoff values
     (the clipped vector); the construction is total and the result's residual
-    is exactly zero up to rounding. A ``y_bar`` entry past 2**53 in
-    magnitude raises InvalidInputError.
+    is exactly zero up to rounding. A ``y_bar`` vector whose top entry is past
+    2**53 in magnitude raises InvalidInputError.
     """
-    _check_below_2_53("y_bar entry", max(float(np.abs(b).max()) for b in t.y_bar))
+    _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.y_bar))
     payoffs, x_vectors, residual = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
     game = Game(t.form, tuple(p[0] for p in payoffs))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))

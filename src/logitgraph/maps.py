@@ -74,7 +74,11 @@ def _cl_rows(m):
 
 
 def _check_below_2_53(what, magnitude):
-    """Reject a coordinate magnitude past 2**53, where no reconstructed profile can sum to 1."""
+    """Reject a coordinate magnitude past 2**53, where no reconstructed profile can sum to 1.
+
+    Callers pass the magnitude of a vector's top entry: only entries within 1 of the
+    top carry probability, so entries far below it never touch the unit sum.
+    """
     if magnitude > 2.0**53:
         reason = "past 2**53 doubles are 2 apart, so a profile cannot sum to 1"
         raise InvalidInputError(f"{what} {magnitude:g} exceeds 2**53: {reason}")
@@ -86,10 +90,10 @@ def alpha_star(y):
     Computed by the sort rule: sort descending, take the largest ``k`` with
     ``y_(k) > (sum of top k - 1)/k``, return that threshold. ``y - min(y, a)``
     is then the Euclidean projection of ``y`` onto the probability simplex.
-    An entry past 2**53 in magnitude raises InvalidInputError.
+    A top entry past 2**53 in magnitude raises InvalidInputError.
     """
     y = _as_vector(y, "y")
-    _check_below_2_53("y entry", float(np.abs(y).max()))
+    _check_below_2_53("y entry", abs(float(y.max())))
     return float(_water_level(y[None])[0])
 
 
@@ -167,14 +171,16 @@ def _g_solve(n, s, r):
     return r / a + u * (n * (u * r).sum(axis=1, keepdims=True) / u.sum(axis=1, keepdims=True))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _invert_rows(n, y, tol):
     """Row kernel of ``h_numeric``: solve ``x + softmax(n*x) = y`` for every row of ``y``.
 
     ``y`` is a finite ``(rows, d)`` array; ``n`` (a scalar, or a ``(rows,)`` array
     of one precision per row) and ``tol`` are trusted. Rows iterate independently
-    and leave the live set once their sup-norm residual is at most ``tol``, once
-    backtracking finds no decrease (the floating-point floor for that row), or
-    after ``MAX_INVERSE_ITER`` steps.
+    and leave the live set once their sup-norm residual is at most ``tol`` or not
+    finite, once backtracking finds no decrease (the floating-point floor for that
+    row), or after ``MAX_INVERSE_ITER`` steps. Overflow and invalid-value warnings
+    are silenced: a non-finite residual is the diagnosis.
     Returns ``(x, residual, iterations)``: per row the first iterate within
     ``tol``, or else the best iterate seen, its sup-norm residual and the
     iterations it ran. A row converged exactly when its residual is at most ``tol``;
@@ -195,7 +201,7 @@ def _invert_rows(n, y, tol):
         if better.any():
             best_x[better] = x[better]
             best_res[better] = res[better]
-        leave = (res <= tol) | stuck | (iteration == MAX_INVERSE_ITER)
+        leave = (res <= tol) | ~np.isfinite(res) | stuck | (iteration == MAX_INVERSE_ITER)
         if leave.any():
             rows = live[leave]
             out_x[rows], out_res[rows], out_iter[rows] = best_x[leave], best_res[leave], iteration

@@ -9,6 +9,8 @@ parametrization of the logit graph by payoff space, has full-rank derivative.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
@@ -28,6 +30,7 @@ from .maps import _check_below_2_53, _g_solve, epsilon_bound
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
 STUDY_BLOCK = 1024  # target rows a study reconstructs at once; bounds its working set
 STUDY_TOL = 1e-12  # inversion tolerance of the study's logit reconstructions
+DRAW_CHUNK = 1 << 20  # values per getrandbits call; keeps its bit count inside a C int
 
 
 def _check_seed(seed):
@@ -36,15 +39,42 @@ def _check_seed(seed):
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _rng(seed):
+    """The stream of every seeded draw: MT19937, so a NumPy integer seeds like the same int."""
+    return random.Random(int(seed))
+
+
+def _uniform(rng, low, high, size):
+    """Doubles uniform in ``[low, high)`` of shape ``size``, drawn from the ``random.Random`` ``rng``.
+
+    One ``getrandbits(64*count)`` call per ``DRAW_CHUNK`` values: each value is the top 53 bits
+    of a little-endian 64-bit word times 2**-53, scaled into the box, in C order. The words
+    come in stream order, so two draws in a row give the values of one draw of their total
+    size. The output is allocated first: a size numpy cannot shape or allocate raises its
+    ValueError or MemoryError before any bits are drawn.
+    """
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        count = min(DRAW_CHUNK, flat.size - start)
+        words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+        flat[start : start + count] = words >> 11
+    out *= (high - low) * 2.0**-53  # rounds as (high - low) * (bits * 2**-53): a power of 2
+    out += low
+    return out
+
+
 def _target_blocks(form, samples, seed, bound_box, block):
     """Yield ``(first sample index, tilde rows, y_bar rows)`` for consecutive blocks of samples.
 
     Each block is one uniform draw of shape ``(rows, k*|A| + sum(m_i))``:
     per sample, the ``k`` raw payoff tensors and then the ``k`` ``y_bar``
     vectors, in the order a per-sample draw would take them from the stream.
-    The raw tensors are projected to zero opponent means. A ``seed`` that is not a
-    nonnegative integer raises InvalidInputError; so does a ``bound_box`` above 2**53
-    or a draw numpy cannot shape or allocate, naming the form and ``samples``.
+    The raw tensors are projected to zero opponent means. The draws come from
+    ``_rng(seed)`` through ``_uniform``, so blocks of any size give the same samples.
+    A ``seed`` that is not a nonnegative integer raises InvalidInputError; so does a
+    ``bound_box`` above 2**53 or a draw numpy cannot shape or allocate, naming the
+    form and ``samples``.
     """
     _check_seed(seed)
     if samples < 1:
@@ -54,13 +84,11 @@ def _target_blocks(form, samples, seed, bound_box, block):
     size, k = form.profile_count, form.num_players
     cannot = f"cannot draw {samples} samples of form {k}:{','.join(map(str, form.action_counts))}: "
     _check_below_2_53(f"{cannot}bound_box", bound_box)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     edges = np.cumsum((0, k * size) + form.action_counts)
     for start in range(0, samples, block):
         try:
-            raw = rng.uniform(
-                -bound_box, bound_box, size=(min(block, samples - start), int(edges[-1]))
-            )
+            raw = _uniform(rng, -bound_box, bound_box, (min(block, samples - start), int(edges[-1])))
         except (ValueError, MemoryError) as exc:
             raise InvalidInputError(f"{cannot}{exc}") from exc
         tilde = tuple(

@@ -26,7 +26,7 @@ from .games import (
 from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
 from .maps import _cl_rows, _invert_rows, _jacobian_rows, _stall_error, _water_level, epsilon_bound
 from .solver import logit_response, trace_logit_path
-from .studies import _check_seed, _target_blocks
+from .studies import _check_seed, _rng, _target_blocks, _uniform
 
 
 class CheckResult(Record, eq=True):
@@ -35,13 +35,20 @@ class CheckResult(Record, eq=True):
     detail: str
 
 
+def _vectors(rng, widths, low, high):
+    """An iterator over consecutive vectors of the given ``widths`` from one draw in ``[low, high)``."""
+    return iter(np.split(_uniform(rng, low, high, sum(widths)), np.cumsum(widths)[:-1]))
+
+
 def _sample_nv(rng, samples=150, decades=3, radius=lambda n: 10.0):
-    """Draws ``(v, n)``: ``n`` log-uniform in ``10**±decades``, ``v`` of width 1..8 in ``±radius(n)``."""
-    draws = []
-    for _ in range(samples):
-        d, n = int(rng.integers(1, 9)), float(10.0 ** rng.uniform(-decades, decades))
-        draws.append((rng.uniform(-radius(n), radius(n), size=d), n))
-    return draws
+    """Draws ``(v, n)``: ``n`` log-uniform in ``10**±decades``, ``v`` of width 1..8 in ``±radius(n)``.
+
+    The widths are drawn first, then every ``n`` in one draw, then every ``v`` in one.
+    """
+    widths = [rng.randrange(1, 9) for _ in range(samples)]
+    ns = [10.0**e for e in _uniform(rng, -decades, decades, samples).tolist()]
+    box = np.repeat([radius(n) for n in ns], widths)
+    return list(zip(_vectors(rng, widths, -box, box), ns))
 
 
 def _by_width(kernel, draws):
@@ -60,11 +67,10 @@ def _inverse_gaps(y, n, target):
     return x, residual, iterations, np.abs(x - target).max(axis=1)
 
 
-def _random_game(rng, form):
-    return Game(
-        form,
-        tuple(rng.uniform(-10, 10, size=form.profile_count) for _ in range(form.num_players)),
-    )
+def _random_games(rng, forms):
+    """One game per form, payoffs uniform in ±10: every tensor from one draw, in game and player order."""
+    tensors = _vectors(rng, [f.profile_count for f in forms for _ in range(f.num_players)], -10.0, 10.0)
+    return [Game(f, tuple(next(tensors) for _ in range(f.num_players))) for f in forms]
 
 
 def _max_gap(a, b):
@@ -72,15 +78,20 @@ def _max_gap(a, b):
     return max(float(np.abs(u - v).max()) for u, v in zip(a, b))
 
 
-def _permuted(game, rng):
-    """An interior profile drawn from ``rng``, and the game and profile with actions relabeled."""
-    raw = [rng.uniform(0.05, 1.0, size=m) for m in game.form.action_counts]
-    profile = MixedProfile(tuple(v / v.sum() for v in raw))
-    perms = [rng.permutation(m) for m in game.form.action_counts]
-    tensors = [game.payoff_tensor(i)[np.ix_(*perms)] for i in range(game.form.num_players)]
-    permuted_game = Game.from_payoff_tensors(tensors)
-    permuted_profile = MixedProfile(tuple(v[p] for v, p in zip(profile.vectors, perms)))
-    return profile, permuted_game, permuted_profile
+def _permuted(games, rng):
+    """Per game: an interior profile, and the game and profile with actions relabeled.
+
+    Every profile entry is drawn in one call, then each player's permutation in game order.
+    """
+    raw = _vectors(rng, [m for g in games for m in g.form.action_counts], 0.05, 1.0)
+    results = []
+    for game in games:
+        profile = MixedProfile(tuple(v / v.sum() for _, v in zip(game.form.action_counts, raw)))
+        perms = [rng.sample(range(m), m) for m in game.form.action_counts]
+        tensors = [game.payoff_tensor(i)[np.ix_(*perms)] for i in range(game.form.num_players)]
+        permuted_profile = MixedProfile(tuple(v[p] for v, p in zip(profile.vectors, perms)))
+        results.append((profile, Game.from_payoff_tensors(tensors), permuted_profile))
+    return results
 
 
 def check_displacement_identities(seed=0):
@@ -91,7 +102,7 @@ def check_displacement_identities(seed=0):
         return np.abs(g.sum(1) - 1.0 - v.sum(1)), too_far, reordered.any(1)
 
     worst = 0.0
-    for _, (defect, too_far, reordered) in _by_width(rows, _sample_nv(np.random.default_rng(seed))):
+    for _, (defect, too_far, reordered) in _by_width(rows, _sample_nv(_rng(seed))):
         worst = max(worst, defect)
         if too_far or reordered:
             detail = "displacement norm exceeds 1" if too_far else "order not preserved"
@@ -100,14 +111,14 @@ def check_displacement_identities(seed=0):
 
 
 def check_jacobian_columns(seed=1):
-    draws = _sample_nv(np.random.default_rng(seed))
+    draws = _sample_nv(_rng(seed))
     columns = _by_width(lambda v, n: (_jacobian_rows(v, n).sum(axis=1),), draws)
     worst = max(float(np.abs(cols - 1.0).max()) for _, (cols,) in columns)
     return CheckResult("jacobian-column-sums", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
 def check_cl_certificate(seed=2):
-    draws = _sample_nv(np.random.default_rng(seed), radius=lambda n: min(3.0, 150.0 / n))
+    draws = _sample_nv(_rng(seed), radius=lambda n: min(3.0, 150.0 / n))
     for (v, n), (certified,) in _by_width(lambda v, n: (_cl_rows(_jacobian_rows(v, n)),), draws):
         if not certified:
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
@@ -121,8 +132,8 @@ def check_water_filling(seed=3):
         defects = np.abs([np.maximum(y - a, 0.0).sum(1) - 1.0, (y - h).sum(1) - 1.0])
         return np.maximum(defects.max(0), np.abs(h - np.minimum(y, a)).max(1)), (y - h).min(1) < 0
 
-    rng = np.random.default_rng(seed)
-    draws = [(rng.uniform(-10, 10, size=int(rng.integers(1, 9))),) for _ in range(150)]
+    rng = _rng(seed)
+    draws = [(y,) for y in _vectors(rng, [rng.randrange(1, 9) for _ in range(150)], -10.0, 10.0)]
     worst = 0.0
     for _, (defect, negative) in _by_width(rows, draws):
         worst = max(worst, defect)
@@ -132,7 +143,7 @@ def check_water_filling(seed=3):
 
 
 def check_inverse_round_trip(seed=4):
-    draws = _sample_nv(np.random.default_rng(seed), 60, 2, lambda n: 5.0)
+    draws = _sample_nv(_rng(seed), 60, 2, lambda n: 5.0)
     round_trips = _by_width(lambda v, n: _inverse_gaps(v + softmax(n[:, None] * v), n, v), draws)
     worst = 0.0
     for _, (x, residual, iterations, error) in round_trips:
@@ -143,9 +154,10 @@ def check_inverse_round_trip(seed=4):
 
 
 def check_uniform_limit_bound(seed=5):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     ceilings = {n: epsilon_bound(n).epsilon_star * (1.0 + 1e-6) for n in (1.0, 10.0, 100.0, 1000.0)}
-    draws = [(rng.uniform(-10, 10, size=int(rng.integers(1, 9))), n) for n in ceilings for _ in range(40)]
+    ns = [n for n in ceilings for _ in range(40)]
+    draws = list(zip(_vectors(rng, [rng.randrange(1, 9) for _ in ns], -10.0, 10.0), ns))
     limits = _by_width(lambda y, n: _inverse_gaps(y, n, np.minimum(y, _water_level(y)[:, None])), draws)
     for (y, n), (x, residual, iterations, gap) in limits:
         if residual > 1e-12:
@@ -180,22 +192,17 @@ _SUITE_FORMS = (
 
 
 def check_km_round_trip(seed=6):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for form in _SUITE_FORMS:
-        for _ in range(6):
-            game = _random_game(rng, form)
-            worst = max(worst, _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs))
+    for game in _random_games(_rng(seed), [f for f in _SUITE_FORMS for _ in range(6)]):
+        worst = max(worst, _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs))
     return CheckResult("km-round-trip", worst <= 1e-12, f"max defect {worst:.2e}")
 
 
 def check_residual_relabeling(seed=7):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
+    games = _random_games(rng, [_SUITE_FORMS[rng.randrange(len(_SUITE_FORMS))] for _ in range(8)])
     worst = 0.0
-    for _ in range(8):
-        form = _SUITE_FORMS[int(rng.integers(len(_SUITE_FORMS)))]
-        game = _random_game(rng, form)
-        profile, permuted_game, permuted_profile = _permuted(game, rng)
+    for game, (profile, permuted_game, permuted_profile) in zip(games, _permuted(games, rng)):
         worst = max(
             worst,
             abs(nash_residual(game, profile) - nash_residual(permuted_game, permuted_profile)),
@@ -261,13 +268,12 @@ def check_solver_closed_forms():
 
 
 def _game_checks(game, seed=10):
-    rng = np.random.default_rng(seed)
     results = []
 
     defect = _max_gap(game.payoffs, km_recompose(km_decompose(game)).payoffs)
     results.append(CheckResult("game-km-round-trip", defect <= 1e-12, f"defect {defect:.2e}"))
 
-    profile, permuted_game, permuted_profile = _permuted(game, rng)
+    [(profile, permuted_game, permuted_profile)] = _permuted([game], _rng(seed))
     defect = abs(nash_residual(game, profile) - nash_residual(permuted_game, permuted_profile))
     results.append(CheckResult("game-residual-relabeling", defect <= 1e-12, f"defect {defect:.2e}"))
 

@@ -67,6 +67,15 @@ def zero_sum_games(seed):
     return [zero_sum_game(rng, shape) for shape in ZERO_SUM_SHAPES]
 
 
+def uniform_draws(rng, low, high, count):
+    """``count`` doubles uniform in ``[low, high)`` from the ``random.Random`` ``rng``, one at a time.
+
+    Each is the top 53 bits of its own ``getrandbits(64)`` times 2**-53, the stream
+    the study and the property suite take in one ``getrandbits`` call per draw.
+    """
+    return np.array([low + (high - low) * ((rng.getrandbits(64) >> 11) * 2.0**-53) for _ in range(count)])
+
+
 def random_interior_profile(rng, form):
     raw = [rng.uniform(0.05, 1.0, size=m) for m in form.action_counts]
     return MixedProfile(tuple(v / v.sum() for v in raw))

@@ -17,7 +17,7 @@ one file, ``<name>.<command>.<json|csv>``. Commands:
   logit equilibrium at every n, so the traced branch has no fold);
 - ``study`` on two seeded forms;
 - ``invert-nash`` and ``invert-logit --n 10`` on two seeded target files
-  written here;
+  drawn and written here;
 - ``verify`` on ``none`` and on matching pennies, whose text output ignores
   ``--format`` (``<name>.verify.txt``);
 - ``--help`` and ``<command> -h`` for every command, once, at 80 columns
@@ -43,9 +43,9 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from logitgraph.cli import run_cli  # noqa: E402
-from logitgraph.games import StrategicGameForm  # noqa: E402
+from logitgraph.games import StrategicGameForm, _split_payoff  # noqa: E402
+from logitgraph.graph_maps import TargetPoint  # noqa: E402
 from logitgraph.io import target_point_to_json  # noqa: E402
-from logitgraph.studies import sample_target_points  # noqa: E402
 
 DEMO_GAMES = ("coordination", "matching_pennies", "one_player")
 ZERO_SUM_GAMES = {"zerosum_3x3x3": ((3, 3, 3), 3), "zerosum_4x4x4": ((4, 4, 4), 4)}
@@ -89,6 +89,19 @@ def zero_sum_game(seed, shape):
     }
 
 
+def target_point(seed, shape):
+    """Target with entries uniform in ±10, the raw payoff tensors projected to zero opponent means.
+
+    One ``default_rng(seed)`` row holds every player's raw tensor, then every ``y_bar``.
+    """
+    form = StrategicGameForm(len(shape), shape)
+    size, k = form.profile_count, form.num_players
+    raw = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(1, k * size + sum(shape)))
+    tilde = tuple(_split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0][0] for i in range(k))
+    edges = np.cumsum((k * size,) + shape)
+    return TargetPoint(form=form, tilde_u=tilde, y_bar=tuple(raw[0, a:b] for a, b in zip(edges, edges[1:])))
+
+
 def game_paths(directory=HERE):
     """Name -> game file path for every game of the corpus."""
     paths = {name: os.path.join(ROOT, "demos", "games", name + ".json") for name in DEMO_GAMES}
@@ -107,8 +120,7 @@ def input_files():
     for name, (shape, seed) in ZERO_SUM_GAMES.items():
         files[name + ".json"] = json.dumps(zero_sum_game(seed, shape)) + "\n"
     for name, (shape, seed) in TARGETS.items():
-        target = sample_target_points(StrategicGameForm(len(shape), shape), 1, seed, 10.0)[0]
-        files[name + ".json"] = target_point_to_json(target) + "\n"
+        files[name + ".json"] = target_point_to_json(target_point(seed, shape)) + "\n"
     files["target_stall.json"] = json.dumps(STALL_TARGET) + "\n"
     return files
 

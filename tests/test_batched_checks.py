@@ -2,16 +2,21 @@
 
 The references below are the earlier loop bodies, kept here as the oracle:
 one ``g_map``, ``h_exact`` or ``h_numeric`` call, or one Jacobian and CL test,
-per drawn sample, in draw order, returning at the first failing sample. The
-suite draws the same samples and evaluates each vector width in one batch, so
-every check must return the same result, name the same failing sample and raise
-the same ConvergenceError as its reference. ``g_jacobian`` and ``is_cl_matrix``
+per drawn sample, in draw order, returning at the first failing sample. They
+draw every value on its own from ``random.Random(seed)``: the vector widths
+first, then each ``n``, then each vector. The suite draws the same values in
+one call per kind and evaluates each vector width in one batch, so every check
+must return the same result, name the same failing sample and raise the same
+ConvergenceError as its reference. ``g_jacobian`` and ``is_cl_matrix``
 share their row kernels with the suite, so the Jacobian and the CL test are
 written out here, as a second implementation.
 """
 
+import random
+
 import numpy as np
 import pytest
+from conftest import uniform_draws
 
 import logitgraph.maps as maps
 import logitgraph.verification as verification
@@ -20,16 +25,20 @@ from logitgraph.games import softmax
 from logitgraph.verification import CheckResult
 
 
-def reference_sample_nv(rng, scale_box_to_n=False):
-    for _ in range(150):
-        d = int(rng.integers(1, 9))
-        n = float(10.0 ** rng.uniform(-3, 3))
-        radius = min(3.0, 150.0 / n) if scale_box_to_n else 10.0
-        yield n, rng.uniform(-radius, radius, size=d)
+def reference_widths(rng, count):
+    return [rng.randrange(1, 9) for _ in range(count)]
+
+
+def reference_sample_nv(rng, scale_box_to_n=False, samples=150, decades=3, box=10.0):
+    widths = reference_widths(rng, samples)
+    ns = [10.0 ** float(e) for e in uniform_draws(rng, -decades, decades, samples)]
+    for d, n in zip(widths, ns):
+        radius = min(3.0, 150.0 / n) if scale_box_to_n else box
+        yield n, uniform_draws(rng, -radius, radius, d)
 
 
 def reference_displacement_identities(seed=0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for n, v in reference_sample_nv(rng):
         g = maps.g_map(n, v)
@@ -55,7 +64,7 @@ def reference_is_cl(m):
 
 
 def reference_jacobian_columns(seed=1):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for n, v in reference_sample_nv(rng):
         cols = reference_jacobian(n, v).sum(axis=0)
@@ -64,7 +73,7 @@ def reference_jacobian_columns(seed=1):
 
 
 def reference_cl_certificate(seed=2):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for n, v in reference_sample_nv(rng, scale_box_to_n=True):
         if not reference_is_cl(reference_jacobian(n, v)):
             return CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")
@@ -72,11 +81,10 @@ def reference_cl_certificate(seed=2):
 
 
 def reference_water_filling(seed=3):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
-    for _ in range(150):
-        d = int(rng.integers(1, 9))
-        y = rng.uniform(-10, 10, size=d)
+    for d in reference_widths(rng, 150):
+        y = uniform_draws(rng, -10.0, 10.0, d)
         split = maps.h_exact(y)
         worst = max(
             worst,
@@ -90,24 +98,21 @@ def reference_water_filling(seed=3):
 
 
 def reference_inverse_round_trip(seed=4):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(60):
-        d = int(rng.integers(1, 9))
-        n = float(10.0 ** rng.uniform(-2, 2))
-        v = rng.uniform(-5, 5, size=d)
+    for n, v in reference_sample_nv(random.Random(seed), samples=60, decades=2, box=5.0):
         x = maps.h_numeric(n, maps.g_map(n, v), tol=1e-12)
         worst = max(worst, float(np.abs(x - v).max()))
     return CheckResult("inverse-round-trip", worst <= 1e-9, f"max error {worst:.2e}")
 
 
 def reference_uniform_limit_bound(seed=5):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+    widths = iter(reference_widths(rng, 160))
     for n in (1.0, 10.0, 100.0, 1000.0):
         ceiling = maps.epsilon_bound(n).epsilon_star * (1.0 + 1e-6)
         for _ in range(40):
-            d = int(rng.integers(1, 9))
-            y = rng.uniform(-10, 10, size=d)
+            d = next(widths)
+            y = uniform_draws(rng, -10.0, 10.0, d)
             gap = float(np.abs(maps.h_numeric(n, y, tol=1e-12) - maps.h_exact(y).h_value).max())
             if gap > d * ceiling:
                 return CheckResult(
@@ -159,7 +164,7 @@ def test_displacement_failure_is_the_first_failing_draw(monkeypatch):
 
     patch_softmax(monkeypatch, faulty)
     details = set()
-    for seed in range(10):
+    for seed in range(20):  # seeds 14 and 18 fail on the order, the others on the norm
         result = verification.check_displacement_identities(seed)
         assert result == reference_displacement_identities(seed)
         assert not result.passed
@@ -173,7 +178,7 @@ def test_cl_failure_names_the_first_failing_draw(monkeypatch):
 
     patch_softmax(monkeypatch, faulty)
     for seed in range(10):
-        draws = list(reference_sample_nv(np.random.default_rng(seed), scale_box_to_n=True))
+        draws = list(reference_sample_nv(random.Random(seed), scale_box_to_n=True))
         n, v = next((n, v) for n, v in draws if (n * v).max() > 5)
         result = verification.check_cl_certificate(seed)
         assert result == CheckResult("cl-certificate", False, f"failed at n={n:.3g}, d={v.size}")

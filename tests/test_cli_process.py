@@ -92,6 +92,13 @@ def test_output_larger_than_a_pipe_buffer_arrives_complete():
     assert process(argv) == (code, out, err)
 
 
+def test_overflowing_precision_writes_one_diagnosis_line():
+    # n*x overflows in the inversion; numpy's RuntimeWarnings used to precede the diagnosis
+    code, out, err = process(["invert-logit", "--n", "1e308", str(GOLDEN / "target_2x3.json")])
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"convergence failure: ") and err.count(b"\n") == 1 and err.endswith(b"\n")
+
+
 def test_atexit_handler_registered_before_main_runs(tmp_path):
     marker = tmp_path / "marker"
     prelude = f"import atexit\natexit.register(lambda: open({str(marker)!r}, 'w').write('ran'))"

@@ -173,6 +173,16 @@ class TestPhiInv:
         with pytest.raises(NotOnGraphError, match="nash residual nan"):
             phi_inv(one_player_target([1.5, 0.5]))
 
+    def test_top_entry_past_2_to_the_53_rejected(self):
+        for y in ([1e17, 0.0], [-1e17, -2e17]):
+            with pytest.raises(InvalidInputError, match=r"y_bar entry 1e\+17 exceeds 2\*\*53"):
+                phi_inv(one_player_target(y))
+
+    def test_entry_far_below_the_top_splits_exactly(self):
+        point = phi_inv(one_player_target([-1e17, 0.0]))
+        assert point.profile.vectors[0].tolist() == [0.0, 1.0] and point.residual == 0.0
+        assert point.game.payoffs[0].tolist() == [-1e17, -1.0]
+
     @pytest.mark.parametrize("form", FORMS, ids=str)
     def test_forward_round_trip(self, form):
         for t in sample_target_points(form, 40, 314, 10.0):

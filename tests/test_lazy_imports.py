@@ -17,7 +17,7 @@ import logitgraph
 ROOT = Path(__file__).resolve().parents[1]
 GAME_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 TARGET_JSON = '{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}'
-UNLOADED = ("dataclasses", "copy")  # standard modules no CLI process needs
+UNLOADED = ("dataclasses", "copy", "numpy.random")  # modules no CLI process needs
 
 
 def fresh(code):
@@ -36,7 +36,7 @@ def fresh(code):
 def loaded_layers(argv):
     """The logitgraph submodules a fresh process holds after running the CLI on ``argv``.
 
-    The set also names ``dataclasses`` and ``copy`` when the process loaded them.
+    The set also names each module of ``UNLOADED`` that the process loaded.
     """
     code = (
         "import json, sys\n"

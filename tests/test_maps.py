@@ -173,16 +173,22 @@ class TestAlphaStar:
         for _ in range(10):
             assert alpha_star(y[rng.permutation(y.size)]) == reference
 
-    def test_entry_past_2_to_the_53_rejected(self):
+    def test_top_entry_past_2_to_the_53_rejected(self):
         # past 2**53 the split cannot hold a unit sum: [1e17, 0] used to give level
         # 5e16 and the "probability vector" [5e16, 0]
         for call in (alpha_star, h_exact):
             with pytest.raises(InvalidInputError, match=r"y entry 1e\+17 exceeds 2\*\*53"):
                 call([1e17, 0.0])
-            with pytest.raises(InvalidInputError, match="exceeds 2"):
-                call([0.0, -1e17])
+            with pytest.raises(InvalidInputError, match=r"y entry 1e\+17 exceeds 2\*\*53"):
+                call([-1e17, -2e17])  # the top entry's magnitude
         split = h_exact([2.0**53, 0.0])
         assert split.alpha_star == 2.0**53 - 1.0 and split.residual.tolist() == [1.0, 0.0]
+
+    def test_entries_far_below_the_top_split_exactly(self):
+        # only entries within 1 of the top carry probability
+        split = h_exact([-1e17, 0.0])
+        assert split.alpha_star == -1.0 and split.residual.tolist() == [0.0, 1.0]
+        assert split.h_value.tolist() == [-1e17, -1.0] and alpha_star([0.0, -1e300]) == -1.0
 
 
 class TestHExact:
@@ -262,10 +268,13 @@ class TestHNumeric:
 
     def test_overflowing_precision_fails_instead_of_reporting_nan(self):
         # n*x overflows, so every iterate's residual is NaN; the row used to leave
-        # with residual NaN, which passed the "residual > tol" test as converged
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as info:
+        # with residual NaN, which passed the "residual > tol" test as converged,
+        # and then stepped all MAX_INVERSE_ITER iterations; numpy's warnings stay
+        # inside the kernel, which the suite's RuntimeWarning gate checks
+        with pytest.raises(ConvergenceError) as info:
             h_numeric(1e308, [3.0, -2.0, 0.1])
         assert info.value.residual == math.inf and np.isfinite(info.value.best).all()
+        assert info.value.iterations <= 1
 
     def test_invalid_tol(self):
         with pytest.raises(InvalidInputError):

@@ -1,10 +1,13 @@
 import json
 import math
+import random
 import re
 
 import numpy as np
 import pytest
-from conftest import fd_jacobian
+from conftest import fd_jacobian, uniform_draws
+
+import logitgraph.studies as studies
 
 from logitgraph import (
     ConvergenceError,
@@ -25,7 +28,7 @@ from logitgraph import (
     sample_target_points,
 )
 from logitgraph.io import render
-from logitgraph.studies import RANK_SAMPLE_BOX, _reconstruction_jacobian
+from logitgraph.studies import RANK_SAMPLE_BOX, _reconstruction_jacobian, _uniform
 
 FORM_1X2 = StrategicGameForm(1, (2,))
 FORM_2X2 = StrategicGameForm(2, (2, 2))
@@ -70,16 +73,64 @@ class TestSampling:
             sample_target_points(form, 1, 1, 1.0)
 
     def test_failed_allocation_names_form_and_samples(self, monkeypatch):
-        # the study draws from a generator whose draw fails as numpy does when
-        # it cannot allocate, so nothing is allocated
-        class OutOfMemory(np.random.Generator):
-            def uniform(self, *args, **kwargs):
-                raise MemoryError("Unable to allocate 137. GiB")
+        # the study's draw fails as numpy does when it cannot allocate, so nothing is allocated
+        def out_of_memory(rng, low, high, size):
+            raise MemoryError("Unable to allocate 137. GiB")
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: OutOfMemory(np.random.PCG64(seed)))
+        monkeypatch.setattr(studies, "_uniform", out_of_memory)
         form = StrategicGameForm(2, (3000, 3000))
         with pytest.raises(InvalidInputError, match="2000 samples of form 2:3000,3000: Unable"):
             convergence_study(form, [1.0], 2000, 0)
+
+
+class TestUniform:
+    """The draw helper of the study and the property suite, on ``random.Random``."""
+
+    def test_first_targets_are_pinned(self):
+        t = sample_target_points(FORM_2X2, 1, 0, 1.0)[0]
+        assert [v.tolist() for v in t.y_bar] == [
+            [-0.28390125209624095, 0.7833213175569576],
+            [-0.5631145416255516, -0.7214525814611992],
+        ]
+        assert [v.tolist() for v in t.tilde_u] == [
+            [0.34476092700470473, -0.07522097032073938, -0.34476092700470473, 0.07522097032073938],
+            [-0.4323066356344287, 0.4323066356344287, -0.1379470914880545, 0.1379470914880545],
+        ]
+
+    def test_one_draw_equals_draws_one_at_a_time(self, monkeypatch):
+        whole = _uniform(random.Random(5), -2.0, 3.0, (6, 7))
+        assert np.array_equal(whole.ravel(), uniform_draws(random.Random(5), -2.0, 3.0, 42))
+        rng = random.Random(5)  # consecutive draws, each in chunks of 4 values
+        monkeypatch.setattr(studies, "DRAW_CHUNK", 4)
+        parts = [_uniform(rng, -2.0, 3.0, size) for size in (3, 0, 11, (4, 7))]
+        assert np.array_equal(np.concatenate([p.ravel() for p in parts]), whole.ravel())
+
+    def test_bounds_broadcast_per_entry(self):
+        box = np.array([1.0, 10.0, 100.0])
+        each = [uniform_draws(random.Random(1), -b, b, 3)[k] for k, b in enumerate(box)]
+        assert np.array_equal(_uniform(random.Random(1), -box, box, 3), each)
+
+    @pytest.mark.parametrize(
+        "size, error", [((2**36, 2**20), MemoryError), ((2**40, 2**21), ValueError)], ids=["memory", "shape"]
+    )
+    def test_draw_numpy_cannot_hold_raises_before_any_bits(self, size, error):
+        class Counting(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        rng = Counting(0)
+        with pytest.raises(error):
+            _uniform(rng, 0.0, 1.0, size)
+        assert rng.calls == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_property_suite_passes(seed):
+    results = run_property_suite(seed=seed)
+    assert [r.name for r in results if not r.passed] == []
 
 
 class TestSeed:
@@ -102,8 +153,10 @@ class TestSeed:
             self.DRAWS[name](seed)
 
     def test_numpy_integer_draws_as_the_python_integer(self):
+        # random.Random rejects a NumPy integer seed, so the draws seed with int(seed)
         for a, b in zip(*(sample_target_points(FORM_2X2, 2, s, 1.0) for s in (7, np.uint8(7)))):
             assert all(np.array_equal(u, v) for u, v in zip(a.y_bar + a.tilde_u, b.y_bar + b.tilde_u))
+        assert run_property_suite(seed=np.int64(3)) == run_property_suite(seed=3)
 
 
 class TestConvergenceStudy:
@@ -196,11 +249,11 @@ class TestImmersionRankCheck:
                 min_singular_value=1.0,
             )
 
-    @pytest.mark.parametrize("n", [1e6, 1e7])
-    def test_failed_reconstruction_names_sample(self, n):
-        # sample 1 of this draw sits past the solver's precision floor at these n
-        with pytest.raises(ConvergenceError, match=rf"seed=0, sample=1, n={n}\b"):
-            immersion_rank_check(n, FORM_2X2, 3, seed=0)
+    @pytest.mark.parametrize("n, seed, sample", [(1e6, 0, 0), (1e7, 0, 0), (1e6, 1, 2)])
+    def test_failed_reconstruction_names_sample(self, n, seed, sample):
+        # the first sample of each draw that sits past the solver's precision floor at n
+        with pytest.raises(ConvergenceError, match=rf"seed={seed}, sample={sample}, n={n}\b"):
+            immersion_rank_check(n, FORM_2X2, 3, seed=seed)
 
 
 @pytest.mark.parametrize("counts", [(2,), (2, 2), (3, 2), (2, 2, 2)])

@@ -126,8 +126,9 @@ def test_trace_jacobians(jacobians, shape, final):
 
 
 def test_property_suite_contractions(contractions):
+    # the residual-relabeling check draws its 8 forms from the seed's stream
     run_property_suite(None)
-    assert contractions[0] == 169
+    assert contractions[0] == 149
 
 
 def test_property_suite_inversions(inversions):
@@ -170,7 +171,7 @@ def test_rank_check_contractions(contractions):
 
 def test_property_suite_with_a_game_contractions(contractions):
     run_property_suite(matching_pennies())
-    assert contractions[0] == 225
+    assert contractions[0] == 205
 
 
 # run by a fresh interpreter: numpy is imported before the hook, so only the
