@@ -173,7 +173,7 @@ class TestAlphaStar:
         for _ in range(10):
             assert alpha_star(y[rng.permutation(y.size)]) == reference
 
-    def test_top_entry_past_2_to_the_53_rejected(self):
+    def test_entry_past_2_to_the_53_rejected(self):
         # past 2**53 the split cannot hold a unit sum: [1e17, 0] used to give level
         # 5e16 and the "probability vector" [5e16, 0]
         for call in (alpha_star, h_exact):
