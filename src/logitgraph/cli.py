@@ -7,72 +7,109 @@ or usage error, 2 convergence failure.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import ConvergenceError, InvalidInputError, ParseError
 from .games import StrategicGameForm, _check_n_tol, km_decompose
 from .io import parse_game, parse_target_point, render
+
+# The command line, declared once: each flag and positional with its argparse keywords.
+# The global flags work before or after the command; run_cli fills their defaults.
+_GLOBAL_FLAGS = {
+    "--tol": {"type": float, "help": "solver tolerance"},
+    "--out": {"help": "write output to this path instead of stdout"},
+    "--format": {"choices": ("json", "csv"), "help": "output format"},
+}
+_GLOBAL_DEFAULTS = {"tol": 1e-10, "out": None, "format": None}
+_N, _TILDE = {"type": float, "required": True}, {"action": "store_true", "default": False}
+_GAME, _TARGET = {"help": "path to a game JSON file"}, {"help": "path to a target JSON file"}
+_ARGUMENTS = {  # command -> (its help, its flags and positionals in help order)
+    "decompose": ("split a game into mean and zero-mean payoff parts", {"game": _GAME}),
+    "solve": ("logit equilibrium at a fixed precision, via the tracer", {"--n": _N, "game": {}}),
+    "trace": ("follow logit equilibria up to a final precision", {"--n-final": _N, "game": {}}),
+    "invert-nash": ("reconstruct the Nash graph point of a target", {"--project-tilde": _TILDE, "target": _TARGET}),
+    "invert-logit": (
+        "reconstruct the logit graph point of a target",
+        {"--n": _N, "--project-tilde": _TILDE, "target": {}},
+    ),
+    "verify": ("run the desk-scale property suite", {"game": {"help": "path to a game JSON file, or 'none'"}}),
+    "study": ("uniform-approximation study over sampled targets", {
+        "--form": {"required": True, "help": "players:actions, e.g. 2:2,2"},
+        "--n-list": {"required": True, "help": "comma-separated ascending precisions"},
+        "--samples": {"type": int, "required": True},
+        "--seed": {"type": int, "required": True},
+        "--bound-box": {"type": float, "default": 10.0},
+    }),
+}
+
+
+def _dest(argument):
+    return argument.lstrip("-").replace("-", "_")
+
+
+def _read_argv(argv):
+    """The namespace argparse gives for ``argv`` if it has only exact forms, else None.
+
+    The forms: the command, positionals and exact long flags, global ones before or
+    after the command, each flag but ``--project-tilde`` with a value, none of them
+    starting with ``-``. Everything else, help included, is left to argparse.
+    """
+    args, flags, arguments, positionals, tokens = {}, _GLOBAL_FLAGS, None, [], iter(argv)
+    try:  # an unknown command or flag, a missing value or a failed conversion declines
+        for token in tokens:
+            if token[:1] != "-" and arguments is None:
+                args["command"], arguments = token, _ARGUMENTS[token][1]
+                flags = {**flags, **arguments}  # a positional's name does not start with -
+                args.update((_dest(a), spec.get("default")) for a, spec in arguments.items())
+            elif token[:1] != "-":
+                positionals.append(token)
+            elif "action" in flags[token]:  # --project-tilde
+                args[_dest(token)] = True
+            else:
+                spec, value = flags[token], next(tokens)
+                if value[:1] == "-":
+                    return None
+                args[_dest(token)] = value = spec.get("type", str)(value)
+                if value not in spec.get("choices", (value,)):
+                    return None
+    except (KeyError, StopIteration, TypeError, ValueError):
+        return None
+    names = [a for a in arguments or () if a[0] != "-"]
+    args.update(zip(names, positionals))  # an argument still None is a required one not given
+    if arguments is None or len(positionals) != len(names) or None in args.values():
+        return None
+    return SimpleNamespace(**{**_GLOBAL_DEFAULTS, **args})
 
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def print_help(self, file=None):
-        # argparse's own printer swallows a failed write; main() must see it
-        (sys.stdout if file is None else file).write(self.format_help())
-
-
 def _build_parser():
-    # the global flags, shared by the main parser and every subparser so they
-    # work before or after the command; run_cli fills their defaults
+    """argparse's parser of the table, for help, usage errors and every argv ``_read_argv`` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def print_help(self, file=None):
+            # argparse's own printer swallows a failed write; main() must see it
+            (sys.stdout if file is None else file).write(self.format_help())
+
+    # the global flags, shared by the main parser and every subparser
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    shared.add_argument("--tol", type=float, help="solver tolerance")
-    shared.add_argument("--out", help="write output to this path instead of stdout")
-    shared.add_argument("--format", choices=("json", "csv"), help="output format")
+    for flag, spec in _GLOBAL_FLAGS.items():
+        shared.add_argument(flag, **spec)
     parser = _Parser(prog="logitgraph", description=__doc__, parents=[shared])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[shared])
-
-    p = command("decompose", "split a game into mean and zero-mean payoff parts")
-    p.add_argument("game", help="path to a game JSON file")
-
-    p = command("solve", "logit equilibrium at a fixed precision, via the tracer")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("game")
-
-    p = command("trace", "follow logit equilibria up to a final precision")
-    p.add_argument("--n-final", type=float, required=True)
-    p.add_argument("game")
-
-    p = command("invert-nash", "reconstruct the Nash graph point of a target")
-    p.add_argument("--project-tilde", action="store_true")
-    p.add_argument("target", help="path to a target JSON file")
-
-    p = command("invert-logit", "reconstruct the logit graph point of a target")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--project-tilde", action="store_true")
-    p.add_argument("target")
-
-    p = command("verify", "run the desk-scale property suite")
-    p.add_argument("game", help="path to a game JSON file, or 'none'")
-
-    p = command("study", "uniform-approximation study over sampled targets")
-    p.add_argument("--form", required=True, help="players:actions, e.g. 2:2,2")
-    p.add_argument("--n-list", required=True, help="comma-separated ascending precisions")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound-box", type=float, default=10.0)
-
+    for command, (help_text, arguments) in _ARGUMENTS.items():
+        p = sub.add_parser(command, help=help_text, parents=[shared])
+        for argument, spec in arguments.items():
+            p.add_argument(argument, **spec)
     return parser
 
 
@@ -157,9 +194,7 @@ def _verify(args):
 
     game = None if args.game == "none" else _game(args)
     results = run_property_suite(game)
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-    ]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     code = 0 if all(r.passed for r in results) else 1
     return "\n".join(lines) + "\n", code
 
@@ -178,13 +213,15 @@ def run_cli(argv, stdout=None, stderr=None):
     """Run one invocation; returns the exit code without calling sys.exit."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv, argparse.Namespace(tol=1e-10, out=None, format=None))
-    except _UsageError as exc:
-        stderr.write(parser.format_usage())
-        stderr.write(f"error: {exc}\n")
-        return 1
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv, SimpleNamespace(**_GLOBAL_DEFAULTS))
+        except _UsageError as exc:
+            stderr.write(parser.format_usage())
+            stderr.write(f"error: {exc}\n")
+            return 1
     try:
         text, code = _dispatch(args)
     except (ParseError, InvalidInputError) as exc:

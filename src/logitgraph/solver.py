@@ -170,6 +170,7 @@ def _newton_at(game, n, x, tol):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # n*max|u| may overflow; the gap then fails
 def solve_newton(n, game, x0, tol=1e-10):
     """Newton refinement of a logit equilibrium at precision ``n`` from a nearby ``x0``.
 
@@ -184,6 +185,7 @@ def solve_newton(n, game, x0, tol=1e-10):
     return MixedProfile(tuple(_unstack(game.form, x)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as solve_newton
 def trace_logit_path(game, n_final, tol=1e-10):
     """Follow the logit branch through the uniform profile up to ``n_final``.
 

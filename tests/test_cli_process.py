@@ -67,6 +67,11 @@ def wrapped(prelude, argv):
         (["trace", "-h"], 0),
         (["decompose", "/nonexistent/game.json"], 1),
         (["invert-logit", "--n", "1e6", "--tol", "1e-30", str(GOLDEN / "target_stall.json")], 2),
+        # forms the command path's reader leaves to argparse
+        (["trace", "--n-f", "400", ZEROSUM], 0),
+        (["--format=json", "solve", "--n", "1", PENNIES], 0),
+        (["trace", "--n-final", "400", "-h"], 0),
+        (["--format", "xml", "decompose", PENNIES], 1),
     ],
 )
 def test_process_matches_run_cli(argv, expected_code, monkeypatch):
@@ -95,6 +100,17 @@ def test_output_larger_than_a_pipe_buffer_arrives_complete():
 def test_overflowing_precision_writes_one_diagnosis_line():
     # n*x overflows in the inversion; numpy's RuntimeWarnings used to precede the diagnosis
     code, out, err = process(["invert-logit", "--n", "1e308", str(GOLDEN / "target_2x3.json")])
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"convergence failure: ") and err.count(b"\n") == 1 and err.endswith(b"\n")
+
+
+@pytest.mark.parametrize("command", [["trace", "--n-final", "400"], ["solve", "--n", "400"], ["verify"]])
+def test_overflowing_payoffs_write_one_diagnosis_line(tmp_path, command):
+    # n*max|u| overflows in the tracer's corrector; numpy's RuntimeWarnings used to precede the diagnosis
+    game = tmp_path / "pennies.json"
+    game.write_text('{"players": 2, "actions": [2, 2], "payoffs": [[1e308, -1e308, -1e308, 1e308], '
+                    '[-1e308, 1e308, 1e308, -1e308]]}')
+    code, out, err = process(command + [str(game)])
     assert (code, out) == (2, b"")
     assert err.startswith(b"convergence failure: ") and err.count(b"\n") == 1 and err.endswith(b"\n")
 

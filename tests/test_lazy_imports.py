@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GAME_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 TARGET_JSON = '{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}'
 UNLOADED = ("dataclasses", "copy", "numpy.random")  # modules no CLI process needs
+ARGPARSE = ("argparse", "gettext", "locale")  # loaded for help and usage errors only
 
 
 def fresh(code):
@@ -36,14 +37,14 @@ def fresh(code):
 def loaded_layers(argv):
     """The logitgraph submodules a fresh process holds after running the CLI on ``argv``.
 
-    The set also names each module of ``UNLOADED`` that the process loaded.
+    The set also names each module of ``UNLOADED`` and ``ARGPARSE`` that the process loaded.
     """
     code = (
         "import json, sys\n"
         "from logitgraph.cli import run_cli\n"
         f"assert run_cli({argv!r}) == 0\n"
         "print(json.dumps(sorted(m[11:] for m in sys.modules if m.startswith('logitgraph.'))\n"
-        f"                 + [m for m in {UNLOADED!r} if m in sys.modules]))\n"
+        f"                 + [m for m in {UNLOADED + ARGPARSE!r} if m in sys.modules]))\n"
     )
     return set(json.loads(fresh(code).splitlines()[-1]))
 
@@ -82,7 +83,7 @@ def test_command_loads_only_its_layers(inputs, command, runs, skips):
     layers = loaded_layers(argv)
     assert runs in layers
     assert not layers & skips
-    assert not layers & set(UNLOADED)
+    assert not layers & set(UNLOADED + ARGPARSE)
 
 
 def test_help_loads_only_the_front_end_and_core():

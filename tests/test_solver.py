@@ -457,6 +457,21 @@ class TestTraceLogitPath:
             with pytest.raises(InvalidInputError):
                 trace_logit_path(game, n_final)
 
+    @pytest.mark.parametrize(
+        "game",
+        [
+            Game.from_payoff_tensors([s * np.array([[1e308, -1e308], [-1e308, 1e308]]) for s in (1, -1)]),
+            Game.from_payoff_tensors([np.array([[1e308, 0.0], [0.0, 5e307]])] * 2),
+        ],
+        ids=["pennies", "coordination"],
+    )
+    def test_overflowing_payoffs_fail_without_warnings(self, game):
+        # n*max|u| overflows a double in the corrector; the suite turns RuntimeWarnings into errors
+        with pytest.raises(PathFailureError, match="step size underflow"):
+            trace_logit_path(game, 400.0)
+        with pytest.raises(ConvergenceError):
+            solve_newton(400.0, game, MixedProfile((np.array([0.9, 0.1]),) * 2))
+
     def test_unreachable_tolerance_fails_with_partial_trace(self, rng):
         game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
         with pytest.raises(PathFailureError) as info:
