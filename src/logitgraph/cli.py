@@ -58,25 +58,28 @@ def _read_argv(argv):
     starting with ``-``. Everything else, help included, is left to argparse.
     """
     args, flags, arguments, positionals, tokens = {}, _GLOBAL_FLAGS, None, [], iter(argv)
-    try:  # an unknown command or flag, a missing value or a failed conversion declines
-        for token in tokens:
-            if token[:1] != "-" and arguments is None:
-                args["command"], arguments = token, _ARGUMENTS[token][1]
-                flags = {**flags, **arguments}  # a positional's name does not start with -
-                args.update((_dest(a), spec.get("default")) for a, spec in arguments.items())
-            elif token[:1] != "-":
-                positionals.append(token)
-            elif "action" in flags[token]:  # --project-tilde
-                args[_dest(token)] = True
-            else:
-                spec, value = flags[token], next(tokens)
-                if value[:1] == "-":
-                    return None
-                args[_dest(token)] = value = spec.get("type", str)(value)
-                if value not in spec.get("choices", (value,)):
-                    return None
-    except (KeyError, StopIteration, TypeError, ValueError):
-        return None
+    for token in tokens:
+        if token[:1] != "-" and arguments is None:
+            if token not in _ARGUMENTS:
+                return None
+            args["command"], arguments = token, _ARGUMENTS[token][1]
+            flags = {**flags, **arguments}  # a positional's name does not start with -
+            args.update((_dest(a), spec.get("default")) for a, spec in arguments.items())
+        elif token[:1] != "-":
+            positionals.append(token)
+        elif token not in flags:
+            return None
+        elif "action" in flags[token]:  # --project-tilde
+            args[_dest(token)] = True
+        else:
+            spec, value = flags[token], next(tokens, "-")
+            try:
+                value = None if value[:1] == "-" else spec.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if value is None or value not in spec.get("choices", (value,)):
+                return None
+            args[_dest(token)] = value
     names = [a for a in arguments or () if a[0] != "-"]
     args.update(zip(names, positionals))  # an argument still None is a required one not given
     if arguments is None or len(positionals) != len(names) or None in args.values():
