@@ -175,7 +175,7 @@ def _abbreviation(rng, command, before, units, required):
     if prefix in flags:  # --n is a flag of its own, not an abbreviation of --n-list
         prefix = flag[:-1]
     spec = flags[flag]
-    _anywhere(rng, units, [prefix] if spec.get("action") else [prefix, rng.choice(VALUES[spec.get("type", str)] + ("json",))])
+    _anywhere(rng, units, [prefix] if spec.get("action") else [prefix, rng.choice(VALUES[spec.get("type", str)])])
 
 
 def _negative(rng, command, before, units, required):
