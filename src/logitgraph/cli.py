@@ -16,7 +16,8 @@ from .errors import ConvergenceError, InvalidInputError, ParseError
 from .games import StrategicGameForm, _check_n_tol, km_decompose
 from .io import parse_game, parse_target_point, render
 
-# The command line, declared once: each flag and positional with its argparse keywords.
+# The command line, declared once: each flag and positional with its argparse keywords,
+# the global ones here and each command's in _COMMANDS, below the functions that run them.
 # The global flags work before or after the command; run_cli fills their defaults.
 _GLOBAL_FLAGS = {
     "--tol": {"type": float, "help": "solver tolerance"},
@@ -26,24 +27,6 @@ _GLOBAL_FLAGS = {
 _GLOBAL_DEFAULTS = {"tol": 1e-10, "out": None, "format": None}
 _N, _TILDE = {"type": float, "required": True}, {"action": "store_true", "default": False}
 _GAME, _TARGET = {"help": "path to a game JSON file"}, {"help": "path to a target JSON file"}
-_ARGUMENTS = {  # command -> (its help, its flags and positionals in help order)
-    "decompose": ("split a game into mean and zero-mean payoff parts", {"game": _GAME}),
-    "solve": ("logit equilibrium at a fixed precision, via the tracer", {"--n": _N, "game": {}}),
-    "trace": ("follow logit equilibria up to a final precision", {"--n-final": _N, "game": {}}),
-    "invert-nash": ("reconstruct the Nash graph point of a target", {"--project-tilde": _TILDE, "target": _TARGET}),
-    "invert-logit": (
-        "reconstruct the logit graph point of a target",
-        {"--n": _N, "--project-tilde": _TILDE, "target": {}},
-    ),
-    "verify": ("run the desk-scale property suite", {"game": {"help": "path to a game JSON file, or 'none'"}}),
-    "study": ("uniform-approximation study over sampled targets", {
-        "--form": {"required": True, "help": "players:actions, e.g. 2:2,2"},
-        "--n-list": {"required": True, "help": "comma-separated ascending precisions"},
-        "--samples": {"type": int, "required": True},
-        "--seed": {"type": int, "required": True},
-        "--bound-box": {"type": float, "default": 10.0},
-    }),
-}
 
 
 def _dest(argument):
@@ -60,9 +43,9 @@ def _read_argv(argv):
     args, flags, arguments, positionals, tokens = {}, _GLOBAL_FLAGS, None, [], iter(argv)
     for token in tokens:
         if token[:1] != "-" and arguments is None:
-            if token not in _ARGUMENTS:
+            if token not in _COMMANDS:
                 return None
-            args["command"], arguments = token, _ARGUMENTS[token][1]
+            args["command"], arguments = token, _COMMANDS[token][1]
             flags = {**flags, **arguments}  # a positional's name does not start with -
             args.update((_dest(a), spec.get("default")) for a, spec in arguments.items())
         elif token[:1] != "-":
@@ -87,21 +70,25 @@ def _read_argv(argv):
     return SimpleNamespace(**{**_GLOBAL_DEFAULTS, **args})
 
 
-class _UsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """The parser wrote help to stdout or a usage error to stderr; ``args[0]`` is the exit code."""
 
 
-def _build_parser():
+def _build_parser(stdout, stderr):
     """argparse's parser of the table, for help, usage errors and every argv ``_read_argv`` declines."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise _UsageError(message)
+        def error(self, message):  # a subparser's error, too, shows the top-level usage
+            stderr.write(parser.format_usage() + f"error: {message}\n")
+            self.exit(1)
 
         def print_help(self, file=None):
             # argparse's own printer swallows a failed write; main() must see it
-            (sys.stdout if file is None else file).write(self.format_help())
+            (stdout if file is None else file).write(self.format_help())
+
+        def exit(self, status=0, message=None):  # after help, or error() above
+            raise _ParserExit(status)
 
     # the global flags, shared by the main parser and every subparser
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -109,7 +96,7 @@ def _build_parser():
         shared.add_argument(flag, **spec)
     parser = _Parser(prog="logitgraph", description=__doc__, parents=[shared])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, arguments) in _ARGUMENTS.items():
+    for command, (help_text, arguments, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, parents=[shared])
         for argument, spec in arguments.items():
             p.add_argument(argument, **spec)
@@ -149,17 +136,17 @@ def _target(args):
     return parse_target_point(_read(args.target), project_tilde=args.project_tilde)
 
 
+def _n(args):
+    """The precision of solve, trace and invert-logit; 1.0, which passes every check, for the rest."""
+    return getattr(args, "n", getattr(args, "n_final", 1.0))
+
+
 # Each handler imports the layers it runs, so a process loads only those.
 def _trace(args):
     from .solver import trace_logit_path
 
-    return trace_logit_path(_game(args), n_final=args.n_final, tol=args.tol)
-
-
-def _solve(args):
-    from .solver import trace_logit_path
-
-    return trace_logit_path(_game(args), n_final=args.n, tol=args.tol).entries[-1]
+    trace = trace_logit_path(_game(args), n_final=_n(args), tol=args.tol)
+    return trace if args.command == "trace" else trace.entries[-1]  # solve: the equilibrium at --n
 
 
 def _invert_nash(args):
@@ -181,17 +168,6 @@ def _study(args):
     return convergence_study(form, _parse_n_list(args.n_list), args.samples, args.seed, args.bound_box)
 
 
-# command -> (builds its record from the parsed arguments, its default format)
-_COMMANDS = {
-    "decompose": (lambda args: km_decompose(_game(args)), "json"),
-    "solve": (_solve, "json"),
-    "trace": (_trace, "csv"),
-    "invert-nash": (_invert_nash, "json"),
-    "invert-logit": (_invert_logit, "json"),
-    "study": (_study, "json"),
-}
-
-
 def _verify(args):
     from .verification import run_property_suite
 
@@ -202,29 +178,49 @@ def _verify(args):
     return "\n".join(lines) + "\n", code
 
 
+# command -> (its help, its flags and positionals in help order, the function that builds its
+# record, its default format: None when the function returns its own text and exit code)
+_COMMANDS = {
+    "decompose": ("split a game into mean and zero-mean payoff parts",
+                  {"game": _GAME}, lambda args: km_decompose(_game(args)), "json"),
+    "solve": ("logit equilibrium at a fixed precision, via the tracer", {"--n": _N, "game": {}}, _trace, "json"),
+    "trace": ("follow logit equilibria up to a final precision", {"--n-final": _N, "game": {}}, _trace, "csv"),
+    "invert-nash": ("reconstruct the Nash graph point of a target",
+                    {"--project-tilde": _TILDE, "target": _TARGET}, _invert_nash, "json"),
+    "invert-logit": ("reconstruct the logit graph point of a target",
+                     {"--n": _N, "--project-tilde": _TILDE, "target": {}}, _invert_logit, "json"),
+    "verify": ("run the desk-scale property suite",
+               {"game": {"help": "path to a game JSON file, or 'none'"}}, _verify, None),
+    "study": ("uniform-approximation study over sampled targets", {
+        "--form": {"required": True, "help": "players:actions, e.g. 2:2,2"},
+        "--n-list": {"required": True, "help": "comma-separated ascending precisions"},
+        "--samples": {"type": int, "required": True},
+        "--seed": {"type": int, "required": True},
+        "--bound-box": {"type": float, "default": 10.0},
+    }, _study, "json"),
+}
+
+
 def _dispatch(args):
     # checked before any input file is read: the precision of solve, trace and
     # invert-logit, and --tol, which only they read but every command rejects
-    _check_n_tol(getattr(args, "n", getattr(args, "n_final", 1.0)), args.tol)
-    if args.command == "verify":
-        return _verify(args)
-    build, default_format = _COMMANDS[args.command]
-    return render(build(args), args.format or default_format), 0
+    _check_n_tol(_n(args), args.tol)
+    _, _, run, default_format = _COMMANDS[args.command]
+    if default_format is None:
+        return run(args)
+    return render(run(args), args.format or default_format), 0
 
 
 def run_cli(argv, stdout=None, stderr=None):
-    """Run one invocation; returns the exit code without calling sys.exit."""
+    """Run one invocation, help included; returns the exit code without calling sys.exit."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     args = _read_argv(argv)
     if args is None:
-        parser = _build_parser()
         try:
-            args = parser.parse_args(argv, SimpleNamespace(**_GLOBAL_DEFAULTS))
-        except _UsageError as exc:
-            stderr.write(parser.format_usage())
-            stderr.write(f"error: {exc}\n")
-            return 1
+            args = _build_parser(stdout, stderr).parse_args(argv, SimpleNamespace(**_GLOBAL_DEFAULTS))
+        except _ParserExit as exc:
+            return exc.args[0]
     try:
         text, code = _dispatch(args)
     except (ParseError, InvalidInputError) as exc:
@@ -253,10 +249,7 @@ def main():
     module one object at a time after the answer is already written.
     """
     try:
-        try:
-            code = run_cli(sys.argv[1:])
-        except SystemExit as exc:  # argparse after printing --help
-            code = exc.code
+        code = run_cli(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError as exc:
         sys.stderr.write(f"error: cannot write output: {exc.strerror}\n")

@@ -81,13 +81,13 @@ class GraphPoint(Record):
             _check_n(self.n)
 
     @classmethod
-    def nash(cls, game, profile, tol=1e-8):
+    def nash(cls, game, profile, tol=GRAPH_RESIDUAL_TOL):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
         residual = _graph_residual(game, profile, None, tol)
         return cls(game=game, profile=profile, kind="nash", residual=residual)
 
     @classmethod
-    def logit(cls, game, profile, n, tol=1e-8):
+    def logit(cls, game, profile, n, tol=GRAPH_RESIDUAL_TOL):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
         residual = _graph_residual(game, profile, n, tol)
         return cls(game=game, profile=profile, kind="logit", residual=residual, n=float(n))

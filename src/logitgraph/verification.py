@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .games import (
     Game,
     MixedProfile,
@@ -277,10 +278,13 @@ def _game_checks(game, seed=10):
     defect = abs(nash_residual(game, profile) - nash_residual(permuted_game, permuted_profile))
     results.append(CheckResult("game-residual-relabeling", defect <= 1e-12, f"defect {defect:.2e}"))
 
+    try:
+        entries = [trace_logit_path(game, n, tol=1e-11).entries[-1] for n in (1.0, 10.0)]
+    except ConvergenceError as exc:  # a game the tracer cannot follow fails this check alone
+        return results + [CheckResult("game-logit-solve", False, f"convergence failure: {exc}")]
     worst = 0.0
-    for n in (1.0, 10.0):
-        entry = trace_logit_path(game, n, tol=1e-11).entries[-1]
-        defect = _max_gap(z_logit(n, game, entry.profile), z_nash(game, entry.profile))
+    for entry in entries:  # each lands exactly on its n
+        defect = _max_gap(z_logit(entry.n, game, entry.profile), z_nash(game, entry.profile))
         worst = max(worst, entry.residual, defect)  # residual: the gap logit_residual reports
     results.append(
         CheckResult("game-logit-solve", worst <= 1e-8, f"max residual/defect {worst:.2e}")

@@ -21,7 +21,10 @@ one file, ``<name>.<command>.<json|csv>``. Commands:
 - ``verify`` on ``none`` and on matching pennies, whose text output ignores
   ``--format`` (``<name>.verify.txt``);
 - ``--help`` and ``<command> -h`` for every command, once, at 80 columns
-  (``logitgraph.help.txt`` and ``<command>.help.txt``).
+  (``logitgraph.help.txt`` and ``<command>.help.txt``);
+- every demo script, run from the repo root by a fresh interpreter with
+  RuntimeWarning as an error, as ``tests/test_demos.py`` runs it
+  (``<script>.demo.txt``, its stdout).
 
 Every one of these must exit 0 with empty stderr. The error cases
 (``<name>.error.json``) store the exit code and stderr of invocations that
@@ -31,9 +34,9 @@ must fail, with empty stdout.
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -160,18 +163,32 @@ def cases(directory=HERE):
 
 
 def invoke(argv):
-    """Exit code, stdout and stderr of one in-process CLI run.
-
-    argparse prints ``--help`` to ``sys.stdout``, wrapped to ``COLUMNS``, and
-    then raises ``SystemExit``; both streams are captured and the width pinned.
-    """
+    """Exit code, stdout and stderr of one in-process CLI run; help is wrapped to 80 columns."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = run_cli(argv, stdout=out, stderr=err)
-        except SystemExit as exc:
-            code = exc.code
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        code = run_cli(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def demo_cases():
+    """(golden file name, script path) of every demo script."""
+    scripts = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
+    return [(name[:-3] + ".demo.txt", os.path.join(ROOT, "demos", name)) for name in scripts]
+
+
+def demo_stdout(script):
+    """stdout of one demo script run as a user runs it; raises unless it exits 0 with empty stderr."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", script],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if result.returncode != 0 or result.stderr:
+        raise SystemExit(f"{script}: exit {result.returncode}: {result.stderr}")
+    return result.stdout
 
 
 def golden_text(file_name, argv):
@@ -197,6 +214,7 @@ def record(directory):
         text = golden_text(file_name, argv)
         if goldens.setdefault(file_name, text) != text:
             raise SystemExit(f"{' '.join(argv)}: stdout differs from the other runs of {file_name}")
+    goldens.update((file_name, demo_stdout(script)) for file_name, script in demo_cases())
     for name, text in goldens.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -17,7 +17,6 @@ import io
 import os
 import random
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -36,11 +35,10 @@ TARGET = str(ROOT / "tests" / "golden" / "target_2x3.json")
 
 def argparse_vars(argv):
     """``vars()`` of argparse's namespace for ``argv``; None on a usage error or help."""
-    parser = cli._build_parser()
+    parser = cli._build_parser(io.StringIO(), io.StringIO())
     try:
-        with redirect_stdout(io.StringIO()):
-            return vars(parser.parse_args(argv, SimpleNamespace(**cli._GLOBAL_DEFAULTS)))
-    except (cli._UsageError, SystemExit):
+        return vars(parser.parse_args(argv, SimpleNamespace(**cli._GLOBAL_DEFAULTS)))
+    except cli._ParserExit:
         return None
 
 
@@ -58,13 +56,10 @@ def read(argv):
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of ``run_cli``; help is printed to ``sys.stdout``."""
+    """(exit code, stdout, stderr) of ``run_cli``."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.run_cli(argv, stdout=out, stderr=err)
-        except SystemExit as exc:
-            code = exc.code
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        code = cli.run_cli(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -85,7 +80,7 @@ def argv_literals(*names):
             if not all(isinstance(p, ast.List) and p.elts for p in parts):
                 continue
             items = [e.value if isinstance(e, ast.Constant) else PENNIES for p in parts for e in p.elts]
-            if all(isinstance(i, str) for i in items) and (items[0] in cli._ARGUMENTS or items[0][:1] == "-"):
+            if all(isinstance(i, str) for i in items) and (items[0] in cli._COMMANDS or items[0][:1] == "-"):
                 yield items
 
 
@@ -118,9 +113,9 @@ def draw(rng, out):
     """(argv, mutation): an argv of exact forms over the table, then one form the reader
     must decline mixed in, or none (mutation None).
     """
-    command = rng.choice(list(cli._ARGUMENTS))
+    command = rng.choice(list(cli._COMMANDS))
     units, required = [], []
-    for argument, spec in cli._ARGUMENTS[command][1].items():
+    for argument, spec in cli._COMMANDS[command][1].items():
         if argument[0] != "-":
             unit = [TARGET if argument == "target" else rng.choice((PENNIES, "none"))]
         elif spec.get("action"):
@@ -169,7 +164,7 @@ def _equals(rng, command, before, units, required):
 
 
 def _abbreviation(rng, command, before, units, required):
-    flags = {**cli._GLOBAL_FLAGS, **cli._ARGUMENTS[command][1]}
+    flags = {**cli._GLOBAL_FLAGS, **cli._COMMANDS[command][1]}
     flag = rng.choice([f for f in flags if f[:2] == "--" and len(f) > 4])
     prefix = flag[: rng.randrange(3, len(flag))]
     if prefix in flags:  # --n is a flag of its own, not an abbreviation of --n-list
@@ -187,7 +182,7 @@ def _negative(rng, command, before, units, required):
 
 
 def _command_flag_first(rng, command, before, units, required):
-    flags = [u for u in units if u[0] in cli._ARGUMENTS[command][1]]
+    flags = [u for u in units if u[0] in cli._COMMANDS[command][1]]
     if flags:
         units.remove(flags[0])
         before.append(flags[0])
@@ -200,7 +195,7 @@ def _separator(rng, command, before, units, required):
 
 
 def _bad_value(rng, command, before, units, required):
-    flags = {**cli._GLOBAL_FLAGS, **cli._ARGUMENTS[command][1]}
+    flags = {**cli._GLOBAL_FLAGS, **cli._COMMANDS[command][1]}
     typed = [u for u in _valued(units) if {"type", "choices"} & set(flags[u[0]])]
     if typed:
         unit = rng.choice(typed)

@@ -13,7 +13,8 @@ outputs: the form, seed, sample count, kind, ``n`` and ``lemma_bound`` must be
 the same exactly; gaps, payoffs, probabilities and residuals within
 ``1e-12*max(1, |v|)``. ``verify``: the same check names, each PASS or FAIL
 alike. Help screens: the same bytes. Error cases: the same exit code and
-stderr, except the residual a stalled solve reports.
+stderr, except the residual a stalled solve reports. The demos' stdout files
+are gated by ``record.py --check`` alone; ``tests/test_demos.py`` runs the demos.
 """
 
 import csv
@@ -31,7 +32,7 @@ from logitgraph import logit_residual, parse_game
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 sys.path.insert(0, GOLDEN)
-from record import cases, first_difference, invoke  # noqa: E402
+from record import cases, demo_cases, first_difference, invoke  # noqa: E402
 
 TOL = 1e-10  # the CLI's default --tol, which recorded the corpus
 CLOSE = 1e-12  # relative (above 1) agreement of certificate numbers
@@ -201,7 +202,7 @@ def test_matches_golden(file_name, argv):
 
 
 def test_every_golden_file_is_a_case():
-    recorded = {name for name, _ in CASES}
+    recorded = {name for name, _ in CASES + demo_cases()}
     stored = {
         name for name in os.listdir(GOLDEN)
         if name.count(".") == 2

@@ -531,8 +531,17 @@ class TestCli:
         assert "must be positive and finite" in err
 
     def test_every_subcommand_has_a_table_entry(self):
-        assert set(cli._ARGUMENTS) == set(cli._COMMANDS) | {"verify"}
-        assert {c for c, (_, fmt) in cli._COMMANDS.items() if fmt == "csv"} == {"trace"}
+        formats = {c: fmt for c, (_, _, _, fmt) in cli._COMMANDS.items()}
+        assert formats == {**dict.fromkeys(formats, "json"), "trace": "csv", "verify": None}
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_returns_through_run_cli(self, command, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke([flag] if command is None else [command, flag])
+        golden = ROOT / "tests" / "golden" / f"{command or 'logitgraph'}.help.txt"
+        assert (code, out, err) == (0, golden.read_text(), "")
+        assert capsys.readouterr() == ("", "")  # nothing reached the process's own streams
 
     @pytest.mark.parametrize(
         "text, path",

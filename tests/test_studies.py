@@ -133,6 +133,16 @@ def test_property_suite_passes(seed):
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_game_the_tracer_cannot_follow_fails_only_its_logit_check():
+    # n*max|u| overflows in the tracer's corrector; the other 14 checks still report
+    big = 1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    results = run_property_suite(Game.from_payoff_tensors([big, -big]))
+    assert results[:12] == run_property_suite()
+    assert [r.name for r in results[12:]] == ["game-km-round-trip", "game-residual-relabeling", "game-logit-solve"]
+    assert [r.passed for r in results] == [True] * 14 + [False]
+    assert results[-1].detail.startswith("convergence failure: step size underflow near n=3.59")
+
+
 class TestSeed:
     """Every seeded draw takes a nonnegative integer seed, and nothing else."""
 
