@@ -58,48 +58,51 @@ class TargetPoint(Record):
 
 
 class GraphPoint(Record):
-    """A (game, profile) pair asserted to lie on an equilibrium graph.
+    """A (game, profile) pair on the Nash graph, or on the logit graph at precision ``n``.
 
-    ``kind`` is ``"nash"`` or ``"logit"``; ``n`` is the logit precision and is
-    present exactly when ``kind == "logit"``. ``residual`` records the check
-    value at construction time. Use the ``nash``/``logit`` factories to have
-    the residual computed and verified.
+    ``kind`` (``"nash"`` or ``"logit"``) and ``residual`` are read off the
+    fields: the residual is recomputed on each read, as ``nash_residual`` or
+    the logit gap at ``n``, so a point cannot misreport it. Use the
+    ``nash``/``logit`` factories to have the residual verified.
     """
 
     game: Game
     profile: MixedProfile
-    kind: str
-    residual: float
     n: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("nash", "logit"):
-            raise InvalidInputError(f"kind must be 'nash' or 'logit', got {self.kind!r}")
-        if (self.kind == "logit") != (self.n is not None):
-            raise InvalidInputError("n must be present exactly when kind is 'logit'")
         if self.n is not None:
             _check_n(self.n)
+
+    @property
+    def kind(self):
+        return "nash" if self.n is None else "logit"
+
+    @property
+    def residual(self):
+        if self.n is None:
+            return nash_residual(self.game, self.profile)
+        return _logit_gap(self.game, self.profile.vectors, self.n)
 
     @classmethod
     def nash(cls, game, profile, tol=GRAPH_RESIDUAL_TOL):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = _graph_residual(game, profile, None, tol)
-        return cls(game=game, profile=profile, kind="nash", residual=residual)
+        _graph_residual(game, profile, None, tol)
+        return cls(game=game, profile=profile)
 
     @classmethod
     def logit(cls, game, profile, n, tol=GRAPH_RESIDUAL_TOL):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        residual = _graph_residual(game, profile, n, tol)
-        return cls(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
+        _graph_residual(game, profile, n, tol)
+        return cls(game=game, profile=profile, n=float(n))
 
 
 def _graph_residual(game, profile, n, tol):
-    """Nash residual if ``n`` is None, else logit residual at ``n``; NotOnGraphError above ``tol``."""
+    """NotOnGraphError if the Nash residual (``n`` None) or the logit residual at ``n`` exceeds ``tol``."""
     residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
     if not residual <= tol:
         kind = "nash" if n is None else "logit"
         raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
-    return residual
 
 
 def _z_rows(form, payoffs, vectors, n=None):
@@ -215,10 +218,9 @@ def phi_inv(t):
     2**53 in magnitude raises InvalidInputError.
     """
     _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.y_bar))
-    payoffs, x_vectors, residual = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
-    game = Game(t.form, tuple(p[0] for p in payoffs))
+    payoffs, x_vectors, _ = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
-    return GraphPoint(game=game, profile=profile, kind="nash", residual=float(residual[0]))
+    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile)
 
 
 def phi_n_inv(n, t, tol=1e-12):
@@ -233,10 +235,8 @@ def phi_n_inv(n, t, tol=1e-12):
     payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.y_bar), tol)
     if failure:
         raise failure[1]
-    game = Game(t.form, tuple(p[0] for p in payoffs))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
-    residual = _logit_gap(game, profile.vectors, n)
-    return GraphPoint(game=game, profile=profile, kind="logit", residual=residual, n=float(n))
+    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile, float(n))
 
 
 def _gap_rows(a, b):

@@ -188,17 +188,22 @@ def _point_rows(point):
     yield "residual", "", "", point.residual
 
 
+def _study_rows(report):  # each row's fields, then the bound the report derived for it
+    return [{**r._asdict(), "lemma_bound": b} for r, b in zip(report.rows, report.lemma_bounds)]
+
+
 def _study_dict(report):
     return {
         "form": _form_dict(report.form),
         "seed": report.seed,
         "samples": report.samples,
-        "rows": [r._asdict() for r in report.rows],
+        "rows": _study_rows(report),
     }
 
 
 def _rank_dict(report):
-    return {**report._asdict(), "form": _form_dict(report.form), "passed": report.passed}
+    names = ("n", "form", "sample_points", "expected_rank", "min_singular_value", "threshold", "passed")
+    return {**{name: getattr(report, name) for name in names}, "form": _form_dict(report.form)}
 
 
 # record class name -> (JSON dict builder, CSV row generator, CSV header); keyed
@@ -218,7 +223,7 @@ _RECORDS = {
     "GraphPoint": (_point_dict, _point_rows, "section,player,index,value"),
     "ConvergenceReport": (
         _study_dict,
-        lambda report: (r._asdict().values() for r in report.rows),
+        lambda report: (r.values() for r in _study_rows(report)),
         "n,sup_gap_x,sup_gap_full,lemma_bound",
     ),
     "RankReport": (

@@ -64,7 +64,6 @@ class PathTrace(Record):
 
     entries: tuple[PathEntry, ...]
     game: Game
-    terminal_nash_residual: float
 
     def __post_init__(self):
         for e in self.entries:
@@ -74,6 +73,12 @@ class PathTrace(Record):
                     f"entry at n={e.n}: stored residual {e.residual:.3e} "
                     f"!= recomputed {recomputed:.3e}"
                 )
+
+    @property
+    def terminal_nash_residual(self):
+        """Nash residual of the last entry's profile, or of the uniform profile the branch starts at."""
+        last = self.entries[-1].profile if self.entries else MixedProfile.uniform(self.game.form)
+        return nash_residual(self.game, last)
 
 
 START_CONTRACTION = 0.5  # Lipschitz bound of the response map where a trace starts
@@ -205,9 +210,7 @@ def trace_logit_path(game, n_final, tol=1e-10):
     start = min(n_final, START_CONTRACTION / (max(form.num_players - 1, 1) * scale))
 
     def partial():
-        last = entries[-1].profile if entries else MixedProfile.uniform(form)
-        terminal = nash_residual(game, last)
-        return PathTrace(entries=tuple(entries), game=game, terminal_nash_residual=terminal)
+        return PathTrace(entries=tuple(entries), game=game)
 
     def fail(message, best, residual):
         return PathFailureError(message, partial_trace=partial(), best=best, residual=residual)

@@ -132,11 +132,13 @@ class ReportRow(Record, eq=True):
     n: float
     sup_gap_x: float
     sup_gap_full: float
-    lemma_bound: float
 
 
 class ConvergenceReport(Record):
-    """Gap suprema per precision; the profile-gap bound is enforced on emit."""
+    """Gap suprema per precision; each profile gap is gated on its row's ``lemma_bounds`` entry.
+
+    That entry is the proven ceiling ``max_i |A_i| * epsilon_star(n)``, derived from the form.
+    """
 
     form: StrategicGameForm
     seed: int
@@ -148,13 +150,15 @@ class ConvergenceReport(Record):
         ns = [r.n for r in self.rows]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InvalidInputError("report rows must be sorted by strictly increasing n")
-        for r in self.rows:
+        bounds = tuple(max(self.form.action_counts) * epsilon_bound(n).epsilon_star for n in ns)
+        for r, bound in zip(self.rows, bounds):
             if r.sup_gap_x < 0 or r.sup_gap_full < 0:
                 raise InvalidInputError("gaps must be nonnegative")
-            if r.sup_gap_x > r.lemma_bound * (1.0 + 1e-6):
+            if r.sup_gap_x > bound * (1.0 + 1e-6):
                 raise InvalidInputError(
-                    f"profile gap {r.sup_gap_x:.6e} exceeds bound {r.lemma_bound:.6e} at n={r.n}"
+                    f"profile gap {r.sup_gap_x:.6e} exceeds bound {bound:.6e} at n={r.n}"
                 )
+        object.__setattr__(self, "lemma_bounds", bounds)
 
 
 def convergence_study(form, n_list, samples, seed, bound_box=10.0):
@@ -163,9 +167,8 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     For each target the Nash point is reconstructed once; the logit point is
     reconstructed at every ``n`` in ``n_list`` (ascending). ``sup_gap_x`` is
     the largest sup-norm profile difference, ``sup_gap_full`` the largest
-    Euclidean gap over all payoff and probability coordinates, and
-    ``lemma_bound`` the proven ceiling ``max_i |A_i| * epsilon_star(n)`` for
-    the profile part. Deterministic in ``seed``.
+    Euclidean gap over all payoff and probability coordinates; the report
+    checks each ``sup_gap_x`` against its proven ceiling. Deterministic in ``seed``.
 
     Blocks of ``STUDY_BLOCK // len(n_list)`` samples (at least one) are inverted at
     every ``n`` as one batch; their payoffs are then built one ``n`` at a time. The
@@ -178,7 +181,6 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
         raise InvalidInputError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] <= 0:
         raise InvalidInputError("n_list must be positive and strictly ascending")
-    bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in n_list]
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
     count = len(n_list)
@@ -198,28 +200,23 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
             sup_x[j] = max(sup_x[j], float(gap_x.max()))
             sup_full[j] = max(sup_full[j], float(gap_full.max()))
-    rows = [
-        ReportRow(n=n, sup_gap_x=gx, sup_gap_full=gf, lemma_bound=bound)
-        for n, gx, gf, bound in zip(n_list, sup_x, sup_full, bounds)
-    ]
-    return ConvergenceReport(form=form, seed=int(seed), samples=int(samples), rows=tuple(rows))
+    rows = tuple(map(ReportRow, n_list, sup_x, sup_full))
+    return ConvergenceReport(form=form, seed=int(seed), samples=int(samples), rows=rows)
 
 
 class RankReport(Record):
-    """Smallest singular value of the reconstruction derivative over samples."""
+    """Smallest singular value of the reconstruction derivative over samples; passes above ``threshold``."""
 
     n: float
     form: StrategicGameForm
     sample_points: int
-    expected_rank: int
     min_singular_value: float
-    threshold: float = 1e-6
+    threshold = 1e-6
 
-    def __post_init__(self):
-        if self.expected_rank != self.form.payoff_coordinate_count:
-            raise InvalidInputError(
-                "expected_rank must equal the form's payoff coordinate count"
-            )
+    @property
+    def expected_rank(self):
+        """Full column rank: the form's payoff coordinate count."""
+        return self.form.payoff_coordinate_count
 
     @property
     def passed(self):
@@ -276,6 +273,5 @@ def immersion_rank_check(n, form, sample_points, seed):
         n=float(n),
         form=form,
         sample_points=int(sample_points),
-        expected_rank=form.payoff_coordinate_count,
         min_singular_value=float(smallest),
     )

@@ -150,12 +150,12 @@ def test_criterion_5_graph_round_trips():
 def test_criterion_6_uniform_approximation_certificate():
     form = StrategicGameForm(2, (2, 2))
     study = convergence_study(form, [1.0, 10.0, 100.0, 1000.0], samples=100, seed=42)
-    bound_ok = all(r.sup_gap_x <= r.lemma_bound * (1.0 + 1e-6) for r in study.rows)
+    bound_ok = all(r.sup_gap_x <= b * (1.0 + 1e-6) for r, b in zip(study.rows, study.lemma_bounds))
     fulls = [r.sup_gap_full for r in study.rows]
     trend_ok = all(b <= a * 1.05 for a, b in zip(fulls, fulls[1:]))
     detail = "; ".join(
-        f"n={r.n:g}: gap_x={r.sup_gap_x:.3e}<=bound={r.lemma_bound:.3e}, full={r.sup_gap_full:.3e}"
-        for r in study.rows
+        f"n={r.n:g}: gap_x={r.sup_gap_x:.3e}<=bound={b:.3e}, full={r.sup_gap_full:.3e}"
+        for r, b in zip(study.rows, study.lemma_bounds)
     )
     report(6, "profile gaps respect the bound and full gaps shrink", bound_ok and trend_ok, detail)
 

@@ -70,16 +70,21 @@ def assert_declined_like_argparse(argv):
     assert run(argv) == expected, argv
 
 
-def argv_literals(*names):
+def argv_literals(out, *names):
     """Every list literal (or sum of list literals) in these test modules that starts
-    with a command or a flag; an item that is not a string constant becomes a game path.
+    with a command or a flag; an item that is not a string constant becomes the path
+    ``out`` where it follows ``--out``, so running a literal cannot overwrite an
+    input, and a game path elsewhere.
     """
     for name in names:
         for node in ast.walk(ast.parse((ROOT / "tests" / name).read_text())):
             parts = [node.left, node.right] if isinstance(node, ast.BinOp) else [node]
             if not all(isinstance(p, ast.List) and p.elts for p in parts):
                 continue
-            items = [e.value if isinstance(e, ast.Constant) else PENNIES for p in parts for e in p.elts]
+            items = []
+            for e in (e for p in parts for e in p.elts):
+                path = out if items[-1:] == ["--out"] else PENNIES
+                items.append(e.value if isinstance(e, ast.Constant) else path)
             if all(isinstance(i, str) for i in items) and (items[0] in cli._COMMANDS or items[0][:1] == "-"):
                 yield items
 
@@ -92,9 +97,11 @@ def test_golden_corpus_takes_the_reader_except_help():
             assert read(argv), argv
 
 
-def test_argv_literals_of_the_cli_tests():
-    literals = list(argv_literals("test_io_cli.py", "test_cli_process.py"))
+def test_argv_literals_of_the_cli_tests(tmp_path):
+    out = str(tmp_path / "out.txt")
+    literals = list(argv_literals(out, "test_io_cli.py", "test_cli_process.py"))
     assert len(literals) >= 40
+    assert ["--out", out] in ([a, b] for argv in literals for a, b in zip(argv, argv[1:]))
     accepted = 0
     for argv in literals:
         if read(argv):

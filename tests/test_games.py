@@ -222,7 +222,7 @@ class TestNashResidual:
             formula = max(0.0, max(float(d.max() - np.dot(v, d)) for d, v in zip(devs, x)))
             assert gap == formula == nash_residual(game, x)
         # the graph gap rounds the same row dot: alone, in a batch and by np.dot
-        points = [GraphPoint(g, MixedProfile(x), "nash", 0.0) for g, x in zip(games, profiles)]
+        points = [GraphPoint(g, MixedProfile(x)) for g, x in zip(games, profiles)]
         rows = payoffs + vectors
         batched = _gap_rows(tuple(r[:-1] for r in rows), tuple(r[1:] for r in rows))
         for gap, a, b in zip(batched, points, points[1:]):
@@ -377,11 +377,3 @@ class TestGraphPoint:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotOnGraphError, match="logit residual nan"):
                 GraphPoint.logit(game, uniform(game), 1e308)
-
-    def test_kind_and_n_consistency(self):
-        game = matching_pennies()
-        x = MixedProfile.uniform(game.form)
-        with pytest.raises(InvalidInputError):
-            GraphPoint(game=game, profile=x, kind="nash", residual=0.0, n=2.0)
-        with pytest.raises(InvalidInputError):
-            GraphPoint(game=game, profile=x, kind="logit", residual=0.0)

@@ -129,12 +129,9 @@ class TestPhi:
 
     def test_rejects_non_equilibrium(self):
         game = matching_pennies()
-        bad = GraphPoint(
-            game=game,
-            profile=MixedProfile((np.array([1.0, 0.0]), np.array([1.0, 0.0]))),
-            kind="nash",
-            residual=0.0,  # lying on purpose; phi must re-verify
-        )
+        bad = GraphPoint(game=game, profile=MixedProfile((np.array([1.0, 0.0]), np.array([1.0, 0.0]))))
+        # the residual is read off the point, so it cannot claim to be on the graph
+        assert bad.kind == "nash" and bad.residual == nash_residual(game, bad.profile) == 2.0
         with pytest.raises(NotOnGraphError):
             phi(bad)
 
@@ -200,7 +197,7 @@ class TestNonFinitePrecision:
         point = GraphPoint.logit(game, x, 1.0)
         for call in (
             lambda: logit_residual(game, x, n),
-            lambda: GraphPoint(game, x, "logit", 0.0, n=n),
+            lambda: GraphPoint(game, x, n),
             lambda: GraphPoint.logit(game, x, n),
             lambda: phi_n(n, point),
             lambda: z_logit(n, game, x),
@@ -240,13 +237,8 @@ class TestPhiN:
 
     def test_rejects_non_equilibrium(self):
         game = one_player_game([1.0, 0.0])
-        bad = GraphPoint(
-            game=game,
-            profile=MixedProfile((np.array([0.5, 0.5]),)),
-            kind="logit",
-            residual=0.0,
-            n=1.0,
-        )
+        bad = GraphPoint(game=game, profile=MixedProfile((np.array([0.5, 0.5]),)), n=1.0)
+        assert bad.kind == "logit" and bad.residual == logit_residual(game, bad.profile, 1.0) > 0.2
         with pytest.raises(NotOnGraphError):
             phi_n(1.0, bad)
 

@@ -29,6 +29,8 @@ from logitgraph.cli import run_cli
 from logitgraph.games import _check_n_tol
 from logitgraph.io import (
     _RECORDS,
+    _load_json,
+    _require_number_list,
     game_to_json,
     render,
     target_point_to_json,
@@ -142,6 +144,83 @@ class TestParseTargetPoint:
         bad = '{"tilde_u": [[0, 0]], "y_bar": [[1' + "0" * 400 + ', 0]]}'
         with pytest.raises(ParseError, match=r"y_bar\[0\]\[0\]"):
             parse_target_point(bad)
+
+
+class TestErrorPaths:
+    """Each input error names the path of the offending value; each case checks type and path."""
+
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe", bytearray(b'{"players": "\xe9"}')], ids=["bytes", "bytearray"]
+    )
+    def test_load_json_rejects_bytes_that_are_not_utf8(self, data):
+        with pytest.raises(ParseError) as caught:
+            _load_json(data)
+        assert str(caught.value).startswith("input is not valid UTF-8: ")
+
+    @pytest.mark.parametrize(
+        "values, path",
+        [({"a": 1}, "tilde_u[1]"), ("1, 2", "tilde_u[1]"), ([1.0, "2"], "tilde_u[1][1]"),
+         ([None], "tilde_u[1][0]"), ([0.5, True], "tilde_u[1][1]")],
+        ids=["object", "string", "string-entry", "null-entry", "bool-entry"],
+    )
+    def test_require_number_list(self, values, path):
+        with pytest.raises(ParseError) as caught:
+            _require_number_list(values, "tilde_u[1]")
+        assert str(caught.value).startswith(f"{path}: expected a ")
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("[1, 2]", "top level"),
+            ('{"players": 2, "actions": [2], "payoffs": []}', "actions"),
+            ('{"players": 2, "actions": 2, "payoffs": []}', "actions"),
+            ('{"players": 2, "actions": [2, 0], "payoffs": []}', "actions[1]"),
+            ('{"players": 1, "actions": [-2], "payoffs": []}', "actions[0]"),
+            ('{"players": 1, "actions": [2], "payoffs": {"0": [1, 0]}}', "payoffs"),
+            ('{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1]]}', "payoffs"),
+            ('{"players": 1, "actions": [2], "payoffs": [[1, 0], [0, 1]]}', "payoffs"),
+        ],
+        ids=["not-an-object", "actions-short", "actions-not-a-list", "action-zero",
+             "action-negative", "payoffs-not-a-list", "too-few-tensors", "too-many-tensors"],
+    )
+    def test_parse_game(self, text, path):
+        with pytest.raises(ParseError) as caught:
+            parse_game(text)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('"target"', "top level"),
+            ('{"tilde_u": [[0, 0]]}', "y_bar"),
+            ('{"y_bar": [[1.5, 0.5]]}', "tilde_u"),
+            ('{"tilde_u": [], "y_bar": [[1.5, 0.5]]}', "tilde_u"),
+            ('{"tilde_u": [[0, 0]], "y_bar": []}', "y_bar"),
+            ('{"tilde_u": [[0, 0], [0, 0]], "y_bar": [[1.5, 0.5]]}', "tilde_u"),
+        ],
+        ids=["not-an-object", "y_bar-missing", "tilde_u-missing", "tilde_u-empty", "y_bar-empty",
+             "tilde_u-rows"],
+    )
+    def test_parse_target_point(self, text, path):
+        with pytest.raises(ParseError) as caught:
+            parse_target_point(text)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["study", "--form", "2:2,2", "--n-list", "1,x", "--samples", "2", "--seed", "0"],
+             "error: --n-list: expected comma-separated numbers, got '1,x'"),
+            (["decompose", str(ROOT / "demos" / "games" / "matching_pennies.json"), "--out", "{missing}"],
+             "error: cannot write {missing}: No such file or directory"),
+        ],
+        ids=["n-list", "out-dir"],
+    )
+    def test_run_cli(self, tmp_path, argv, message):
+        missing = str(tmp_path / "missing" / "out.json")
+        code, out, err = invoke([a.format(missing=missing) for a in argv])
+        assert (code, out, err) == (1, "", message.format(missing=missing) + "\n")
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTraceSerialization:

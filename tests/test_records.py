@@ -50,7 +50,7 @@ def _trace():
 
 
 def _rows():
-    return (ReportRow(1.0, 0.125, 0.25, 0.5), ReportRow(10.0, 0.1, 0.2, 0.3))
+    return (ReportRow(1.0, 0.125, 0.25), ReportRow(10.0, 0.1, 0.2))
 
 
 # record -> (its fields in order, a function returning valid values for them)
@@ -65,20 +65,14 @@ RECORDS = {
     ),
     ConvergenceBound: (("n", "epsilon_star"), lambda: (2.0, 0.25)),
     TargetPoint: (("form", "tilde_u", "y_bar"), lambda: (_target().form, _target().tilde_u, _target().y_bar)),
-    GraphPoint: (
-        ("game", "profile", "kind", "residual", "n"),
-        lambda: (matching_pennies(), MixedProfile(UNIFORM), "logit", 0.0, 3.0),
-    ),
+    GraphPoint: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 3.0)),
     PathEntry: (("n", "profile", "residual"), lambda: (2.0, MixedProfile(UNIFORM), 0.0)),
-    PathTrace: (
-        ("entries", "game", "terminal_nash_residual"),
-        lambda: (_trace().entries, _trace().game, 0.0),
-    ),
-    ReportRow: (("n", "sup_gap_x", "sup_gap_full", "lemma_bound"), lambda: (1.0, 0.125, 0.25, 0.5)),
+    PathTrace: (("entries", "game"), lambda: (_trace().entries, _trace().game)),
+    ReportRow: (("n", "sup_gap_x", "sup_gap_full"), lambda: (1.0, 0.125, 0.25)),
     ConvergenceReport: (("form", "seed", "samples", "rows"), lambda: (FORM, 3, 5, _rows())),
     RankReport: (
-        ("n", "form", "sample_points", "expected_rank", "min_singular_value", "threshold"),
-        lambda: (2.0, StrategicGameForm(1, (2,)), 2, 2, 0.5, 1e-3),
+        ("n", "form", "sample_points", "min_singular_value"),
+        lambda: (2.0, StrategicGameForm(1, (2,)), 2, 0.5),
     ),
     CheckResult: (("name", "passed", "detail"), lambda: ("water-filling", True, "ok")),
 }
@@ -156,22 +150,45 @@ class TestConstruction:
 
 class TestDefaults:
     def test_graph_point_n_defaults_to_none(self):
-        point = GraphPoint(matching_pennies(), MixedProfile(UNIFORM), "nash", 0.0)
+        point = GraphPoint(matching_pennies(), MixedProfile(UNIFORM))
         assert point.n is None and GraphPoint.n is None
-        assert GraphPoint(game=point.game, profile=point.profile, kind="nash", residual=0.0).n is None
+        assert GraphPoint(game=point.game, profile=point.profile).n is None
 
     def test_rank_report_threshold_defaults(self):
-        report = RankReport(2.0, StrategicGameForm(1, (2,)), 2, 2, 0.5)
+        report = RankReport(2.0, StrategicGameForm(1, (2,)), 2, 0.5)
         assert report.threshold == 1e-6 and RankReport.threshold == 1e-6
         assert report.passed
-        assert not RankReport(2.0, StrategicGameForm(1, (2,)), 2, 2, 1e-7).passed
+        assert not RankReport(2.0, StrategicGameForm(1, (2,)), 2, 1e-7).passed
+
+
+class TestDerivedFacts:
+    """The facts a record's own fields fix are read off them, so no argument can contradict them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), kind="nash"),
+            lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), residual=0.0),
+            lambda: PathTrace(_trace().entries, _trace().game, terminal_nash_residual=0.0),
+            lambda: ReportRow(1.0, 0.125, 0.25, lemma_bound=0.5),
+            lambda: RankReport(2.0, FORM, 2, 0.5, expected_rank=8),
+            lambda: RankReport(2.0, FORM, 2, 0.5, threshold=1e-3),
+        ],
+        ids=[
+            "point-kind", "point-residual", "trace-terminal", "row-bound", "rank-expected",
+            "rank-threshold",
+        ],
+    )
+    def test_derived_names_are_not_arguments(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestValueEquality:
     def test_distinct_values_differ(self):
         assert StrategicGameForm(2, (2, 3)) != StrategicGameForm(2, (3, 2))
         assert ConvergenceBound(1.0, 0.25) != ConvergenceBound(1.0, 0.5)
-        assert ReportRow(1.0, 0.1, 0.2, 0.3) != ReportRow(1.0, 0.1, 0.2, 0.4)
+        assert ReportRow(1.0, 0.1, 0.2) != ReportRow(1.0, 0.1, 0.3)
         assert CheckResult("a", True, "") != CheckResult("a", False, "")
 
     def test_post_init_normalizes_before_comparing(self):
@@ -191,23 +208,22 @@ class TestRepr:
             (StrategicGameForm(2, (2, 3)), "StrategicGameForm(num_players=2, action_counts=(2, 3))"),
             (ConvergenceBound(2.0, 0.25), "ConvergenceBound(n=2.0, epsilon_star=0.25)"),
             (
-                ReportRow(1.0, 0.125, 0.25, 0.5),
-                "ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25, lemma_bound=0.5)",
+                ReportRow(1.0, 0.125, 0.25),
+                "ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25)",
             ),
             (
                 CheckResult("water-filling", True, "ok"),
                 "CheckResult(name='water-filling', passed=True, detail='ok')",
             ),
             (
-                RankReport(2.0, StrategicGameForm(1, (2,)), 2, 2, 0.5),
+                RankReport(2.0, StrategicGameForm(1, (2,)), 2, 0.5),
                 "RankReport(n=2.0, form=StrategicGameForm(num_players=1, action_counts=(2,)), "
-                "sample_points=2, expected_rank=2, min_singular_value=0.5, threshold=1e-06)",
+                "sample_points=2, min_singular_value=0.5)",
             ),
             (
-                ConvergenceReport(FORM, 3, 5, [ReportRow(1.0, 0.125, 0.25, 0.5)]),
+                ConvergenceReport(FORM, 3, 5, [ReportRow(1.0, 0.125, 0.25)]),
                 "ConvergenceReport(form=StrategicGameForm(num_players=2, action_counts=(2, 2)), "
-                "seed=3, samples=5, rows=(ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25, "
-                "lemma_bound=0.5),))",
+                "seed=3, samples=5, rows=(ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25),))",
             ),
         ],
         ids=lambda v: type(v).__name__ if not isinstance(v, str) else None,
@@ -227,17 +243,15 @@ class TestPostInitChecks:
             lambda: MixedProfile((np.array([0.5, 0.6]),)),
             lambda: KMRepresentation(FORM, (np.ones(4), np.zeros(4)), _km().bar_u),
             lambda: TargetPoint(FORM, (np.ones(4), np.zeros(4)), _km().bar_u),
-            lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), "bogus", 0.0),
-            lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), "nash", 0.0, 3.0),
-            lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies(), 0.0),
+            lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), -3.0),
+            lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies()),
             lambda: ConvergenceReport(FORM, 3, 5, _rows()[::-1]),
-            lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, 0.6, 0.25, 0.5),)),
-            lambda: RankReport(2.0, StrategicGameForm(1, (2,)), 2, 3, 0.5),
+            lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, 0.9, 0.25),)),
         ],
         ids=[
             "form-players", "form-counts", "game-tensors", "game-finite", "profile-sum",
-            "km-zero-mean", "target-zero-mean", "point-kind", "point-n", "trace-residual",
-            "report-order", "report-bound", "rank-expected",
+            "km-zero-mean", "target-zero-mean", "point-n", "trace-residual",
+            "report-order", "report-bound",
         ],
     )
     def test_invalid_values_raise(self, build):
@@ -250,20 +264,20 @@ class TestRenderBytes:
         report = ConvergenceReport(FORM, 3, 5, _rows())
         assert render(report, "json") == (
             '{"form": {"players": 2, "actions": [2, 2]}, "seed": 3, "samples": 5, "rows": ['
-            '{"n": 1.0, "sup_gap_x": 0.125, "sup_gap_full": 0.25, "lemma_bound": 0.5}, '
-            '{"n": 10.0, "sup_gap_x": 0.1, "sup_gap_full": 0.2, "lemma_bound": 0.3}]}\n'
+            '{"n": 1.0, "sup_gap_x": 0.125, "sup_gap_full": 0.25, "lemma_bound": 0.802116275083094}, '
+            '{"n": 10.0, "sup_gap_x": 0.1, "sup_gap_full": 0.2, "lemma_bound": 0.3267012340311693}]}\n'
         )
         assert render(report, "csv") == (
             "n,sup_gap_x,sup_gap_full,lemma_bound\n"
-            "1,0.125,0.25,0.5\n"
-            "10,0.10000000000000001,0.20000000000000001,0.29999999999999999\n"
+            "1,0.125,0.25,0.80211627508309402\n"
+            "10,0.10000000000000001,0.20000000000000001,0.3267012340311693\n"
         )
 
     @pytest.mark.parametrize(
         "value, passed", [(0.5, "true"), (1e-7, "false")], ids=["passes", "fails"]
     )
     def test_rank_report(self, value, passed):
-        report = RankReport(2.0, StrategicGameForm(1, (2,)), 4, 2, value)
+        report = RankReport(2.0, StrategicGameForm(1, (2,)), 4, value)
         assert render(report, "json") == (
             '{"n": 2.0, "form": {"players": 1, "actions": [2]}, "sample_points": 4, '
             f'"expected_rank": 2, "min_singular_value": {value!r}, "threshold": 1e-06, '

@@ -516,18 +516,26 @@ class TestPathTrace:
             PathEntry(n=2.0, profile=x, residual=0.0),
             PathEntry(n=1.0, profile=x, residual=0.0),
         )
-        trace = PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+        trace = PathTrace(entries=entries, game=game)
         assert [e.n for e in trace.entries] == [2.0, 1.0]
+
+    def test_terminal_nash_residual_is_read_off_the_last_entry(self):
+        game = one_player_game([1.0, 0.0])
+        # with no entry the branch has not left its start, the uniform profile
+        assert PathTrace(entries=(), game=game).terminal_nash_residual == 0.5
+        profiles = [MixedProfile.uniform(game.form), MixedProfile((np.array([0.75, 0.25]),))]
+        entries = tuple(PathEntry(n, x, logit_residual(game, x, n)) for n, x in zip((1.0, 2.0), profiles))
+        assert PathTrace(entries=entries, game=game).terminal_nash_residual == 0.25
 
     def test_rejects_inconsistent_residual(self):
         game = one_player_game([1.0, 0.0])
         x = MixedProfile((np.array([0.5, 0.5]),))
         entries = (PathEntry(n=1.0, profile=x, residual=0.0),)
         with pytest.raises(InvalidInputError, match="residual"):
-            PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+            PathTrace(entries=entries, game=game)
 
     def test_rejects_a_nan_stored_residual(self):
         game = matching_pennies()
         entries = (PathEntry(n=1.0, profile=MixedProfile.uniform(game.form), residual=math.nan),)
         with pytest.raises(InvalidInputError, match="stored residual nan"):
-            PathTrace(entries=entries, game=game, terminal_nash_residual=0.0)
+            PathTrace(entries=entries, game=game)

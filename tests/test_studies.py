@@ -15,11 +15,11 @@ from logitgraph import (
     Game,
     InvalidInputError,
     KMRepresentation,
-    RankReport,
     ReportRow,
     StrategicGameForm,
     TargetPoint,
     convergence_study,
+    epsilon_bound,
     immersion_rank_check,
     km_decompose,
     km_recompose,
@@ -179,8 +179,8 @@ class TestConvergenceStudy:
 
     def test_gaps_shrink_and_respect_bound(self):
         report = convergence_study(FORM_2X2, [1.0, 10.0, 100.0, 1000.0], 30, seed=42)
-        for row in report.rows:
-            assert row.sup_gap_x <= row.lemma_bound * (1 + 1e-6)
+        for row, bound in zip(report.rows, report.lemma_bounds):
+            assert row.sup_gap_x <= bound * (1 + 1e-6)
         fulls = [row.sup_gap_full for row in report.rows]
         assert all(b <= a * 1.05 for a, b in zip(fulls, fulls[1:]))
 
@@ -199,14 +199,25 @@ class TestConvergenceStudy:
             convergence_study(FORM_2X2, [-1.0, 1.0], 1, seed=0)
 
     def test_report_enforces_row_invariant(self):
-        bad = ReportRow(n=1.0, sup_gap_x=1.0, sup_gap_full=1.0, lemma_bound=0.1)
+        bad = ReportRow(n=1.0, sup_gap_x=1.0, sup_gap_full=1.0)
         with pytest.raises(InvalidInputError, match="bound"):
             ConvergenceReport(form=FORM_2X2, seed=0, samples=1, rows=(bad,))
 
+    @pytest.mark.parametrize("form", [FORM_1X2, FORM_2X2, StrategicGameForm(2, (3, 2))], ids=str)
+    def test_hand_built_report_is_gated_on_the_proven_bound(self, form):
+        # the bound comes from the form and n alone, so no caller can loosen it
+        bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in (1.0, 10.0)]
+        at = [ReportRow(n, b, 0.0) for n, b in zip((1.0, 10.0), bounds)]
+        report = ConvergenceReport(form=form, seed=0, samples=1, rows=at)
+        assert report.lemma_bounds == tuple(bounds)
+        over = ReportRow(10.0, bounds[1] * (1.0 + 1e-5), 0.0)
+        with pytest.raises(InvalidInputError, match="exceeds bound .* at n=10.0"):
+            ConvergenceReport(form=form, seed=0, samples=1, rows=(at[0], over))
+
     def test_report_requires_sorted_rows(self):
         rows = (
-            ReportRow(n=10.0, sup_gap_x=0.0, sup_gap_full=0.0, lemma_bound=1.0),
-            ReportRow(n=1.0, sup_gap_x=0.0, sup_gap_full=0.0, lemma_bound=1.0),
+            ReportRow(n=10.0, sup_gap_x=0.0, sup_gap_full=0.0),
+            ReportRow(n=1.0, sup_gap_x=0.0, sup_gap_full=0.0),
         )
         with pytest.raises(InvalidInputError, match="sorted"):
             ConvergenceReport(form=FORM_2X2, seed=0, samples=1, rows=rows)
@@ -216,11 +227,11 @@ class TestConvergenceStudy:
         loaded = json.loads(render(report, "json"))
         assert loaded["form"] == {"players": 2, "actions": [2, 2]}
         assert loaded["seed"] == 9 and loaded["samples"] == 5
-        for row, parsed in zip(report.rows, loaded["rows"]):
+        for row, bound, parsed in zip(report.rows, report.lemma_bounds, loaded["rows"]):
             assert parsed["n"] == row.n
             assert parsed["sup_gap_x"] == row.sup_gap_x
             assert parsed["sup_gap_full"] == row.sup_gap_full
-            assert parsed["lemma_bound"] == row.lemma_bound
+            assert parsed["lemma_bound"] == bound
 
 
 class TestImmersionRankCheck:
@@ -248,16 +259,6 @@ class TestImmersionRankCheck:
         for n in (float("inf"), float("nan")):
             with pytest.raises(InvalidInputError, match="finite"):
                 immersion_rank_check(n, FORM_1X2, 1, seed=0)
-
-    def test_expected_rank_consistency_enforced(self):
-        with pytest.raises(InvalidInputError):
-            RankReport(
-                n=1.0,
-                form=FORM_2X2,
-                sample_points=1,
-                expected_rank=5,
-                min_singular_value=1.0,
-            )
 
     @pytest.mark.parametrize("n", [1e6, 1e7])
     def test_failed_reconstruction_names_sample(self, n):

@@ -97,11 +97,11 @@ def _seeded(shape, seed):
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (coordination_2x2, 52),
-        (matching_pennies, 52),
-        (lambda: one_player_game([1.0, 0.0]), 17),
-        (lambda: _seeded((3, 3, 3), 1007), 1125),
-        (lambda: _seeded((4, 4, 4), 1000), 1113),
+        (coordination_2x2, 50),
+        (matching_pennies, 50),
+        (lambda: one_player_game([1.0, 0.0]), 16),
+        (lambda: _seeded((3, 3, 3), 1007), 1122),
+        (lambda: _seeded((4, 4, 4), 1000), 1110),
     ],
     ids=["coordination", "pennies", "one-player", "3x3x3-1007", "4x4x4-1000"],
 )
@@ -161,7 +161,7 @@ def test_graph_map_contractions(contractions):
         phi(nash)
         phi_n(10.0, logit)
         approximation_gap(10.0, t)
-    assert contractions[0] == 180
+    assert contractions[0] == 150
 
 
 def test_rank_check_contractions(contractions):
@@ -171,7 +171,7 @@ def test_rank_check_contractions(contractions):
 
 def test_property_suite_with_a_game_contractions(contractions):
     run_property_suite(matching_pennies())
-    assert contractions[0] == 205
+    assert contractions[0] == 201
 
 
 # run by a fresh interpreter: numpy is imported before the hook, so only the
