@@ -47,6 +47,6 @@ print("clipped vector:", split.h_value, " projection:", split.residual)
 # d * epsilon_star(n), where epsilon_star solves eps*(1+exp(eps*n)) = 1.
 print("n      eps*(n)      limit-map distance      bound d*eps*")
 for n in (1.0, 10.0, 100.0, 1000.0):
-    eps = epsilon_bound(n).epsilon_star
+    eps = epsilon_bound(n)
     gap = float(np.abs(h_numeric(n, y, tol=1e-12) - split.h_value).max())
     print(f"{n:6g} {eps:.6f}   {gap:.3e}            {len(y) * eps:.3e}")

@@ -9,7 +9,6 @@ from logitgraph import (
     Game,
     MixedProfile,
     StrategicGameForm,
-    approximate_nash,
     logit_response,
     solve_newton,
     trace_logit_path,
@@ -32,7 +31,7 @@ print("terminal nash residual:", trace.terminal_nash_residual)
 
 # Pushing the precision further shrinks the Nash residual of the endpoint.
 for n_final in (50.0, 200.0, 800.0):
-    profile, residual = approximate_nash(game, n_final, tol=1e-12)
+    residual = trace_logit_path(game, n_final, tol=1e-12).terminal_nash_residual
     print(f"n_final={n_final:5g}: nash residual {residual:.3e}")
 
 # solve_newton refines a nearby point at a fixed n with plain Newton steps; at

@@ -21,25 +21,22 @@ _EXPORTS = {
         "PathFailureError",
     ),
     "games": (
-        "Game", "KMRepresentation", "MixedProfile", "StrategicGameForm", "deviation_payoff",
-        "deviation_payoffs", "evaluate_mixed", "km_decompose", "km_recompose", "logit_residual",
-        "nash_residual", "softmax",
+        "Game", "KMRepresentation", "MixedProfile", "StrategicGameForm", "deviation_payoffs",
+        "evaluate_mixed", "km_decompose", "km_recompose", "logit_residual", "nash_residual",
+        "softmax",
     ),
     "graph_maps": (
         "GraphPoint", "TargetPoint", "approximation_gap", "graph_point_gap", "phi", "phi_inv",
-        "phi_n", "phi_n_inv", "z_logit", "z_nash",
+        "phi_n_inv", "z_logit", "z_nash",
     ),
     "io": (
         "game_to_json", "parse_game", "parse_target_point", "target_point_to_json",
     ),
     "maps": (
-        "ConvergenceBound", "SimplexProjection", "alpha_star", "epsilon_bound", "g_jacobian",
-        "g_map", "h_exact", "h_numeric", "is_cl_matrix",
+        "SimplexProjection", "alpha_star", "epsilon_bound", "g_jacobian", "g_map", "h_exact",
+        "h_numeric", "is_cl_matrix",
     ),
-    "solver": (
-        "PathEntry", "PathTrace", "approximate_nash", "logit_response", "solve_newton",
-        "trace_logit_path",
-    ),
+    "solver": ("PathEntry", "PathTrace", "logit_response", "solve_newton", "trace_logit_path"),
     "studies": (
         "ConvergenceReport", "RankReport", "ReportRow", "convergence_study", "immersion_rank_check",
         "sample_target_points",

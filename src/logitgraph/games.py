@@ -264,14 +264,6 @@ def deviation_payoffs(game, player, x):
     return _contract(game.form, game.payoffs[player][None], _one_row(vectors), (player,))[0]
 
 
-def deviation_payoff(game, player, action, x):
-    """Expected payoff of one pure action against the others' mixed strategies."""
-    dev = deviation_payoffs(game, player, x)
-    if not 0 <= action < dev.size:
-        raise InvalidInputError(f"action index {action} out of range for player {player}")
-    return float(dev[action])
-
-
 def evaluate_mixed(game, player, x):
     """Multilinear payoff extension: expected payoff to ``player`` under profile ``x``."""
     if not 0 <= player < game.form.num_players:

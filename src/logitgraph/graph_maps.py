@@ -1,8 +1,8 @@
 """Coordinate maps between payoff space and the equilibrium graphs.
 
-``phi`` sends a Nash graph point to split payoff coordinates and ``phi_inv``
-reconstructs the unique graph point from any target; ``phi_n``/``phi_n_inv``
-do the same for the logit graph at precision ``n``. Both inverses work one
+``phi`` sends a Nash graph point, or a logit graph point at its own precision
+``n``, to split payoff coordinates; ``phi_inv`` and ``phi_n_inv`` reconstruct
+the unique Nash and logit graph point from any target. Both inverses work one
 player at a time: the profile comes straight out of the player's ``y_bar``
 coordinate, then the mean payoffs are back-solved, so there is no fixed-point
 coupling anywhere in the inverse direction. The reconstructions run on arrays
@@ -85,24 +85,24 @@ class GraphPoint(Record):
         return _logit_gap(self.game, self.profile.vectors, self.n)
 
     @classmethod
-    def nash(cls, game, profile, tol=GRAPH_RESIDUAL_TOL):
+    def nash(cls, game, profile):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        _graph_residual(game, profile, None, tol)
+        _graph_residual(game, profile, None)
         return cls(game=game, profile=profile)
 
     @classmethod
-    def logit(cls, game, profile, n, tol=GRAPH_RESIDUAL_TOL):
+    def logit(cls, game, profile, n):
         profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        _graph_residual(game, profile, n, tol)
+        _graph_residual(game, profile, n)
         return cls(game=game, profile=profile, n=float(n))
 
 
-def _graph_residual(game, profile, n, tol):
-    """NotOnGraphError if the Nash residual (``n`` None) or the logit residual at ``n`` exceeds ``tol``."""
+def _graph_residual(game, profile, n):
+    """NotOnGraphError if the Nash (``n`` None) or logit residual at ``n`` exceeds GRAPH_RESIDUAL_TOL."""
     residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
-    if not residual <= tol:
+    if not residual <= GRAPH_RESIDUAL_TOL:
         kind = "nash" if n is None else "logit"
-        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {tol:.1e}")
+        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {GRAPH_RESIDUAL_TOL:.1e}")
 
 
 def _z_rows(form, payoffs, vectors, n=None):
@@ -131,26 +131,13 @@ def z_logit(n, game, x):
     return tuple(z[0] for z in _z_rows(game.form, _one_row(game.payoffs), _one_row(vectors), n))
 
 
-def _phi(point, n, tol):
-    """Split coordinates of a Nash (``n`` None) or logit graph point; residual re-verified."""
-    kind = "nash" if n is None else "logit"
-    if point.kind != kind:
-        raise InvalidInputError(f"expected a {kind} graph point, got kind {point.kind!r}")
+def phi(point):
+    """Split coordinates of a graph point: Nash, or logit at ``point.n``; its residual is re-verified."""
     game = point.game
-    _graph_residual(game, point.profile, n, tol)
+    _graph_residual(game, point.profile, point.n)
     rep = km_decompose(game)
-    y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), n)
+    y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), point.n)
     return TargetPoint(form=game.form, tilde_u=rep.tilde_u, y_bar=tuple(z[0] for z in y_bar))
-
-
-def phi(point, tol=GRAPH_RESIDUAL_TOL):
-    """Split coordinates of a Nash graph point; the input's residual is re-verified."""
-    return _phi(point, None, tol)
-
-
-def phi_n(n, point, tol=GRAPH_RESIDUAL_TOL):
-    """Split coordinates of a logit graph point at precision ``n``; residual re-verified."""
-    return _phi(point, n, tol)
 
 
 def _payoff_rows(form, tilde_u, values, x_vectors):
@@ -165,14 +152,14 @@ def _payoff_rows(form, tilde_u, values, x_vectors):
 
 
 def _nash_rows(form, tilde_u, y_bar):
-    """``phi_inv`` of all samples: (payoffs, vectors, residuals); NotOnGraphError above 1e-9."""
+    """``phi_inv`` of all samples: (payoffs, profile vectors); NotOnGraphError above residual 1e-9."""
     values = tuple(np.minimum(b, _water_level(b)[:, None]) for b in y_bar)
     x_vectors = tuple(b - h for b, h in zip(y_bar, values))
     payoffs = _payoff_rows(form, tilde_u, values, x_vectors)
     residual = _nash_gap_rows(form, payoffs, x_vectors)
     if not residual.max() <= 1e-9:
         raise NotOnGraphError(f"reconstruction left nash residual {residual.max():.3e}")
-    return payoffs, x_vectors, residual
+    return payoffs, x_vectors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a failed inversion's softmax may overflow
@@ -218,7 +205,7 @@ def phi_inv(t):
     2**53 in magnitude raises InvalidInputError.
     """
     _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.y_bar))
-    payoffs, x_vectors, _ = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
+    payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
     return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile)
 

@@ -234,21 +234,6 @@ def _invert_rows(n, y, tol):
     return out_x, out_res, out_iter
 
 
-class ConvergenceBound(Record, eq=True):
-    """Uniform error level for the numeric inverse at parameter ``n``.
-
-    ``epsilon_star`` solves ``eps * (1 + exp(eps*n)) = 1``; the inverse of
-    ``g_map`` differs from the water-filling map by at most ``d * epsilon_star``
-    in sup norm on vectors of length ``d``.
-    """
-
-    n: float
-    epsilon_star: float
-
-    def uniform_bound(self, d):
-        return d * self.epsilon_star
-
-
 def _eps_equation_log(eps, n):
     # log of eps*(1+exp(eps*n)); stable for large eps*n
     t = eps * n
@@ -257,15 +242,17 @@ def _eps_equation_log(eps, n):
 
 
 def epsilon_bound(n):
-    """Solve ``eps*(1+exp(eps*n)) = 1`` for the unique root in (0, 0.5].
+    """``epsilon_star(n)``: the unique root in (0, 0.5] of ``eps*(1+exp(eps*n)) = 1``.
 
-    The left side is strictly increasing in ``eps``, so bisection converges;
-    the bracket is refined to full double precision. ``n = 0`` gives exactly 0.5.
+    The inverse of ``g_map`` differs from the water-filling map by at most
+    ``d * epsilon_star`` in sup norm on vectors of length ``d``. The left side
+    is strictly increasing in ``eps``, so bisection converges; the bracket is
+    refined to full double precision. ``n = 0`` gives exactly 0.5.
     """
     if n < 0 or not math.isfinite(n):
         raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
     if n == 0:
-        return ConvergenceBound(n=0.0, epsilon_star=0.5)
+        return 0.5
     # f(1/(n+2)) < 1 for every n > 0, and f((1 + log n)/n) > e for n > 1
     lo = 1.0 / (n + 2.0)
     hi = min(0.5, (1.0 + math.log(n)) / n) if n > 1.0 else 0.5
@@ -278,5 +265,4 @@ def epsilon_bound(n):
         else:
             lo = mid
     # pick the endpoint with the smaller defining-equation residual
-    root = min((lo, hi), key=lambda e: abs(math.expm1(_eps_equation_log(e, n))))
-    return ConvergenceBound(n=float(n), epsilon_star=root)
+    return min((lo, hi), key=lambda e: abs(math.expm1(_eps_equation_log(e, n))))

@@ -250,15 +250,3 @@ def trace_logit_path(game, n_final, tol=1e-10):
     solve(n_final, chord[:-1])
     return partial()
 
-
-def approximate_nash(game, n_final, tol=1e-10):
-    """Terminal profile of the continuation path and its Nash residual.
-
-    The profile solves the softmax fixed point at ``n_final``, so every action
-    carries positive probability (entries can still round to zero in floating
-    point once ``n_final`` times the payoff gap passes the exp underflow
-    threshold). Path failures propagate.
-    """
-    trace = trace_logit_path(game, n_final, tol=tol)
-    terminal = trace.entries[-1]
-    return terminal.profile, trace.terminal_nash_residual

@@ -17,6 +17,7 @@ from .errors import ConvergenceError, InvalidInputError
 from .games import (
     Record,
     StrategicGameForm,
+    _check_n,
     _check_n_tol,
     _check_rows,
     _contract,
@@ -150,11 +151,11 @@ class ConvergenceReport(Record):
         ns = [r.n for r in self.rows]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InvalidInputError("report rows must be sorted by strictly increasing n")
-        bounds = tuple(max(self.form.action_counts) * epsilon_bound(n).epsilon_star for n in ns)
+        bounds = tuple(max(self.form.action_counts) * epsilon_bound(n) for n in ns)
         for r, bound in zip(self.rows, bounds):
-            if r.sup_gap_x < 0 or r.sup_gap_full < 0:
+            if not (r.sup_gap_x >= 0 and r.sup_gap_full >= 0):
                 raise InvalidInputError("gaps must be nonnegative")
-            if r.sup_gap_x > bound * (1.0 + 1e-6):
+            if not (r.sup_gap_x <= bound * (1.0 + 1e-6)):
                 raise InvalidInputError(
                     f"profile gap {r.sup_gap_x:.6e} exceeds bound {bound:.6e} at n={r.n}"
                 )
@@ -165,7 +166,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     """Supremum reconstruction gaps over sampled targets, per precision.
 
     For each target the Nash point is reconstructed once; the logit point is
-    reconstructed at every ``n`` in ``n_list`` (ascending). ``sup_gap_x`` is
+    reconstructed at every ``n`` in ``n_list`` (finite, positive and ascending). ``sup_gap_x`` is
     the largest sup-norm profile difference, ``sup_gap_full`` the largest
     Euclidean gap over all payoff and probability coordinates; the report
     checks each ``sup_gap_x`` against its proven ceiling. Deterministic in ``seed``.
@@ -179,13 +180,15 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     n_list = [float(n) for n in n_list]
     if not n_list:
         raise InvalidInputError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or n_list[0] <= 0:
-        raise InvalidInputError("n_list must be positive and strictly ascending")
+    for n in n_list:
+        _check_n(n)
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InvalidInputError("n_list must be strictly ascending")
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
     count = len(n_list)
     for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, max(1, STUDY_BLOCK // count)):
-        nash_payoffs, nash_x, _ = _nash_rows(form, tilde, y_bar)
+        nash_payoffs, nash_x = _nash_rows(form, tilde, y_bar)
         _check_rows(form, nash_payoffs, nash_x, start)
         size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
         tiled = tuple(np.tile(b, (count, 1)) for b in y_bar)

@@ -149,7 +149,7 @@ def check_inverse_round_trip(seed=4):
 
 def check_uniform_limit_bound(seed=5):
     rng = _rng(seed)
-    ceilings = {n: epsilon_bound(n).epsilon_star * (1.0 + 1e-6) for n in (1.0, 10.0, 100.0, 1000.0)}
+    ceilings = {n: epsilon_bound(n) * (1.0 + 1e-6) for n in (1.0, 10.0, 100.0, 1000.0)}
     ns = [n for n in ceilings for _ in range(40)]
     draws = list(zip(_vectors(rng, [rng.randrange(1, 9) for _ in ns], -10.0, 10.0), ns))
     limits = _by_width(lambda y, n: _inverse_gaps(y, n, np.minimum(y, _water_level(y)[:, None])), draws)
@@ -163,11 +163,11 @@ def check_uniform_limit_bound(seed=5):
 
 
 def check_epsilon_bound():
-    if abs(epsilon_bound(0).epsilon_star - 0.5) > 1e-12:
+    if abs(epsilon_bound(0) - 0.5) > 1e-12:
         return CheckResult("epsilon-bound", False, "value at n=0 is not 0.5")
     previous = 0.5
     for n in (0.5, 1.0, 5.0, 10.0, 100.0, 1000.0):
-        eps = epsilon_bound(n).epsilon_star
+        eps = epsilon_bound(n)
         defect = abs(eps * (1.0 + np.exp(min(eps * n, 700.0))) - 1.0)
         if defect > 1e-12:
             return CheckResult("epsilon-bound", False, f"equation defect {defect:.2e} at n={n}")
@@ -218,7 +218,7 @@ def check_nash_round_trip(seed=8):
     worst = 0.0
     for form in _SUITE_FORMS:
         _, tilde, y_bar = next(_target_blocks(form, 8, seed, 10.0, 8))
-        payoffs, x, _ = _nash_rows(form, tilde, y_bar)
+        payoffs, x = _nash_rows(form, tilde, y_bar)
         _check_rows(form, payoffs, x)
         back = _z_rows(form, payoffs, x)
         worst = max(worst, _round_trip_defect(form, tilde, y_bar, payoffs, back))

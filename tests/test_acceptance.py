@@ -21,7 +21,6 @@ from logitgraph import (
     nash_residual,
     phi,
     phi_inv,
-    phi_n,
     phi_n_inv,
     sample_target_points,
     solve_newton,
@@ -92,11 +91,11 @@ def test_criterion_3_inverse_round_trip():
 
 def test_criterion_4_uniform_limit_bound():
     rng = np.random.default_rng(1004)
-    eps0 = epsilon_bound(0).epsilon_star
+    eps0 = epsilon_bound(0)
     ok = abs(eps0 - 0.5) <= 1e-12
     worst_ratio = 0.0
     for n in (1.0, 10.0, 100.0, 1000.0):
-        eps = epsilon_bound(n).epsilon_star
+        eps = epsilon_bound(n)
         for _ in range(500):
             d = int(rng.integers(1, 9))
             y = rng.uniform(-10.0, 10.0, size=d)
@@ -132,7 +131,7 @@ def test_criterion_5_graph_round_trips():
             logit_point = phi_n_inv(n, t, tol=1e-12)
             ok = ok and logit_residual(logit_point.game, logit_point.profile, n) <= 1e-9
             ok = ok and min(v.min() for v in logit_point.profile.vectors) > 0.0
-            back_n = phi_n(n, logit_point)
+            back_n = phi(logit_point)
             defect = max(
                 max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, back_n.tilde_u)),
                 max(float(np.abs(a - b).max()) for a, b in zip(t.y_bar, back_n.y_bar)),

@@ -109,7 +109,7 @@ def reference_uniform_limit_bound(seed=5):
     rng = random.Random(seed)
     widths = iter(reference_widths(rng, 160))
     for n in (1.0, 10.0, 100.0, 1000.0):
-        ceiling = maps.epsilon_bound(n).epsilon_star * (1.0 + 1e-6)
+        ceiling = maps.epsilon_bound(n) * (1.0 + 1e-6)
         for _ in range(40):
             d = next(widths)
             y = uniform_draws(rng, -10.0, 10.0, d)
@@ -189,8 +189,7 @@ def test_uniform_limit_failure_names_the_first_failing_draw(monkeypatch):
     bound = maps.epsilon_bound
 
     def tight(n):  # a ceiling the gaps pass at n = 100 and 1000
-        exact = bound(n)
-        return maps.ConvergenceBound(exact.n, exact.epsilon_star * (1e-3 if n > 10 else 1.0))
+        return bound(n) * (1e-3 if n > 10 else 1.0)
 
     monkeypatch.setattr(maps, "epsilon_bound", tight)
     monkeypatch.setattr(verification, "epsilon_bound", tight)

@@ -164,7 +164,7 @@ def test_study_agrees_with_per_sample_loop(form):
         bound = AGREEMENT * max(1.0, row.n)
         assert abs(row.sup_gap_x - sup_x) <= bound
         assert abs(row.sup_gap_full - sup_full) <= bound
-        assert lemma_bound == max(form.action_counts) * epsilon_bound(row.n).epsilon_star
+        assert lemma_bound == max(form.action_counts) * epsilon_bound(row.n)
 
 
 def test_study_block_boundaries_do_not_change_the_report(monkeypatch):

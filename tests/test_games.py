@@ -9,7 +9,6 @@ from logitgraph import (
     MixedProfile,
     NotOnGraphError,
     StrategicGameForm,
-    deviation_payoff,
     deviation_payoffs,
     evaluate_mixed,
     graph_point_gap,
@@ -155,15 +154,14 @@ class TestDeviationPayoff:
     def test_matching_pennies_uniform(self):
         game = matching_pennies()
         for action in range(2):
-            assert deviation_payoff(game, 0, action, uniform(game)) == pytest.approx(
+            assert deviation_payoffs(game, 0, uniform(game))[action] == pytest.approx(
                 0.0, abs=1e-15
             )
 
     def test_one_player_no_opponents(self):
         game = one_player_game([1.0, 0.0])
         x = MixedProfile((np.array([0.3, 0.7]),))
-        assert deviation_payoff(game, 0, 0, x) == 1.0
-        assert deviation_payoff(game, 0, 1, x) == 0.0
+        assert deviation_payoffs(game, 0, x).tolist() == [1.0, 0.0]
 
     def test_2x2_expectation(self):
         game = Game.from_payoff_tensors(
@@ -171,7 +169,7 @@ class TestDeviationPayoff:
         )
         x = MixedProfile((np.array([1.0, 0.0]), np.array([0.25, 0.75])))
         # brute-force expectation over opponent actions: 1*0.25 + 0*0.75
-        assert deviation_payoff(game, 0, 0, x) == pytest.approx(0.25, abs=1e-15)
+        assert deviation_payoffs(game, 0, x)[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_ignores_own_mixture(self, rng):
         form = StrategicGameForm(2, (3, 2))
@@ -182,12 +180,10 @@ class TestDeviationPayoff:
             deviation_payoffs(game, 0, base), deviation_payoffs(game, 0, other)
         )
 
-    def test_index_errors(self):
+    def test_player_index_error(self):
         game = matching_pennies()
         with pytest.raises(InvalidInputError):
-            deviation_payoff(game, 2, 0, uniform(game))
-        with pytest.raises(InvalidInputError):
-            deviation_payoff(game, 0, 5, uniform(game))
+            deviation_payoffs(game, 2, uniform(game))
 
 
 class TestNashResidual:

@@ -19,7 +19,6 @@ from logitgraph import (
     nash_residual,
     phi,
     phi_inv,
-    phi_n,
     phi_n_inv,
     sample_target_points,
     solve_newton,
@@ -31,6 +30,11 @@ from conftest import matching_pennies, one_player_game, random_game
 
 E = np.e
 
+PIN_FORMS = [
+    StrategicGameForm(1, (3,)),
+    StrategicGameForm(2, (3, 2)),
+    StrategicGameForm(3, (2, 2, 2)),
+]
 FORMS = [
     StrategicGameForm(1, (2,)),
     StrategicGameForm(2, (2, 2)),
@@ -45,6 +49,12 @@ def one_player_target(y_bar):
         tilde_u=(np.zeros(len(y_bar)),),
         y_bar=(np.asarray(y_bar, dtype=float),),
     )
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def max_target_diff(a, b):
@@ -135,12 +145,33 @@ class TestPhi:
         with pytest.raises(NotOnGraphError):
             phi(bad)
 
-    def test_rejects_wrong_kind(self):
-        game = one_player_game([1.0, 0.0])
-        x = MixedProfile((np.array([E / (1 + E), 1 / (1 + E)]),))
-        point = GraphPoint.logit(game, x, 1.0)
-        with pytest.raises(InvalidInputError):
-            phi(point)
+    @pytest.mark.parametrize("form", PIN_FORMS, ids=str)
+    def test_nash_point_pins_to_its_split_and_z_nash(self, form):
+        for t in sample_target_points(form, 3, 11, 10.0):
+            point = phi_inv(t)
+            target = phi(point)
+            assert_same_arrays(target.tilde_u, km_decompose(point.game).tilde_u)
+            assert_same_arrays(target.y_bar, z_nash(point.game, point.profile))
+
+    @pytest.mark.parametrize("form", PIN_FORMS, ids=str)
+    @pytest.mark.parametrize("n", [0.5, 10.0, 1000.0])
+    def test_logit_point_maps_at_its_own_n(self, form, n):
+        for t in sample_target_points(form, 3, 12, 5.0 / n):  # interior profiles at every n
+            point = phi_n_inv(n, t)
+            target = phi(point)
+            assert_same_arrays(target.tilde_u, km_decompose(point.game).tilde_u)
+            assert_same_arrays(target.y_bar, z_logit(point.n, point.game, point.profile))
+
+    def test_takes_no_tolerance(self):
+        game = matching_pennies()
+        x = MixedProfile.uniform(game.form)
+        for call in (
+            lambda: phi(GraphPoint.nash(game, x), tol=1.0),
+            lambda: GraphPoint.nash(game, x, tol=1.0),
+            lambda: GraphPoint.logit(game, x, 1.0, tol=1.0),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestPhiInv:
@@ -194,12 +225,10 @@ class TestNonFinitePrecision:
     def test_rejected_at_every_graph_boundary(self, n):
         game = matching_pennies()
         x = MixedProfile.uniform(game.form)
-        point = GraphPoint.logit(game, x, 1.0)
         for call in (
             lambda: logit_residual(game, x, n),
             lambda: GraphPoint(game, x, n),
             lambda: GraphPoint.logit(game, x, n),
-            lambda: phi_n(n, point),
             lambda: z_logit(n, game, x),
             lambda: g_map(n, [0.1, 0.2]),
             lambda: g_jacobian(n, [0.1, 0.2]),
@@ -212,7 +241,7 @@ class TestPhiN:
     def test_one_player_example(self):
         game = one_player_game([1.0, 0.0])
         x = MixedProfile((np.array([E / (1 + E), 1 / (1 + E)]),))
-        target = phi_n(1.0, GraphPoint.logit(game, x, 1.0))
+        target = phi(GraphPoint.logit(game, x, 1.0))
         assert np.allclose(target.tilde_u[0], 0.0, atol=1e-15)
         assert target.y_bar[0] == pytest.approx(
             [1.7310585786300049, 0.2689414213699951], abs=1e-12
@@ -222,7 +251,7 @@ class TestPhiN:
         game = matching_pennies()
         for n in (1.0, 25.0):
             point = GraphPoint.logit(game, MixedProfile.uniform(game.form), n)
-            target = phi_n(n, point)
+            target = phi(point)
             for i in range(2):
                 assert np.array_equal(target.tilde_u[i], game.payoffs[i])
                 assert np.allclose(target.y_bar[i], [0.5, 0.5], atol=1e-15)
@@ -231,7 +260,7 @@ class TestPhiN:
         form = StrategicGameForm(2, (3, 2))
         game = Game(form, (np.zeros(6), np.zeros(6)))
         point = GraphPoint.logit(game, MixedProfile.uniform(form), 1.0)
-        target = phi_n(1.0, point)
+        target = phi(point)
         assert np.allclose(target.y_bar[0], 1.0 / 3.0, atol=1e-15)
         assert np.allclose(target.y_bar[1], 0.5, atol=1e-15)
 
@@ -240,7 +269,13 @@ class TestPhiN:
         bad = GraphPoint(game=game, profile=MixedProfile((np.array([0.5, 0.5]),)), n=1.0)
         assert bad.kind == "logit" and bad.residual == logit_residual(game, bad.profile, 1.0) > 0.2
         with pytest.raises(NotOnGraphError):
-            phi_n(1.0, bad)
+            phi(bad)
+
+    def test_boundary_profile_warns(self):
+        # phi re-verifies a logit point through logit_residual at the point's n
+        point = GraphPoint(one_player_game([1.0, 0.0]), MixedProfile((np.array([1.0, 0.0]),)), 1.0)
+        with pytest.warns(RuntimeWarning, match="boundary profile"), pytest.raises(NotOnGraphError):
+            phi(point)
 
 
 class TestPhiNInv:
@@ -261,7 +296,7 @@ class TestPhiNInv:
         game = random_game(rng, form, box=3.0)
         x = solve_newton(5.0, game, MixedProfile.uniform(form), tol=1e-13)
         point = GraphPoint.logit(game, x, 5.0)
-        recovered = phi_n_inv(5.0, phi_n(5.0, point), tol=1e-12)
+        recovered = phi_n_inv(5.0, phi(point), tol=1e-12)
         for a, b in zip(recovered.game.payoffs, game.payoffs):
             assert np.abs(a - b).max() <= 1e-8
         for a, b in zip(recovered.profile.vectors, x.vectors):
@@ -275,12 +310,12 @@ class TestPhiNInv:
             assert point.residual <= 1e-9
             assert logit_residual(point.game, point.profile, n) <= 1e-9
             assert min(v.min() for v in point.profile.vectors) > 0.0
-            assert max_target_diff(t, phi_n(n, point)) <= 1e-9
+            assert max_target_diff(t, phi(point)) <= 1e-9
 
     def test_x_part_bound(self, rng):
         form = StrategicGameForm(2, (3, 2))
         for n in (1.0, 10.0, 100.0):
-            ceiling = max(form.action_counts) * epsilon_bound(n).epsilon_star * (1 + 1e-6)
+            ceiling = max(form.action_counts) * epsilon_bound(n) * (1 + 1e-6)
             for t in sample_target_points(form, 20, int(n), 10.0):
                 nash_point = phi_inv(t)
                 logit_point = phi_n_inv(n, t, tol=1e-12)
@@ -313,7 +348,7 @@ class TestApproximationGap:
 
     def test_one_player_bound(self):
         t = one_player_target([1.5, 0.5])
-        eps = epsilon_bound(100.0).epsilon_star
+        eps = epsilon_bound(100.0)
         assert approximation_gap(100.0, t) <= 2.0 * np.sqrt(2.0) * eps * (1 + 1e-6)
 
     def test_gap_of_mismatched_forms_rejected(self):

@@ -15,7 +15,7 @@ from logitgraph import (
     StrategicGameForm,
     TargetPoint,
     convergence_study,
-    deviation_payoff,
+    deviation_payoffs,
     immersion_rank_check,
     km_decompose,
     parse_game,
@@ -57,7 +57,7 @@ class TestParseGame:
         assert game.payoff_tensor(0)[1, 0] == -1.0
         assert game.payoff_tensor(0)[0, 0] == 1.0
         x = MixedProfile.uniform(game.form)
-        assert deviation_payoff(game, 0, 0, x) == 0.0
+        assert deviation_payoffs(game, 0, x)[0] == 0.0
 
     def test_wrong_tensor_length(self):
         bad = '{"players": 2, "actions": [2, 2], "payoffs": [[1, 2, 3]]}'
@@ -426,6 +426,20 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 200 samples of form 3:3,3,3: ")
         assert "exceeds 2**53" in err
+
+    @pytest.mark.parametrize("n_list", ["1,inf", "nan", "1,nan"])
+    def test_study_non_finite_precision_exits_one(self, n_list):
+        argv = ["study", "--form", "2:2,2", "--n-list", n_list, "--samples", "2", "--seed", "0"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: n must be positive and finite, got {n_list.split(',')[-1]}\n"
+
+    def test_study_huge_finite_precision_stays_a_convergence_failure(self):
+        argv = ["study", "--form", "2:2,2", "--n-list", "1,1e308", "--samples", "2", "--seed", "0"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        failure = "convergence failure: logit reconstruction failed (seed=0, sample=0, n=1e+308)"
+        assert err.startswith(failure)
 
     def test_study_negative_seed_exits_one_without_a_traceback(self):
         # a process, so an exception escaping run_cli would show as a traceback

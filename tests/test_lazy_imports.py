@@ -138,3 +138,14 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         logitgraph.no_such_name
     assert not hasattr(logitgraph, "trace_path")
+
+
+@pytest.mark.parametrize(
+    "name", ["phi_n", "ConvergenceBound", "approximate_nash", "deviation_payoff"]
+)
+def test_removed_name_raises_attribute_error(name):
+    # phi maps logit points at their own n, epsilon_bound returns the number, and
+    # trace_logit_path and deviation_payoffs give what the two wrappers returned
+    with pytest.raises(AttributeError, match=name):
+        getattr(logitgraph, name)
+    assert name not in logitgraph.__all__ and len(logitgraph.__all__) == 50

@@ -242,7 +242,7 @@ class TestHNumeric:
 
     def test_uniform_limit_bound(self, rng):
         for n in (1.0, 10.0, 100.0, 1000.0):
-            ceiling = epsilon_bound(n).epsilon_star * (1.0 + 1e-6)
+            ceiling = epsilon_bound(n) * (1.0 + 1e-6)
             for _ in range(40):
                 d = int(rng.integers(1, 9))
                 y = rng.uniform(-10, 10, size=d)
@@ -283,27 +283,23 @@ class TestHNumeric:
 
 class TestEpsilonBound:
     def test_zero_precision_is_half(self):
-        assert epsilon_bound(0).epsilon_star == 0.5
+        assert type(epsilon_bound(0)) is float and epsilon_bound(0) == 0.5
 
     def test_frozen_value_at_ten(self):
         # recomputed with a 50-digit bisection oracle before freezing
-        assert epsilon_bound(10).epsilon_star == pytest.approx(
+        assert epsilon_bound(10) == pytest.approx(
             0.16335061701558464, abs=1e-10
         )
 
     @pytest.mark.parametrize("n", [0.25, 1.0, 4.0, 10.0, 100.0, 1000.0])
     def test_defining_equation(self, n):
-        eps = epsilon_bound(n).epsilon_star
+        eps = epsilon_bound(n)
         assert abs(eps * (1.0 + np.exp(eps * n)) - 1.0) <= 1e-12
 
     def test_nonincreasing_in_n(self):
-        values = [epsilon_bound(n).epsilon_star for n in (0, 1, 5, 10, 100, 1000)]
+        values = [epsilon_bound(n) for n in (0, 1, 5, 10, 100, 1000)]
         assert all(b <= a for a, b in zip(values, values[1:]))
-        assert epsilon_bound(100).epsilon_star < epsilon_bound(10).epsilon_star
-
-    def test_uniform_bound_scales_with_dimension(self):
-        bound = epsilon_bound(10)
-        assert bound.uniform_bound(4) == pytest.approx(4 * bound.epsilon_star)
+        assert epsilon_bound(100) < epsilon_bound(10)
 
     def test_negative_precision_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -330,11 +326,12 @@ class TestEpsilonBound:
     def test_matches_linear_bisection_up_to_1e40(self):
         grid = [1.0, 10.0, 100.0, 1000.0, 0.25, 4.0, 6.0] + list(np.logspace(-3, 40, 400))
         for n in grid:
-            assert epsilon_bound(float(n)).epsilon_star == self.linear_bisection(float(n)), n
+            value = epsilon_bound(float(n))
+            assert type(value) is float and value == self.linear_bisection(float(n)), n
 
     def test_huge_precision(self):
         ns = [1e40, 1e50, 1e60, 1e100, 1e300, sys.float_info.max]
-        values = [epsilon_bound(n).epsilon_star for n in ns]
+        values = [epsilon_bound(n) for n in ns]
         assert all(b < a for a, b in zip(values, values[1:]))
         for n, eps in zip(ns, values):
             t = eps * n

@@ -1,10 +1,10 @@
 """The behaviour every result record shares: construction, defaults, immutability, repr and equality.
 
-Each of the library's 14 records is built once by position and once by
-keyword from the same values. Four records compare by value (``StrategicGameForm``,
-``ConvergenceBound``, ``ReportRow`` and ``CheckResult``); the other ten compare
-by identity. The ``render`` bytes of the two study reports are pinned here,
-since no golden file holds a ``RankReport``.
+Each of the library's 13 records is built once by position and once by
+keyword from the same values. Three records compare by value (``StrategicGameForm``,
+``ReportRow`` and ``CheckResult``); the other ten compare by identity. The
+``render`` bytes of the two study reports are pinned here, since no golden
+file holds a ``RankReport``.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from conftest import matching_pennies
 
 from logitgraph import (
     CheckResult,
-    ConvergenceBound,
     ConvergenceReport,
     Game,
     GraphPoint,
@@ -63,7 +62,6 @@ RECORDS = {
         ("alpha_star", "h_value", "residual"),
         lambda: (0.5, np.array([0.5, 0.2]), np.array([0.5, 0.0])),
     ),
-    ConvergenceBound: (("n", "epsilon_star"), lambda: (2.0, 0.25)),
     TargetPoint: (("form", "tilde_u", "y_bar"), lambda: (_target().form, _target().tilde_u, _target().y_bar)),
     GraphPoint: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 3.0)),
     PathEntry: (("n", "profile", "residual"), lambda: (2.0, MixedProfile(UNIFORM), 0.0)),
@@ -76,7 +74,7 @@ RECORDS = {
     ),
     CheckResult: (("name", "passed", "detail"), lambda: ("water-filling", True, "ok")),
 }
-BY_VALUE = {StrategicGameForm, ConvergenceBound, ReportRow, CheckResult}
+BY_VALUE = {StrategicGameForm, ReportRow, CheckResult}
 IDS = [cls.__name__ for cls in RECORDS]
 
 
@@ -187,7 +185,6 @@ class TestDerivedFacts:
 class TestValueEquality:
     def test_distinct_values_differ(self):
         assert StrategicGameForm(2, (2, 3)) != StrategicGameForm(2, (3, 2))
-        assert ConvergenceBound(1.0, 0.25) != ConvergenceBound(1.0, 0.5)
         assert ReportRow(1.0, 0.1, 0.2) != ReportRow(1.0, 0.1, 0.3)
         assert CheckResult("a", True, "") != CheckResult("a", False, "")
 
@@ -206,7 +203,6 @@ class TestRepr:
         "record, text",
         [
             (StrategicGameForm(2, (2, 3)), "StrategicGameForm(num_players=2, action_counts=(2, 3))"),
-            (ConvergenceBound(2.0, 0.25), "ConvergenceBound(n=2.0, epsilon_star=0.25)"),
             (
                 ReportRow(1.0, 0.125, 0.25),
                 "ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25)",
@@ -247,11 +243,13 @@ class TestPostInitChecks:
             lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies()),
             lambda: ConvergenceReport(FORM, 3, 5, _rows()[::-1]),
             lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, 0.9, 0.25),)),
+            lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, np.nan, 0.25),)),
+            lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, 0.125, np.nan),)),
         ],
         ids=[
             "form-players", "form-counts", "game-tensors", "game-finite", "profile-sum",
             "km-zero-mean", "target-zero-mean", "point-n", "trace-residual",
-            "report-order", "report-bound",
+            "report-order", "report-bound", "report-nan-gap-x", "report-nan-gap-full",
         ],
     )
     def test_invalid_values_raise(self, build):

@@ -14,7 +14,6 @@ from logitgraph import (
     PathTrace,
     StrategicGameForm,
     TargetPoint,
-    approximate_nash,
     h_numeric,
     logit_residual,
     logit_response,
@@ -488,22 +487,22 @@ class TestTraceLogitPath:
         assert trace.entries[-1].residual <= 1e-10
 
 
-class TestApproximateNash:
+class TestTerminalNashResidual:
     def test_matching_pennies(self):
-        profile, residual = approximate_nash(matching_pennies(), 100.0, tol=1e-12)
-        assert residual == 0.0
-        for v in profile.vectors:
+        trace = trace_logit_path(matching_pennies(), 100.0, tol=1e-12)
+        assert trace.terminal_nash_residual == 0.0
+        for v in trace.entries[-1].profile.vectors:
             assert np.array_equal(v, [0.5, 0.5])
 
     def test_one_player_tiny_residual(self):
-        _, residual = approximate_nash(one_player_game([1.0, 0.0]), 30.0, tol=1e-12)
-        assert residual <= 1e-12
+        trace = trace_logit_path(one_player_game([1.0, 0.0]), 30.0, tol=1e-12)
+        assert trace.terminal_nash_residual <= 1e-12
 
     def test_residual_shrinks_with_precision(self, rng):
         form = StrategicGameForm(2, (2, 2))
         game = random_game(rng, form, box=1.0)
-        _, res_short = approximate_nash(game, 200.0, tol=1e-10)
-        _, res_long = approximate_nash(game, 400.0, tol=1e-10)
+        res_short = trace_logit_path(game, 200.0, tol=1e-10).terminal_nash_residual
+        res_long = trace_logit_path(game, 400.0, tol=1e-10).terminal_nash_residual
         assert res_short <= 1e-2
         assert res_long < res_short or res_long <= 1e-12
 

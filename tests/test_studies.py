@@ -198,6 +198,16 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidInputError):
             convergence_study(FORM_2X2, [-1.0, 1.0], 1, seed=0)
 
+    @pytest.mark.parametrize("n_list", [[1.0, math.inf], [math.nan], [1.0, math.nan]], ids=str)
+    def test_rejects_non_finite_precision_before_drawing(self, n_list, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew targets")
+
+        monkeypatch.setattr(studies, "_target_blocks", draw)
+        message = f"n must be positive and finite, got {n_list[-1]}"
+        with pytest.raises(InvalidInputError, match=message):
+            convergence_study(FORM_2X2, n_list, 2, seed=0)
+
     def test_report_enforces_row_invariant(self):
         bad = ReportRow(n=1.0, sup_gap_x=1.0, sup_gap_full=1.0)
         with pytest.raises(InvalidInputError, match="bound"):
@@ -206,7 +216,7 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("form", [FORM_1X2, FORM_2X2, StrategicGameForm(2, (3, 2))], ids=str)
     def test_hand_built_report_is_gated_on_the_proven_bound(self, form):
         # the bound comes from the form and n alone, so no caller can loosen it
-        bounds = [max(form.action_counts) * epsilon_bound(n).epsilon_star for n in (1.0, 10.0)]
+        bounds = [max(form.action_counts) * epsilon_bound(n) for n in (1.0, 10.0)]
         at = [ReportRow(n, b, 0.0) for n, b in zip((1.0, 10.0), bounds)]
         report = ConvergenceReport(form=form, seed=0, samples=1, rows=at)
         assert report.lemma_bounds == tuple(bounds)

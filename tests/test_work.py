@@ -31,7 +31,6 @@ from logitgraph import (
     immersion_rank_check,
     phi,
     phi_inv,
-    phi_n,
     phi_n_inv,
     run_property_suite,
     sample_target_points,
@@ -159,7 +158,7 @@ def test_graph_map_contractions(contractions):
     for t in sample_target_points(StrategicGameForm(3, (2, 3, 4)), 5, 3, 10.0):
         nash, logit = phi_inv(t), phi_n_inv(10.0, t)
         phi(nash)
-        phi_n(10.0, logit)
+        phi(logit)
         approximation_gap(10.0, t)
     assert contractions[0] == 150
 
