@@ -37,7 +37,7 @@ print(
 
 # The same construction at finite precision n: probabilities are strictly
 # positive and the reconstructed pair is a logit equilibrium.
-form = StrategicGameForm(2, (2, 2))
+form = StrategicGameForm((2, 2))
 t = sample_target_points(form, 1, seed=12, bound_box=5.0)[0]
 for n in (1.0, 10.0):
     p = phi_n_inv(n, t, tol=1e-12)

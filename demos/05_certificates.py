@@ -6,7 +6,7 @@ Run with: python demos/05_certificates.py
 from logitgraph import StrategicGameForm, convergence_study, immersion_rank_check
 from logitgraph.io import render
 
-form = StrategicGameForm(2, (2, 2))
+form = StrategicGameForm((2, 2))
 
 # How far does the Nash reconstruction sit from the logit reconstruction of
 # the same sampled targets? The profile part must stay under the proven bound

@@ -118,7 +118,9 @@ def _parse_form(text):
         counts = tuple(int(part) for part in tail.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"--form: expected players:m1,m2,...  got {text!r}") from exc
-    return StrategicGameForm(players, counts)
+    if players != len(counts):
+        raise InvalidInputError(f"expected {players} action counts, got {len(counts)}")
+    return StrategicGameForm(counts)
 
 
 def _parse_n_list(text):

@@ -20,6 +20,11 @@ PROBABILITY_TOL = 1e-9
 ZERO_MEAN_TOL = 1e-9
 
 
+def _is_integer(value):
+    """A Python or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _freeze(arr, dtype=float):
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
@@ -68,24 +73,25 @@ class Record:
 
 
 class StrategicGameForm(Record, eq=True):
-    """Player count and per-player action counts; fixes the profile index space."""
+    """Per-player action counts; fixes the player count and the profile index space."""
 
-    num_players: int
     action_counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "num_players", int(self.num_players))
-        object.__setattr__(self, "action_counts", tuple(int(m) for m in self.action_counts))
+        counts = tuple(self.action_counts) if np.iterable(self.action_counts) else (None,)
+        if not all(map(_is_integer, counts)):  # a non-sequence fails as the one count None
+            raise InvalidInputError(f"action counts must be integers, got {self.action_counts!r}")
+        object.__setattr__(self, "action_counts", tuple(map(int, counts)))
         if self.num_players < 1:
             raise InvalidInputError(f"num_players must be >= 1, got {self.num_players}")
         if self.num_players > 31:  # numpy 1.x caps arrays at 32 axes and einsum at 32 operands
             raise InvalidInputError(f"num_players must be <= 31, got {self.num_players}")
-        if len(self.action_counts) != self.num_players:
-            raise InvalidInputError(
-                f"expected {self.num_players} action counts, got {len(self.action_counts)}"
-            )
         if any(m < 1 for m in self.action_counts):
             raise InvalidInputError(f"action counts must be >= 1, got {self.action_counts}")
+
+    @property
+    def num_players(self):
+        return len(self.action_counts)
 
     @property
     def profile_count(self):
@@ -124,8 +130,9 @@ class Game(Record):
     def from_payoff_tensors(cls, tensors):
         """Build from d-dimensional arrays indexed ``[a_0, a_1, ..., a_{d-1}]``."""
         tensors = [np.asarray(t, dtype=float) for t in tensors]
-        shape = tensors[0].shape
-        form = StrategicGameForm(len(shape), shape)
+        if not tensors:
+            raise InvalidInputError("payoff tensor list is empty")
+        form = StrategicGameForm(tensors[0].shape)
         return cls(form, tuple(t.ravel(order="F") for t in tensors))
 
     def payoff_tensor(self, player):
@@ -167,7 +174,7 @@ class MixedProfile(Record):
         return len(self.vectors)
 
 
-def _check_rows(form, payoffs, vectors, first=0):
+def _check_rows(payoffs, vectors, first=0):
     """The Game and MixedProfile checks over a leading sample axis, one array per player.
 
     Payoffs must be finite; each probability vector finite, nonnegative and
@@ -258,6 +265,8 @@ def deviation_payoffs(game, player, x):
 
     Ignores the player's own mixture.
     """
+    if not _is_integer(player):
+        raise InvalidInputError(f"player index must be an integer, got {player!r}")
     if not 0 <= player < game.form.num_players:
         raise InvalidInputError(f"player index {player} out of range")
     vectors = _profile_vectors(game.form, x)
@@ -266,10 +275,8 @@ def deviation_payoffs(game, player, x):
 
 def evaluate_mixed(game, player, x):
     """Multilinear payoff extension: expected payoff to ``player`` under profile ``x``."""
-    if not 0 <= player < game.form.num_players:
-        raise InvalidInputError(f"player index {player} out of range")
-    vectors = _profile_vectors(game.form, x)
-    return float(np.dot(vectors[player], deviation_payoffs(game, player, vectors)))
+    w = deviation_payoffs(game, player, x)  # checks player and x
+    return float(np.dot(_profile_vectors(game.form, x)[player], w))
 
 
 def nash_residual(game, x):
@@ -320,39 +327,33 @@ class KMRepresentation(Record):
     ``bar_u[i][a_i]`` is the mean of player ``i``'s payoff to ``a_i`` over all
     opponent profiles; ``tilde_u[i]`` is the flat remainder, whose mean over
     opponent profiles is zero for every own action. The split is a linear
-    bijection on payoff space.
+    bijection on payoff space. ``form`` is read off the sizes of ``bar_u``.
     """
 
-    form: StrategicGameForm
     tilde_u: tuple[np.ndarray, ...]
     bar_u: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tilde, bar = _checked_split(self.form, self.tilde_u, self.bar_u, "bar_u")
-        object.__setattr__(self, "tilde_u", tilde)
-        object.__setattr__(self, "bar_u", bar)
+        _checked_split(self, self.tilde_u, self.bar_u, "bar_u")
 
 
-def _checked_split(form, tilde_u, vectors, name):
-    """Frozen ``(tilde_u, vectors)`` of a split-coordinate record, after its checks.
+def _checked_split(record, tilde_u, vectors, name):
+    """Check and freeze a split-coordinate record's ``tilde_u`` and ``vectors``, and set its ``form``.
 
-    Per player, ``tilde_u[i]`` must have ``|A|`` entries and ``vectors[i]``
-    (called ``name`` in messages) one per own action; both must be finite, and
+    ``vectors`` are the per-action field ``name``; their sizes fix the form. Per
+    player, ``tilde_u[i]`` must have ``|A|`` entries; both must be finite, and
     ``tilde_u[i]``'s opponent means (the bar part of ``_split_payoff``) must
     vanish within ZERO_MEAN_TOL.
     """
     tilde = tuple(_freeze(t) for t in tilde_u)
     vectors = tuple(_freeze(v) for v in vectors)
-    if len(tilde) != form.num_players or len(vectors) != form.num_players:
+    form = StrategicGameForm(tuple(v.size for v in vectors))
+    if len(tilde) != form.num_players:
         raise InvalidInputError("component count does not match the number of players")
     size = form.profile_count
     for i, (t, v) in enumerate(zip(tilde, vectors)):
         if t.size != size:
             raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
-        if v.size != form.action_counts[i]:
-            raise InvalidInputError(
-                f"{name}[{i}]: length {v.size} != action count {form.action_counts[i]}"
-            )
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise InvalidInputError(f"components[{i}] must be finite")
         worst = float(np.abs(_split_payoff(form, t.ravel(), i)[1]).max())
@@ -360,7 +361,8 @@ def _checked_split(form, tilde_u, vectors, name):
             raise InvalidInputError(
                 f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
             )
-    return tilde, vectors
+    for field, value in (("form", form), ("tilde_u", tilde), (name, vectors)):
+        object.__setattr__(record, field, value)
 
 
 def _split_payoff(form, flat, player):
@@ -392,11 +394,7 @@ def _lift_bar(form, bar, player):
 def km_decompose(game):
     """Split each player's payoffs into opponent-averages plus a zero-mean part."""
     parts = [_split_payoff(game.form, game.payoffs[i], i) for i in range(game.form.num_players)]
-    return KMRepresentation(
-        form=game.form,
-        tilde_u=tuple(t for t, _ in parts),
-        bar_u=tuple(b for _, b in parts),
-    )
+    return KMRepresentation(tilde_u=tuple(t for t, _ in parts), bar_u=tuple(b for _, b in parts))
 
 
 def km_recompose(rep):

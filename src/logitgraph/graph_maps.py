@@ -19,7 +19,6 @@ from .games import (
     Game,
     MixedProfile,
     Record,
-    StrategicGameForm,
     _check_n,
     _check_n_tol,
     _checked_split,
@@ -44,17 +43,14 @@ class TargetPoint(Record):
 
     ``y_bar`` is unconstrained; ``tilde_u`` must satisfy the same zero-mean
     invariant as in KMRepresentation. These are the coordinates the graph maps
-    below land in and invert from.
+    below land in and invert from. ``form`` is read off the sizes of ``y_bar``.
     """
 
-    form: StrategicGameForm
     tilde_u: tuple[np.ndarray, ...]
     y_bar: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tilde, ybar = _checked_split(self.form, self.tilde_u, self.y_bar, "y_bar")
-        object.__setattr__(self, "tilde_u", tilde)
-        object.__setattr__(self, "y_bar", ybar)
+        _checked_split(self, self.tilde_u, self.y_bar, "y_bar")
 
 
 class GraphPoint(Record):
@@ -71,6 +67,7 @@ class GraphPoint(Record):
     n: float | None = None
 
     def __post_init__(self):
+        _profile_vectors(self.game.form, self.profile)
         if self.n is not None:
             _check_n(self.n)
 
@@ -137,7 +134,7 @@ def phi(point):
     _graph_residual(game, point.profile, point.n)
     rep = km_decompose(game)
     y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), point.n)
-    return TargetPoint(form=game.form, tilde_u=rep.tilde_u, y_bar=tuple(z[0] for z in y_bar))
+    return TargetPoint(tilde_u=rep.tilde_u, y_bar=tuple(z[0] for z in y_bar))
 
 
 def _payoff_rows(form, tilde_u, values, x_vectors):

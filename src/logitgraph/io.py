@@ -66,7 +66,7 @@ def parse_game(data):
     for i, m in enumerate(actions):
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ParseError(f"actions[{i}]: expected a positive integer, got {m!r}")
-    form = StrategicGameForm(players, tuple(actions))
+    form = StrategicGameForm(tuple(actions))
     size = form.profile_count
     payoffs_obj = obj["payoffs"]
     if not isinstance(payoffs_obj, list):
@@ -113,7 +113,7 @@ def parse_target_point(data, project_tilde=False):
         raise ParseError(
             f"tilde_u: expected {players} rows to match y_bar, got {len(obj['tilde_u'])}"
         )
-    form = StrategicGameForm(players, tuple(v.size for v in y_bar))
+    form = StrategicGameForm(tuple(v.size for v in y_bar))
     size = form.profile_count
     tilde = []
     for i, row in enumerate(obj["tilde_u"]):
@@ -128,7 +128,7 @@ def parse_target_point(data, project_tilde=False):
                 "(pass project_tilde to remove them)"
             )
         tilde.append(zero_mean)
-    return TargetPoint(form=form, tilde_u=tuple(tilde), y_bar=tuple(y_bar))
+    return TargetPoint(tilde_u=tuple(tilde), y_bar=tuple(y_bar))
 
 
 def target_point_to_json(t):

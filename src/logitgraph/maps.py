@@ -114,17 +114,21 @@ class SimplexProjection(Record):
     is a probability vector (the simplex projection of ``y``).
     """
 
-    alpha_star: float
     h_value: np.ndarray
     residual: np.ndarray
+
+    @property
+    def alpha_star(self):
+        # the residual's weights sum to 1, so some entry is clipped, and a clipped
+        # entry is the water level itself: this is the value h_exact clipped at
+        return float(self.h_value.max())
 
 
 def h_exact(y):
     """Clip ``y`` at its water level and return the split as a SimplexProjection."""
     y = _as_vector(y, "y")
-    a = alpha_star(y)
-    h = np.minimum(y, a)
-    return SimplexProjection(alpha_star=a, h_value=h, residual=y - h)
+    h = np.minimum(y, alpha_star(y))
+    return SimplexProjection(h_value=h, residual=y - h)
 
 
 def _stall_error(best, residual, tol, iterations):

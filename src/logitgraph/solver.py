@@ -67,6 +67,7 @@ class PathTrace(Record):
 
     def __post_init__(self):
         for e in self.entries:
+            _profile_vectors(self.game.form, e.profile)
             recomputed = _logit_gap(self.game, e.profile.vectors, e.n)
             if not abs(recomputed - e.residual) <= 1e-12:
                 raise InvalidInputError(

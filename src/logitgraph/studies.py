@@ -22,6 +22,7 @@ from .games import (
     _check_rows,
     _contract,
     _cross_blocks,
+    _is_integer,
     _lift_bar,
     _split_payoff,
 )
@@ -36,7 +37,7 @@ DRAW_CHUNK = 1 << 20  # values per getrandbits call; keeps its bit count inside 
 
 def _check_seed(seed):
     """Accept a nonnegative Python or NumPy integer, the seeds every draw here is fixed by."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -106,11 +107,7 @@ def sample_target_points(form, samples, seed, bound_box):
     """
     _, tilde, y_bar = next(_target_blocks(form, samples, seed, bound_box, samples))
     return [
-        TargetPoint(
-            form=form,
-            tilde_u=tuple(t[s] for t in tilde),
-            y_bar=tuple(b[s] for b in y_bar),
-        )
+        TargetPoint(tilde_u=tuple(t[s] for t in tilde), y_bar=tuple(b[s] for b in y_bar))
         for s in range(samples)
     ]
 
@@ -189,7 +186,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     count = len(n_list)
     for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, max(1, STUDY_BLOCK // count)):
         nash_payoffs, nash_x = _nash_rows(form, tilde, y_bar)
-        _check_rows(form, nash_payoffs, nash_x, start)
+        _check_rows(nash_payoffs, nash_x, start)
         size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
         tiled = tuple(np.tile(b, (count, 1)) for b in y_bar)
         *logit, failure = _logit_values(np.repeat(n_list, size), tiled, STUDY_TOL)
@@ -198,7 +195,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
                 _raise_failure((failure[0] % size, failure[1]), seed, start, n)
             values, x = (tuple(a[j * size : (j + 1) * size] for a in rows) for rows in logit)
             payoffs = _payoff_rows(form, tilde, values, x)  # one precision's payoffs at a time
-            _check_rows(form, payoffs, x, start)
+            _check_rows(payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
             sup_x[j] = max(sup_x[j], float(gap_x.max()))
@@ -267,7 +264,7 @@ def immersion_rank_check(n, form, sample_points, seed):
     _, tilde, y_bar = next(_target_blocks(form, sample_points, seed, RANK_SAMPLE_BOX, sample_points))
     payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
     _raise_failure(failure, seed, 0, n)
-    _check_rows(form, payoffs, x)
+    _check_rows(payoffs, x)
     smallest = min(  # zip(*tilde), zip(*x): per sample, one row per player
         np.linalg.svd(_reconstruction_jacobian(n, form, *sample), compute_uv=False).min()
         for sample in zip(zip(*tilde), zip(*x))

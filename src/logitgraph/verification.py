@@ -24,7 +24,7 @@ from .games import (
     nash_residual,
     softmax,
 )
-from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
+from .graph_maps import _logit_values, _nash_rows, _payoff_rows, _z_rows, z_logit, z_nash
 from .maps import _cl_rows, _invert_rows, _jacobian_rows, _stall_error, _water_level, epsilon_bound
 from .solver import logit_response, trace_logit_path
 from .studies import _check_seed, _rng, _target_blocks, _uniform
@@ -178,10 +178,10 @@ def check_epsilon_bound():
 
 
 _SUITE_FORMS = (
-    StrategicGameForm(1, (2,)),
-    StrategicGameForm(2, (2, 2)),
-    StrategicGameForm(2, (3, 2)),
-    StrategicGameForm(3, (2, 2, 2)),
+    StrategicGameForm((2,)),
+    StrategicGameForm((2, 2)),
+    StrategicGameForm((3, 2)),
+    StrategicGameForm((2, 2, 2)),
 )
 
 
@@ -219,21 +219,25 @@ def check_nash_round_trip(seed=8):
     for form in _SUITE_FORMS:
         _, tilde, y_bar = next(_target_blocks(form, 8, seed, 10.0, 8))
         payoffs, x = _nash_rows(form, tilde, y_bar)
-        _check_rows(form, payoffs, x)
+        _check_rows(payoffs, x)
         back = _z_rows(form, payoffs, x)
         worst = max(worst, _round_trip_defect(form, tilde, y_bar, payoffs, back))
     return CheckResult("nash-round-trip", worst <= 1e-9, f"max defect {worst:.2e}")
 
 
 def check_logit_round_trip(seed=9):
-    worst = 0.0
+    worst, ns, samples = 0.0, (1.0, 10.0), 8
     for form in _SUITE_FORMS:
-        _, tilde, y_bar = next(_target_blocks(form, 8, seed, 10.0, 8))
-        for n in (1.0, 10.0):
-            payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, 1e-12)
-            if failure:
+        _, tilde, y_bar = next(_target_blocks(form, samples, seed, 10.0, samples))
+        # both precisions in one inversion, every sample at the first n, then at the second
+        tiled = tuple(np.tile(b, (len(ns), 1)) for b in y_bar)
+        *logit, failure = _logit_values(np.repeat(ns, samples), tiled, 1e-12)
+        for j, n in enumerate(ns):
+            if failure and failure[0] // samples == j:
                 raise failure[1]
-            _check_rows(form, payoffs, x)
+            values, x = (tuple(a[j * samples : (j + 1) * samples] for a in rows) for rows in logit)
+            payoffs = _payoff_rows(form, tilde, values, x)
+            _check_rows(payoffs, x)
             w = _deviation_rows(form, payoffs, x)
             s = tuple(softmax(n * d) for d in w)
             residual = _max_gap(x, s)
@@ -247,7 +251,7 @@ def check_logit_round_trip(seed=9):
 
 
 def check_solver_closed_forms():
-    one_player = Game(StrategicGameForm(1, (2,)), (np.array([1.0, 0.0]),))
+    one_player = Game(StrategicGameForm((2,)), (np.array([1.0, 0.0]),))
     solved = logit_response(1.0, one_player, MixedProfile.uniform(one_player.form))
     expected = np.exp(1.0) / (1.0 + np.exp(1.0))
     defect = abs(solved.vectors[0][0] - expected)

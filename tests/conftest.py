@@ -30,7 +30,7 @@ def coordination_2x2():
 
 def one_player_game(values):
     values = np.asarray(values, dtype=float)
-    return Game(StrategicGameForm(1, (values.size,)), (values,))
+    return Game(StrategicGameForm((values.size,)), (values,))
 
 
 def random_game(rng, form, box=10.0):

@@ -97,12 +97,12 @@ def target_point(seed, shape):
 
     One ``default_rng(seed)`` row holds every player's raw tensor, then every ``y_bar``.
     """
-    form = StrategicGameForm(len(shape), shape)
+    form = StrategicGameForm(shape)
     size, k = form.profile_count, form.num_players
     raw = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(1, k * size + sum(shape)))
     tilde = tuple(_split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0][0] for i in range(k))
     edges = np.cumsum((k * size,) + shape)
-    return TargetPoint(form=form, tilde_u=tilde, y_bar=tuple(raw[0, a:b] for a, b in zip(edges, edges[1:])))
+    return TargetPoint(tilde_u=tilde, y_bar=tuple(raw[0, a:b] for a, b in zip(edges, edges[1:])))
 
 
 def game_paths(directory=HERE):

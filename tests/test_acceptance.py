@@ -31,10 +31,10 @@ from logitgraph import (
 from conftest import matching_pennies, one_player_game, solve_fixed_point
 
 ROUND_TRIP_FORMS = [
-    StrategicGameForm(1, (2,)),
-    StrategicGameForm(2, (2, 2)),
-    StrategicGameForm(2, (3, 2)),
-    StrategicGameForm(3, (2, 2, 2)),
+    StrategicGameForm((2,)),
+    StrategicGameForm((2, 2)),
+    StrategicGameForm((3, 2)),
+    StrategicGameForm((2, 2, 2)),
 ]
 
 
@@ -147,7 +147,7 @@ def test_criterion_5_graph_round_trips():
 
 
 def test_criterion_6_uniform_approximation_certificate():
-    form = StrategicGameForm(2, (2, 2))
+    form = StrategicGameForm((2, 2))
     study = convergence_study(form, [1.0, 10.0, 100.0, 1000.0], samples=100, seed=42)
     bound_ok = all(r.sup_gap_x <= b * (1.0 + 1e-6) for r, b in zip(study.rows, study.lemma_bounds))
     fulls = [r.sup_gap_full for r in study.rows]
@@ -162,7 +162,7 @@ def test_criterion_6_uniform_approximation_certificate():
 def test_criterion_7_immersion_rank_certificate():
     ok = True
     details = []
-    for form in (StrategicGameForm(1, (2,)), StrategicGameForm(2, (2, 2))):
+    for form in (StrategicGameForm((2,)), StrategicGameForm((2, 2))):
         for n in (1.0, 10.0):
             rep = immersion_rank_check(n, form, sample_points=5, seed=0)
             ok = ok and rep.passed
@@ -173,7 +173,7 @@ def test_criterion_7_immersion_rank_certificate():
 
 def test_criterion_8_limit_to_nash():
     rng = np.random.default_rng(808)
-    form = StrategicGameForm(2, (2, 2))
+    form = StrategicGameForm((2, 2))
     residuals_ok = True
     improved = 0
     worst = 0.0

@@ -36,7 +36,7 @@ from logitgraph import (
 from logitgraph.games import _split_payoff
 from logitgraph.maps import _invert_rows
 
-FORMS = [StrategicGameForm(1, (3,)), StrategicGameForm(2, (3, 4)), StrategicGameForm(3, (2, 3, 4))]
+FORMS = [StrategicGameForm((3,)), StrategicGameForm((3, 4)), StrategicGameForm((2, 3, 4))]
 NS = [1e-2, 1.0, 10.0, 1000.0]
 # Both solves stop at sup-norm residual <= 1e-12; since g_jacobian has every
 # eigenvalue >= 1 their iterates differ by a few 1e-12 at most, and softmax(n*w)
@@ -78,7 +78,7 @@ def reference_reconstruct(t, values, x_vectors):
     bar_u = tuple(
         values[i] - deviation_payoffs(tilde_game, i, x_vectors) for i in range(t.form.num_players)
     )
-    return km_recompose(KMRepresentation(form=t.form, tilde_u=t.tilde_u, bar_u=bar_u))
+    return km_recompose(KMRepresentation(tilde_u=t.tilde_u, bar_u=bar_u))
 
 
 def reference_phi_inv(t):
@@ -103,7 +103,7 @@ def reference_targets(form, samples, seed, bound_box):
             for i in range(form.num_players)
         )
         y_bar = tuple(uniform_draws(rng, -bound_box, bound_box, m) for m in form.action_counts)
-        points.append(TargetPoint(form=form, tilde_u=tilde, y_bar=y_bar))
+        points.append(TargetPoint(tilde_u=tilde, y_bar=y_bar))
     return points
 
 
@@ -202,7 +202,7 @@ def test_one_precision_per_row_matches_one_call_per_precision():
 
 
 def test_study_failure_names_the_first_failing_precision():
-    form = StrategicGameForm(2, (2, 3))
+    form = StrategicGameForm((2, 3))
     with pytest.raises(ConvergenceError) as alone:
         convergence_study(form, [1e6], 20, 0)
     with pytest.raises(ConvergenceError) as info:
@@ -215,19 +215,19 @@ def test_study_profile_check_at_an_earlier_precision_raises_first(monkeypatch):
 
     checks, check_rows = [], studies._check_rows
 
-    def failing_second(form, payoffs, vectors, first=0):  # the first is the Nash check
+    def failing_second(payoffs, vectors, first=0):  # the first is the Nash check
         checks.append(first)
         if len(checks) == 2:
             raise InvalidInputError("profile check at n = 1")
-        check_rows(form, payoffs, vectors, first)
+        check_rows(payoffs, vectors, first)
 
     monkeypatch.setattr(studies, "_check_rows", failing_second)
     with pytest.raises(InvalidInputError, match="profile check at n = 1"):
-        convergence_study(StrategicGameForm(2, (2, 3)), [1.0, 1e6], 20, 0)
+        convergence_study(StrategicGameForm((2, 3)), [1.0, 1e6], 20, 0)
 
 
 def test_study_failure_names_a_failing_sample():
-    form = StrategicGameForm(2, (2, 3))
+    form = StrategicGameForm((2, 3))
     with pytest.raises(ConvergenceError) as info:
         convergence_study(form, [1e6], 20, 0)
     err = info.value

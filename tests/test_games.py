@@ -46,22 +46,30 @@ def random_batch(rng, form, rows):
 
 class TestTypes:
     def test_form_validation(self):
-        with pytest.raises(InvalidInputError):
-            StrategicGameForm(0, ())
-        with pytest.raises(InvalidInputError):
-            StrategicGameForm(2, (2,))
-        with pytest.raises(InvalidInputError):
-            StrategicGameForm(1, (0,))
+        with pytest.raises(InvalidInputError, match="num_players must be >= 1, got 0"):
+            StrategicGameForm(())
+        with pytest.raises(InvalidInputError, match=r"action counts must be >= 1, got \(2, 0\)"):
+            StrategicGameForm((2, 0))
         # numpy 1.x caps arrays at 32 axes: 31 players and the sample axis
-        assert StrategicGameForm(31, (1,) * 31).profile_count == 1
+        assert StrategicGameForm((1,) * 31).profile_count == 1
         with pytest.raises(InvalidInputError, match="num_players must be <= 31, got 32"):
-            StrategicGameForm(32, (1,) * 32)
-        form = StrategicGameForm(2, (3, 2))
+            StrategicGameForm((1,) * 32)
+        form = StrategicGameForm((3, 2))
+        assert form.num_players == 2
         assert form.profile_count == 6
         assert form.payoff_coordinate_count == 12
 
+    @pytest.mark.parametrize("counts", [(2.7, 2), (True, 2), ("3", 2), 3, None], ids=repr)
+    def test_form_rejects_counts_that_are_not_integers(self, counts):
+        with pytest.raises(InvalidInputError, match="action counts must be integers"):
+            StrategicGameForm(counts)
+
+    def test_empty_tensor_list_rejected(self):
+        with pytest.raises(InvalidInputError, match="payoff tensor list is empty"):
+            Game.from_payoff_tensors([])
+
     def test_game_validation(self):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         with pytest.raises(InvalidInputError, match="payoff"):
             Game(form, (np.zeros(4),))
         with pytest.raises(InvalidInputError, match=r"payoffs\[1\]"):
@@ -81,7 +89,7 @@ class TestTypes:
             MixedProfile((np.array([1.1, -0.1]),))
         with pytest.raises(InvalidInputError, match="sums"):
             MixedProfile((np.array([0.6, 0.6]),))
-        profile = MixedProfile.uniform(StrategicGameForm(2, (3, 2)))
+        profile = MixedProfile.uniform(StrategicGameForm((3, 2)))
         assert [v.tolist() for v in profile] == [[1 / 3] * 3, [0.5, 0.5]]
 
     def test_payoffs_are_immutable(self):
@@ -96,7 +104,7 @@ class TestEvaluateMixed:
         assert evaluate_mixed(game, 0, uniform(game)) == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_profile_selects_entry(self, rng):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = random_game(rng, form)
         for a0 in range(3):
             for a1 in range(2):
@@ -119,7 +127,7 @@ class TestEvaluateMixed:
         + [(2, 2, 2) + (1,) * 24, (1,) * 14 + (2, 2) + (1,) * 15],  # 27 and 31 players
     )
     def test_agrees_with_brute_force(self, rng, counts):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         game = random_game(rng, form)
         x = random_interior_profile(rng, form)
         for player in range(form.num_players):
@@ -172,7 +180,7 @@ class TestDeviationPayoff:
         assert deviation_payoffs(game, 0, x)[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_ignores_own_mixture(self, rng):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = random_game(rng, form)
         base = random_interior_profile(rng, form)
         other = MixedProfile((np.array([1.0, 0.0, 0.0]), base.vectors[1]))
@@ -184,6 +192,17 @@ class TestDeviationPayoff:
         game = matching_pennies()
         with pytest.raises(InvalidInputError):
             deviation_payoffs(game, 2, uniform(game))
+
+    @pytest.mark.parametrize("player", [1.5, True, "0", None], ids=repr)
+    @pytest.mark.parametrize("call", [deviation_payoffs, evaluate_mixed])
+    def test_player_index_must_be_an_integer(self, call, player):
+        game = matching_pennies()
+        with pytest.raises(InvalidInputError, match="player index must be an integer"):
+            call(game, player, uniform(game))
+
+    def test_numpy_player_index_accepted(self):
+        game = matching_pennies()
+        assert evaluate_mixed(game, np.int64(1), uniform(game)) == evaluate_mixed(game, 1, uniform(game))
 
 
 class TestNashResidual:
@@ -202,7 +221,7 @@ class TestNashResidual:
         assert nash_residual(game, MixedProfile((np.array([1.0, 0.0]),))) == 0.0
 
     def test_nonnegative(self, rng):
-        form = StrategicGameForm(3, (2, 2, 2))
+        form = StrategicGameForm((2, 2, 2))
         for _ in range(20):
             game = random_game(rng, form)
             assert nash_residual(game, random_interior_profile(rng, form)) >= 0.0
@@ -211,7 +230,7 @@ class TestNashResidual:
     def test_batched_rows_equal_the_np_dot_formula_bit_for_bit(self, rng, counts):
         # the batched gap rounds its row dot as np.dot does, so one profile scores
         # the same alone, in a batch, and by the per-player formula
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         games, profiles, payoffs, vectors = random_batch(rng, form, 20)
         for gap, game, x in zip(_nash_gap_rows(form, payoffs, vectors), games, profiles):
             devs = [deviation_payoffs(game, i, x) for i in range(form.num_players)]
@@ -248,7 +267,7 @@ class TestLogitResidual:
 
     def test_uniform_when_deviations_tie(self, rng):
         # constant payoffs: softmax of a constant vector is uniform
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = Game(form, tuple(np.full(6, c) for c in (2.5, -1.0)))
         assert logit_residual(game, MixedProfile.uniform(form), 4.0) <= 1e-15
 
@@ -270,7 +289,7 @@ class TestLogitResidual:
 class TestResidualInvariance:
     @pytest.mark.parametrize("counts", [(2, 2), (3, 2), (2, 2, 2)])
     def test_relabeling_actions(self, rng, counts):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         game = random_game(rng, form)
         x = random_interior_profile(rng, form)
         perms = [rng.permutation(m) for m in counts]
@@ -294,7 +313,7 @@ class TestKMDecomposition:
             assert np.array_equal(rep.bar_u[i], np.zeros(2))
 
     def test_constant_game(self):
-        form = StrategicGameForm(2, (2, 3))
+        form = StrategicGameForm((2, 3))
         game = Game(form, (np.full(6, 4.5), np.full(6, -2.0)))
         rep = km_decompose(game)
         assert np.allclose(rep.tilde_u[0], 0.0) and np.allclose(rep.tilde_u[1], 0.0)
@@ -306,14 +325,13 @@ class TestKMDecomposition:
         assert np.array_equal(rep.bar_u[0], np.array([1.0, 0.0]))
 
     def test_recompose_simple(self):
-        form = StrategicGameForm(1, (2,))
-        rep = KMRepresentation(form, (np.zeros(2),), (np.array([1.0, 0.0]),))
+        rep = KMRepresentation((np.zeros(2),), (np.array([1.0, 0.0]),))
         game = km_recompose(rep)
-        assert game.payoffs[0].tolist() == [1.0, 0.0]
+        assert game.form == StrategicGameForm((2,)) and game.payoffs[0].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("counts", [(2,), (2, 3), (3, 2), (2, 2, 2), (4, 3, 2)])
     def test_round_trip_identity(self, rng, counts):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         for _ in range(5):
             game = random_game(rng, form)
             rebuilt = km_recompose(km_decompose(game))
@@ -321,7 +339,7 @@ class TestKMDecomposition:
                 assert np.abs(a - b).max() <= 1e-12
 
     def test_zero_mean_invariant(self, rng):
-        form = StrategicGameForm(3, (2, 3, 2))
+        form = StrategicGameForm((2, 3, 2))
         rep = km_decompose(random_game(rng, form))
         for i in range(3):
             tensor = rep.tilde_u[i].reshape(form.action_counts, order="F")
@@ -329,23 +347,21 @@ class TestKMDecomposition:
             assert np.abs(tensor.mean(axis=axes)).max() <= 1e-9
 
     def test_invalid_representation_rejected(self):
-        form = StrategicGameForm(2, (2, 2))
         biased = np.array([0.5, 0.5, 0.5, 0.5])  # opponent mean 0.5, not 0
         with pytest.raises(InvalidInputError, match="tilde_u"):
-            KMRepresentation(form, (biased, np.zeros(4)), (np.zeros(2), np.zeros(2)))
+            KMRepresentation((biased, np.zeros(4)), (np.zeros(2), np.zeros(2)))
 
     def test_non_finite_representation_rejected(self):
         # a NaN remainder has NaN opponent means, which no "> tol" test catches
-        form = StrategicGameForm(2, (2, 2))
         with pytest.raises(InvalidInputError, match="finite"):
-            KMRepresentation(form, (np.full(4, np.nan), np.zeros(4)), (np.zeros(2), np.zeros(2)))
+            KMRepresentation((np.full(4, np.nan), np.zeros(4)), (np.zeros(2), np.zeros(2)))
         with pytest.raises(InvalidInputError, match="finite"):
-            KMRepresentation(form, (np.zeros(4), np.zeros(4)), (np.array([np.inf, 0.0]), np.zeros(2)))
+            KMRepresentation((np.zeros(4), np.zeros(4)), (np.array([np.inf, 0.0]), np.zeros(2)))
 
     def test_representation_messages_name_the_field(self):
-        form = StrategicGameForm(2, (2, 2))
-        with pytest.raises(InvalidInputError, match=r"bar_u\[1\]"):
-            KMRepresentation(form, (np.zeros(4), np.zeros(4)), (np.zeros(2), np.zeros(3)))
+        # the form comes from bar_u, so a bar_u of another width is a tilde_u of the wrong length
+        with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: length 4 != expected 6"):
+            KMRepresentation((np.zeros(4), np.zeros(4)), (np.zeros(2), np.zeros(3)))
 
 
 class TestGraphPoint:
@@ -363,6 +379,13 @@ class TestGraphPoint:
         assert point.kind == "logit" and point.n == 1.0
         with pytest.raises(NotOnGraphError):
             GraphPoint.logit(game, MixedProfile((np.array([0.5, 0.5]),)), 1.0)
+
+    def test_profile_of_another_form_rejected(self):
+        game = matching_pennies()
+        three = MixedProfile((np.full(3, 1 / 3), np.full(2, 0.5)))
+        for n in (None, 2.0):
+            with pytest.raises(InvalidInputError, match=r"profile\[0\]: length 3 != action count 2"):
+                GraphPoint(game, three, n)
 
     def test_logit_factory_rejects_a_nan_residual(self):
         # at n = 1e308 the response overflows and logit_residual is NaN, which

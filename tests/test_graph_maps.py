@@ -31,24 +31,20 @@ from conftest import matching_pennies, one_player_game, random_game
 E = np.e
 
 PIN_FORMS = [
-    StrategicGameForm(1, (3,)),
-    StrategicGameForm(2, (3, 2)),
-    StrategicGameForm(3, (2, 2, 2)),
+    StrategicGameForm((3,)),
+    StrategicGameForm((3, 2)),
+    StrategicGameForm((2, 2, 2)),
 ]
 FORMS = [
-    StrategicGameForm(1, (2,)),
-    StrategicGameForm(2, (2, 2)),
-    StrategicGameForm(2, (3, 2)),
-    StrategicGameForm(3, (2, 2, 2)),
+    StrategicGameForm((2,)),
+    StrategicGameForm((2, 2)),
+    StrategicGameForm((3, 2)),
+    StrategicGameForm((2, 2, 2)),
 ]
 
 
 def one_player_target(y_bar):
-    return TargetPoint(
-        form=StrategicGameForm(1, (len(y_bar),)),
-        tilde_u=(np.zeros(len(y_bar)),),
-        y_bar=(np.asarray(y_bar, dtype=float),),
-    )
+    return TargetPoint(tilde_u=(np.zeros(len(y_bar)),), y_bar=(np.asarray(y_bar, dtype=float),))
 
 
 def assert_same_arrays(got, want):
@@ -94,14 +90,14 @@ class TestZMaps:
         assert row == pytest.approx([1.7310585786300049, 0.2689414213699951], abs=1e-12)
 
     def test_z_logit_constant_deviations(self):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = Game(form, (np.full(6, 2.0), np.full(6, -1.0)))
         rows = z_logit(5.0, game, MixedProfile.uniform(form))
         assert np.allclose(rows[0], 2.0 + 1.0 / 3.0, atol=1e-14)
         assert np.allclose(rows[1], -1.0 + 0.5, atol=1e-14)
 
     def test_z_logit_matches_z_nash_on_logit_points(self, rng):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(rng, form, box=2.0)
         for n in (1.0, 6.0):
             x = solve_newton(n, game, MixedProfile.uniform(form), tol=1e-13)
@@ -257,7 +253,7 @@ class TestPhiN:
                 assert np.allclose(target.y_bar[i], [0.5, 0.5], atol=1e-15)
 
     def test_zero_game_uniform(self):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = Game(form, (np.zeros(6), np.zeros(6)))
         point = GraphPoint.logit(game, MixedProfile.uniform(form), 1.0)
         target = phi(point)
@@ -292,7 +288,7 @@ class TestPhiNInv:
         assert np.allclose(point.profile.vectors[0], [0.5, 0.5], atol=1e-12)
 
     def test_round_trip_through_solver_point(self, rng):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(rng, form, box=3.0)
         x = solve_newton(5.0, game, MixedProfile.uniform(form), tol=1e-13)
         point = GraphPoint.logit(game, x, 5.0)
@@ -313,7 +309,7 @@ class TestPhiNInv:
             assert max_target_diff(t, phi(point)) <= 1e-9
 
     def test_x_part_bound(self, rng):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         for n in (1.0, 10.0, 100.0):
             ceiling = max(form.action_counts) * epsilon_bound(n) * (1 + 1e-6)
             for t in sample_target_points(form, 20, int(n), 10.0):
@@ -332,9 +328,7 @@ class TestPhiNInv:
 
 class TestApproximationGap:
     def test_symmetric_targets_have_zero_gap(self):
-        form = StrategicGameForm(2, (2, 2))
         target = TargetPoint(
-            form=form,
             tilde_u=(matching_pennies().payoffs[0], matching_pennies().payoffs[1]),
             y_bar=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
         )
@@ -342,7 +336,7 @@ class TestApproximationGap:
             assert approximation_gap(n, target) <= 1e-9
 
     def test_monotone_trend(self):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         for t in sample_target_points(form, 10, 5, 10.0):
             assert approximation_gap(1000.0, t) <= approximation_gap(10.0, t) + 1e-12
 
@@ -353,7 +347,7 @@ class TestApproximationGap:
 
     def test_gap_of_mismatched_forms_rejected(self):
         a = phi_inv(one_player_target([1.5, 0.5]))
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         b = phi_inv(sample_target_points(form, 1, 0, 1.0)[0])
         with pytest.raises(InvalidInputError):
             graph_point_gap(a, b)
@@ -361,29 +355,20 @@ class TestApproximationGap:
 
 class TestTargetPoint:
     def test_zero_mean_enforced(self):
-        form = StrategicGameForm(2, (2, 2))
         biased = np.array([0.5, 0.5, 0.5, 0.5])
         with pytest.raises(InvalidInputError, match="tilde_u"):
-            TargetPoint(
-                form=form,
-                tilde_u=(biased, np.zeros(4)),
-                y_bar=(np.zeros(2), np.zeros(2)),
-            )
+            TargetPoint(tilde_u=(biased, np.zeros(4)), y_bar=(np.zeros(2), np.zeros(2)))
 
     def test_shape_mismatch(self):
-        form = StrategicGameForm(2, (2, 2))
-        with pytest.raises(InvalidInputError):
-            TargetPoint(form=form, tilde_u=(np.zeros(4),), y_bar=(np.zeros(2), np.zeros(2)))
-        with pytest.raises(InvalidInputError, match=r"y_bar\[0\]"):
-            TargetPoint(
-                form=form,
-                tilde_u=(np.zeros(4), np.zeros(4)),
-                y_bar=(np.zeros(3), np.zeros(2)),
-            )
+        with pytest.raises(InvalidInputError, match="component count"):
+            TargetPoint(tilde_u=(np.zeros(4),), y_bar=(np.zeros(2), np.zeros(2)))
+        # the form comes from y_bar, so a y_bar of another width is a tilde_u of the wrong length
+        with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: length 4 != expected 6"):
+            TargetPoint(tilde_u=(np.zeros(4), np.zeros(4)), y_bar=(np.zeros(3), np.zeros(2)))
 
     def test_tilde_recovered_by_decompose(self, rng):
         # the zero-mean part of a reconstructed game equals the target's
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         for t in sample_target_points(form, 10, 99, 5.0):
             rep = km_decompose(phi_inv(t).game)
             for a, b in zip(rep.tilde_u, t.tilde_u):

@@ -103,7 +103,7 @@ class TestParseGame:
             parse_game("[" * 100000 + "]" * 100000)
 
     def test_profile_count_is_exact(self):
-        form = StrategicGameForm(2, (4611686018427387905, 4))
+        form = StrategicGameForm((4611686018427387905, 4))
         assert form.profile_count == 4611686018427387905 * 4
 
     def test_round_trip(self):
@@ -116,7 +116,7 @@ class TestParseGame:
 class TestParseTargetPoint:
     def test_valid(self):
         t = parse_target_point(TARGET_JSON)
-        assert t.form == StrategicGameForm(1, (2,))
+        assert t.form == StrategicGameForm((2,))
         assert t.y_bar[0].tolist() == [1.5, 0.5]
 
     def test_zero_mean_violation_rejected(self):
@@ -263,8 +263,8 @@ def _records():
         trace,
         phi_inv(target),
         phi_n_inv(3.0, target),
-        convergence_study(StrategicGameForm(2, (2, 2)), [1.0, 10.0], 3, seed=1),
-        immersion_rank_check(2.0, StrategicGameForm(1, (2,)), 2, seed=0),
+        convergence_study(StrategicGameForm((2, 2)), [1.0, 10.0], 3, seed=1),
+        immersion_rank_check(2.0, StrategicGameForm((2,)), 2, seed=0),
     ]
 
 
@@ -457,13 +457,13 @@ class TestCli:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_invert_nash_target_past_2_to_the_53_exits_one(self, tmp_path, seed):
         # y_bar uniform in +-1e100 used to fail as "nash residual 2.899e+299" (seed 0)
-        form = StrategicGameForm(2, (2, 3))
+        form = StrategicGameForm((2, 3))
         tilde = sample_target_points(form, 1, seed, 1.0)[0].tilde_u
         rng = np.random.default_rng(seed)
         path = tmp_path / "target.json"
         for box in (1e100, 1e15):
             y_bar = tuple(rng.uniform(-box, box, size=m) for m in form.action_counts)
-            path.write_text(target_point_to_json(TargetPoint(form, tilde, y_bar)))
+            path.write_text(target_point_to_json(TargetPoint(tilde, y_bar)))
             code, out, err = invoke(["invert-nash", str(path)])
             if box == 1e100:
                 assert code == 1 and out == ""
@@ -541,7 +541,7 @@ class TestCli:
     def test_verify_game_whose_centroid_newton_solve_stalls(self, tmp_path):
         # Newton from the uniform profile stalled at gap 0.128 for n = 1 on this
         # draw, while solve --n 1 traced it; the check reads the traced entry
-        game = random_game(np.random.default_rng(5), StrategicGameForm(2, (2, 2)), box=10.0)
+        game = random_game(np.random.default_rng(5), StrategicGameForm((2, 2)), box=10.0)
         path = tmp_path / "game.json"
         path.write_text(game_to_json(game))
         code, out, err = invoke(["verify", str(path)])
@@ -559,7 +559,7 @@ class TestCli:
     def test_solve_below_the_start_on_scaled_payoffs(self, tmp_path, seed):
         # 1e4*G at n = 1e-3 is G at n = 10; Newton from the uniform profile
         # ended 0.67 off that branch point (seed 3) or stalled (seed 5)
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(np.random.default_rng(seed), form, box=1.0)
         path = tmp_path / "game.json"
         path.write_text(game_to_json(Game(form, tuple(1e4 * u for u in game.payoffs))))

@@ -26,13 +26,15 @@ from logitgraph import (
     SimplexProjection,
     StrategicGameForm,
     TargetPoint,
+    alpha_star,
+    h_exact,
     km_decompose,
     parse_target_point,
     trace_logit_path,
 )
 from logitgraph.io import render
 
-FORM = StrategicGameForm(2, (2, 2))
+FORM = StrategicGameForm((2, 2))
 UNIFORM = (np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
@@ -54,15 +56,12 @@ def _rows():
 
 # record -> (its fields in order, a function returning valid values for them)
 RECORDS = {
-    StrategicGameForm: (("num_players", "action_counts"), lambda: (2, (2, 2))),
+    StrategicGameForm: (("action_counts",), lambda: ((2, 2),)),
     Game: (("form", "payoffs"), lambda: (FORM, matching_pennies().payoffs)),
     MixedProfile: (("vectors",), lambda: (UNIFORM,)),
-    KMRepresentation: (("form", "tilde_u", "bar_u"), lambda: (FORM, _km().tilde_u, _km().bar_u)),
-    SimplexProjection: (
-        ("alpha_star", "h_value", "residual"),
-        lambda: (0.5, np.array([0.5, 0.2]), np.array([0.5, 0.0])),
-    ),
-    TargetPoint: (("form", "tilde_u", "y_bar"), lambda: (_target().form, _target().tilde_u, _target().y_bar)),
+    KMRepresentation: (("tilde_u", "bar_u"), lambda: (_km().tilde_u, _km().bar_u)),
+    SimplexProjection: (("h_value", "residual"), lambda: (np.array([0.5, 0.2]), np.array([0.5, 0.0]))),
+    TargetPoint: (("tilde_u", "y_bar"), lambda: (_target().tilde_u, _target().y_bar)),
     GraphPoint: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 3.0)),
     PathEntry: (("n", "profile", "residual"), lambda: (2.0, MixedProfile(UNIFORM), 0.0)),
     PathTrace: (("entries", "game"), lambda: (_trace().entries, _trace().game)),
@@ -70,7 +69,7 @@ RECORDS = {
     ConvergenceReport: (("form", "seed", "samples", "rows"), lambda: (FORM, 3, 5, _rows())),
     RankReport: (
         ("n", "form", "sample_points", "min_singular_value"),
-        lambda: (2.0, StrategicGameForm(1, (2,)), 2, 0.5),
+        lambda: (2.0, StrategicGameForm((2,)), 2, 0.5),
     ),
     CheckResult: (("name", "passed", "detail"), lambda: ("water-filling", True, "ok")),
 }
@@ -153,10 +152,10 @@ class TestDefaults:
         assert GraphPoint(game=point.game, profile=point.profile).n is None
 
     def test_rank_report_threshold_defaults(self):
-        report = RankReport(2.0, StrategicGameForm(1, (2,)), 2, 0.5)
+        report = RankReport(2.0, StrategicGameForm((2,)), 2, 0.5)
         assert report.threshold == 1e-6 and RankReport.threshold == 1e-6
         assert report.passed
-        assert not RankReport(2.0, StrategicGameForm(1, (2,)), 2, 1e-7).passed
+        assert not RankReport(2.0, StrategicGameForm((2,)), 2, 1e-7).passed
 
 
 class TestDerivedFacts:
@@ -171,30 +170,43 @@ class TestDerivedFacts:
             lambda: ReportRow(1.0, 0.125, 0.25, lemma_bound=0.5),
             lambda: RankReport(2.0, FORM, 2, 0.5, expected_rank=8),
             lambda: RankReport(2.0, FORM, 2, 0.5, threshold=1e-3),
+            lambda: StrategicGameForm(2, (2, 2)),
+            lambda: StrategicGameForm((2, 2), num_players=2),
+            lambda: KMRepresentation(FORM, _km().tilde_u, _km().bar_u),
+            lambda: TargetPoint(_target().tilde_u, _target().y_bar, form=_target().form),
+            lambda: SimplexProjection(0.5, np.array([0.5, 0.2]), np.array([0.5, 0.0])),
         ],
         ids=[
             "point-kind", "point-residual", "trace-terminal", "row-bound", "rank-expected",
-            "rank-threshold",
+            "rank-threshold", "form-players", "form-players-keyword", "km-form", "target-form",
+            "projection-level",
         ],
     )
     def test_derived_names_are_not_arguments(self, build):
         with pytest.raises(TypeError):
             build()
 
+    def test_derived_values_read_back_outside_the_fields(self):
+        form, km, target, split = StrategicGameForm((2, 3)), _km(), _target(), h_exact([1.5, 0.2, 0.5])
+        assert form.num_players == 2 and km.form == FORM and target.form == StrategicGameForm((2,))
+        assert split.alpha_star == alpha_star([1.5, 0.2, 0.5]) == 0.5
+        for record, name in ((form, "num_players"), (km, "form"), (target, "form"), (split, "alpha_star")):
+            assert name not in record._asdict() and f"{name}=" not in repr(record)
+
 
 class TestValueEquality:
     def test_distinct_values_differ(self):
-        assert StrategicGameForm(2, (2, 3)) != StrategicGameForm(2, (3, 2))
+        assert StrategicGameForm((2, 3)) != StrategicGameForm((3, 2))
         assert ReportRow(1.0, 0.1, 0.2) != ReportRow(1.0, 0.1, 0.3)
         assert CheckResult("a", True, "") != CheckResult("a", False, "")
 
     def test_post_init_normalizes_before_comparing(self):
-        assert StrategicGameForm(np.int64(2), [2, np.int64(2)]) == StrategicGameForm(2, (2, 2))
-        assert hash(StrategicGameForm(2, [2, 2])) == hash((2, (2, 2)))
+        assert StrategicGameForm([2, np.int64(2)]) == StrategicGameForm((2, 2))
+        assert hash(StrategicGameForm([2, 2])) == hash(((2, 2),))
 
     def test_usable_as_keys(self):
-        table = {StrategicGameForm(2, (2, 2)): "a", CheckResult("x", True, "d"): "b"}
-        assert table[StrategicGameForm(2, (2, 2))] == "a"
+        table = {StrategicGameForm((2, 2)): "a", CheckResult("x", True, "d"): "b"}
+        assert table[StrategicGameForm((2, 2))] == "a"
         assert table[CheckResult("x", True, "d")] == "b"
 
 
@@ -202,7 +214,7 @@ class TestRepr:
     @pytest.mark.parametrize(
         "record, text",
         [
-            (StrategicGameForm(2, (2, 3)), "StrategicGameForm(num_players=2, action_counts=(2, 3))"),
+            (StrategicGameForm((2, 3)), "StrategicGameForm(action_counts=(2, 3))"),
             (
                 ReportRow(1.0, 0.125, 0.25),
                 "ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25)",
@@ -212,13 +224,13 @@ class TestRepr:
                 "CheckResult(name='water-filling', passed=True, detail='ok')",
             ),
             (
-                RankReport(2.0, StrategicGameForm(1, (2,)), 2, 0.5),
-                "RankReport(n=2.0, form=StrategicGameForm(num_players=1, action_counts=(2,)), "
+                RankReport(2.0, StrategicGameForm((2,)), 2, 0.5),
+                "RankReport(n=2.0, form=StrategicGameForm(action_counts=(2,)), "
                 "sample_points=2, min_singular_value=0.5)",
             ),
             (
                 ConvergenceReport(FORM, 3, 5, [ReportRow(1.0, 0.125, 0.25)]),
-                "ConvergenceReport(form=StrategicGameForm(num_players=2, action_counts=(2, 2)), "
+                "ConvergenceReport(form=StrategicGameForm(action_counts=(2, 2)), "
                 "seed=3, samples=5, rows=(ReportRow(n=1.0, sup_gap_x=0.125, sup_gap_full=0.25),))",
             ),
         ],
@@ -232,13 +244,13 @@ class TestPostInitChecks:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: StrategicGameForm(0, ()),
-            lambda: StrategicGameForm(2, (2,)),
+            lambda: StrategicGameForm(()),
+            lambda: StrategicGameForm((2, 0)),
             lambda: Game(FORM, matching_pennies().payoffs[:1]),
             lambda: Game(FORM, (np.array([1.0, np.inf, 0.0, 0.0]), np.zeros(4))),
             lambda: MixedProfile((np.array([0.5, 0.6]),)),
-            lambda: KMRepresentation(FORM, (np.ones(4), np.zeros(4)), _km().bar_u),
-            lambda: TargetPoint(FORM, (np.ones(4), np.zeros(4)), _km().bar_u),
+            lambda: KMRepresentation((np.ones(4), np.zeros(4)), _km().bar_u),
+            lambda: TargetPoint((np.ones(4), np.zeros(4)), _km().bar_u),
             lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), -3.0),
             lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies()),
             lambda: ConvergenceReport(FORM, 3, 5, _rows()[::-1]),
@@ -275,7 +287,7 @@ class TestRenderBytes:
         "value, passed", [(0.5, "true"), (1e-7, "false")], ids=["passes", "fails"]
     )
     def test_rank_report(self, value, passed):
-        report = RankReport(2.0, StrategicGameForm(1, (2,)), 4, value)
+        report = RankReport(2.0, StrategicGameForm((2,)), 4, value)
         assert render(report, "json") == (
             '{"n": 2.0, "form": {"players": 1, "actions": [2]}, "sample_points": 4, '
             f'"expected_rank": 2, "min_singular_value": {value!r}, "threshold": 1e-06, '

@@ -42,7 +42,7 @@ SOFTMAX_10 = np.array([E / (1 + E), 1 / (1 + E)])
 
 class TestLogitResponse:
     def test_zero_precision_gives_uniform(self, rng):
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         game = random_game(rng, form)
         out = logit_response(0.0, game, MixedProfile.uniform(form))
         assert np.allclose(out.vectors[0], 1 / 3) and np.allclose(out.vectors[1], 0.5)
@@ -60,7 +60,7 @@ class TestLogitResponse:
         assert out.vectors[0] == pytest.approx(SOFTMAX_10, abs=1e-15)
 
     def test_interior_and_normalized(self, rng):
-        form = StrategicGameForm(3, (2, 2, 2))
+        form = StrategicGameForm((2, 2, 2))
         for _ in range(10):
             game = random_game(rng, form)
             out = logit_response(4.0, game, MixedProfile.uniform(form))
@@ -93,7 +93,7 @@ class TestInfiniteTolerance:
         # a tol of inf would accept any iterate, such as the start of a solve
         game = coordination_2x2()
         x = MixedProfile.uniform(game.form)
-        target = TargetPoint(game.form, (np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
+        target = TargetPoint((np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
         for call in (
             lambda: h_numeric(10.0, [1.5, 0.5], tol=np.inf),
             lambda: phi_n_inv(10.0, target, tol=np.inf),
@@ -110,7 +110,7 @@ class TestResponseJacobian:
     )
     @pytest.mark.parametrize("n", [0.1, 3.0, 30.0])
     def test_matches_finite_differences(self, rng, counts, n):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         game = random_game(rng, form, box=1.0)
 
         def homotopy(y):  # H(x, lam) = x - response(x, e^lam)
@@ -134,7 +134,7 @@ def _terminal_gap(game, oracle):
 
 
 def _seeded(shape, seed):
-    return random_game(np.random.default_rng(seed), StrategicGameForm(len(shape), shape), box=1.0)
+    return random_game(np.random.default_rng(seed), StrategicGameForm(shape), box=1.0)
 
 
 def _case_id(value):
@@ -225,7 +225,7 @@ class TestStartIsAContraction:
     @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
     @pytest.mark.parametrize("counts", START_FORMS, ids=_case_id)
     def test_response_halves_distances(self, rng, counts, box):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         game = random_game(rng, form, box=box)
         n = _start(game)
         assert trace_logit_path(game, 2.0 * n).entries[0].n == n
@@ -240,7 +240,7 @@ class TestStartIsAContraction:
     @pytest.mark.parametrize("box", [1.0, 10.0, 1e4])
     @pytest.mark.parametrize("counts", START_FORMS, ids=_case_id)
     def test_start_solve_takes_at_most_five_updates(self, rng, counts, box):
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         game = random_game(rng, form, box=box)
         n = _start(game)
         z = np.append(np.concatenate(MixedProfile.uniform(form).vectors), np.log(n))
@@ -305,14 +305,14 @@ class TestSolveFixedPoint:
             assert np.abs(v - 0.5).max() <= 1e-13
 
     def test_solution_recheck(self, rng):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         for _ in range(5):
             game = random_game(rng, form, box=2.0)
             out = solve_fixed_point(3.0, game, MixedProfile.uniform(form), tol=1e-11)
             assert logit_residual(game, out, 3.0) <= 1e-11
 
     def test_budget_exhaustion(self, rng):
-        game = random_game(rng, StrategicGameForm(2, (2, 2)), box=2.0)
+        game = random_game(rng, StrategicGameForm((2, 2)), box=2.0)
         with pytest.raises(ConvergenceError) as info:
             solve_fixed_point(5.0, game, MixedProfile.uniform(game.form), tol=1e-14, max_iter=2)
         assert info.value.best is not None
@@ -339,7 +339,7 @@ class TestSolveNewton:
 
     def test_budget_exhaustion_reports_best_iterate(self):
         # plain Newton from the centroid does not converge on this draw at n = 1
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(np.random.default_rng(37), form, box=10.0)
         start = MixedProfile.uniform(form)
         with pytest.raises(ConvergenceError) as info:
@@ -350,7 +350,7 @@ class TestSolveNewton:
         assert 1e-11 < residual <= logit_residual(game, start, 1.0)
 
     def test_refines_fixed_point_solution(self, rng):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(rng, form, box=1.5)
         coarse = solve_fixed_point(5.0, game, MixedProfile.uniform(form), tol=1e-4)
         fine = solve_newton(5.0, game, coarse, tol=1e-12)
@@ -361,7 +361,7 @@ class TestSolveNewton:
     def test_cross_solver_agreement(self, rng):
         # small n keeps the response map contractive, so the fixed point is
         # unique and both solvers must land on it from the uniform start
-        form = StrategicGameForm(2, (3, 2))
+        form = StrategicGameForm((3, 2))
         for _ in range(5):
             game = random_game(rng, form, box=1.0)
             a = solve_fixed_point(1.2, game, MixedProfile.uniform(form), tol=1e-11)
@@ -401,14 +401,14 @@ class TestTraceLogitPath:
         assert trace.entries[-1].n == 2.0 and trace.entries[-1].residual == 0.0
 
     def test_precisions_strictly_increase(self, rng):
-        game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
+        game = random_game(rng, StrategicGameForm((2, 2)), box=1.0)
         trace = trace_logit_path(game, 30.0, tol=1e-10)
         ns = [e.n for e in trace.entries]
         assert all(b > a for a, b in zip(ns, ns[1:]))
         assert ns[-1] == 30.0
 
     def test_entries_satisfy_solve_tolerance(self, rng):
-        game = random_game(rng, StrategicGameForm(2, (3, 2)), box=1.0)
+        game = random_game(rng, StrategicGameForm((3, 2)), box=1.0)
         trace = trace_logit_path(game, 25.0, tol=1e-10)
         for entry in trace.entries:
             assert entry.residual <= 1e-10
@@ -420,7 +420,7 @@ class TestTraceLogitPath:
     def test_consecutive_entries_are_continuous(self, rng, counts):
         # an accepted step is at most 1 along the tangent plus corrector updates
         # whose first is at most 0.3 of the step, in (x, log n)
-        form = StrategicGameForm(len(counts), counts)
+        form = StrategicGameForm(counts)
         for _ in range(4):
             game = random_game(rng, form, box=1.0)
             points = [
@@ -432,7 +432,7 @@ class TestTraceLogitPath:
 
     def test_resolvable_at_recorded_precisions(self, rng):
         # independent damped resolve reaches the solve tolerance at every n
-        game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
+        game = random_game(rng, StrategicGameForm((2, 2)), box=1.0)
         trace = trace_logit_path(game, 15.0, tol=1e-10)
         for entry in trace.entries[:: max(1, len(trace.entries) // 4)]:
             again = solve_fixed_point(
@@ -444,7 +444,7 @@ class TestTraceLogitPath:
     def test_final_precision_at_or_below_the_start(self, rng, fraction):
         # two players with payoffs in [-1, 1] start at START_CONTRACTION; below it
         # the start solve is the trace
-        game = random_game(rng, StrategicGameForm(2, (3, 2)), box=1.0)
+        game = random_game(rng, StrategicGameForm((3, 2)), box=1.0)
         n_final = fraction * START_CONTRACTION
         trace = trace_logit_path(game, n_final, tol=1e-12)
         assert [e.n for e in trace.entries] == [n_final]
@@ -472,7 +472,7 @@ class TestTraceLogitPath:
             solve_newton(400.0, game, MixedProfile((np.array([0.9, 0.1]),) * 2))
 
     def test_unreachable_tolerance_fails_with_partial_trace(self, rng):
-        game = random_game(rng, StrategicGameForm(2, (2, 2)), box=1.0)
+        game = random_game(rng, StrategicGameForm((2, 2)), box=1.0)
         with pytest.raises(PathFailureError) as info:
             trace_logit_path(game, 10.0, tol=1e-30)
         assert info.value.partial_trace is not None
@@ -499,7 +499,7 @@ class TestTerminalNashResidual:
         assert trace.terminal_nash_residual <= 1e-12
 
     def test_residual_shrinks_with_precision(self, rng):
-        form = StrategicGameForm(2, (2, 2))
+        form = StrategicGameForm((2, 2))
         game = random_game(rng, form, box=1.0)
         res_short = trace_logit_path(game, 200.0, tol=1e-10).terminal_nash_residual
         res_long = trace_logit_path(game, 400.0, tol=1e-10).terminal_nash_residual
@@ -537,4 +537,11 @@ class TestPathTrace:
         game = matching_pennies()
         entries = (PathEntry(n=1.0, profile=MixedProfile.uniform(game.form), residual=math.nan),)
         with pytest.raises(InvalidInputError, match="stored residual nan"):
+            PathTrace(entries=entries, game=game)
+
+    def test_rejects_a_profile_of_another_form(self):
+        game = matching_pennies()
+        three = MixedProfile((np.full(3, 1 / 3), np.full(2, 0.5)))
+        entries = (PathEntry(n=1.0, profile=three, residual=0.0),)
+        with pytest.raises(InvalidInputError, match=r"profile\[0\]: length 3 != action count 2"):
             PathTrace(entries=entries, game=game)

@@ -30,8 +30,8 @@ from logitgraph import (
 from logitgraph.io import render
 from logitgraph.studies import RANK_SAMPLE_BOX, _reconstruction_jacobian, _uniform
 
-FORM_1X2 = StrategicGameForm(1, (2,))
-FORM_2X2 = StrategicGameForm(2, (2, 2))
+FORM_1X2 = StrategicGameForm((2,))
+FORM_2X2 = StrategicGameForm((2, 2))
 
 
 class TestSampling:
@@ -68,7 +68,7 @@ class TestSampling:
             convergence_study(FORM_2X2, [1.0], 20, 0, bound_box=1e16)
 
     def test_unshapeable_draw_names_form_and_samples(self):
-        form = StrategicGameForm(2, (4611686018427387905, 4))
+        form = StrategicGameForm((4611686018427387905, 4))
         with pytest.raises(InvalidInputError, match="1 samples of form 2:4611686018427387905,4"):
             sample_target_points(form, 1, 1, 1.0)
 
@@ -78,7 +78,7 @@ class TestSampling:
             raise MemoryError("Unable to allocate 137. GiB")
 
         monkeypatch.setattr(studies, "_uniform", out_of_memory)
-        form = StrategicGameForm(2, (3000, 3000))
+        form = StrategicGameForm((3000, 3000))
         with pytest.raises(InvalidInputError, match="2000 samples of form 2:3000,3000: Unable"):
             convergence_study(form, [1.0], 2000, 0)
 
@@ -213,7 +213,7 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidInputError, match="bound"):
             ConvergenceReport(form=FORM_2X2, seed=0, samples=1, rows=(bad,))
 
-    @pytest.mark.parametrize("form", [FORM_1X2, FORM_2X2, StrategicGameForm(2, (3, 2))], ids=str)
+    @pytest.mark.parametrize("form", [FORM_1X2, FORM_2X2, StrategicGameForm((3, 2))], ids=str)
     def test_hand_built_report_is_gated_on_the_proven_bound(self, form):
         # the bound comes from the form and n alone, so no caller can loosen it
         bounds = [max(form.action_counts) * epsilon_bound(n) for n in (1.0, 10.0)]
@@ -286,17 +286,17 @@ class TestImmersionRankCheck:
 @pytest.mark.parametrize("n", [1.0, 10.0, 100.0])
 def test_reconstruction_jacobian_matches_finite_differences(counts, n):
     """The closed-form derivative against central differences of the public maps."""
-    form = StrategicGameForm(len(counts), counts)
+    form = StrategicGameForm(counts)
     size = form.profile_count
 
     def reconstruct(u):
         rep = km_decompose(Game(form, tuple(u[i * size : (i + 1) * size] for i in range(len(counts)))))
-        point = phi_n_inv(n, TargetPoint(form=form, tilde_u=rep.tilde_u, y_bar=rep.bar_u), tol=1e-13)
+        point = phi_n_inv(n, TargetPoint(tilde_u=rep.tilde_u, y_bar=rep.bar_u), tol=1e-13)
         return np.concatenate(point.game.payoffs + point.profile.vectors)
 
     t = sample_target_points(form, 1, 0, RANK_SAMPLE_BOX)[0]
     # the payoff coordinates that split into t: y_bar lifted onto the zero-mean part
-    base = np.concatenate(km_recompose(KMRepresentation(form, t.tilde_u, t.y_bar)).payoffs)
+    base = np.concatenate(km_recompose(KMRepresentation(t.tilde_u, t.y_bar)).payoffs)
     exact = _reconstruction_jacobian(n, form, t.tilde_u, phi_n_inv(n, t).profile.vectors)
     assert exact.shape == (form.payoff_coordinate_count + sum(counts), form.payoff_coordinate_count)
     assert np.abs(fd_jacobian(reconstruct, base) - exact).max() <= 1e-6

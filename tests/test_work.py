@@ -90,7 +90,7 @@ def jacobians(monkeypatch):
 
 
 def _seeded(shape, seed):
-    return random_game(np.random.default_rng(seed), StrategicGameForm(len(shape), shape), box=1.0)
+    return random_game(np.random.default_rng(seed), StrategicGameForm(shape), box=1.0)
 
 
 @pytest.mark.parametrize(
@@ -131,19 +131,20 @@ def test_property_suite_contractions(contractions):
 
 
 def test_property_suite_inversions(inversions):
+    # the logit round trip inverts both of a form's precisions in one batch per action width
     run_property_suite(None)
-    assert inversions[0] == 26
+    assert inversions[0] == 21
 
 
 def test_study_contractions(contractions):
     # one block: the Nash payoffs and residual (3 + 3), then each n's payoffs (4 * 3)
-    convergence_study(StrategicGameForm(3, (3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
+    convergence_study(StrategicGameForm((3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
     assert contractions[0] == 18
 
 
 def test_study_working_set():
     # each n's payoff rows are built from the block's own zero-mean rows, not a tiled copy
-    form, n_list = StrategicGameForm(3, (5, 5, 5)), [1.0, 10.0, 100.0, 1000.0]
+    form, n_list = StrategicGameForm((5, 5, 5)), [1.0, 10.0, 100.0, 1000.0]
     convergence_study(form, n_list, 60, 7)  # import and cache everything first
     tracemalloc.start()
     try:
@@ -155,7 +156,7 @@ def test_study_working_set():
 
 
 def test_graph_map_contractions(contractions):
-    for t in sample_target_points(StrategicGameForm(3, (2, 3, 4)), 5, 3, 10.0):
+    for t in sample_target_points(StrategicGameForm((2, 3, 4)), 5, 3, 10.0):
         nash, logit = phi_inv(t), phi_n_inv(10.0, t)
         phi(nash)
         phi(logit)
@@ -164,7 +165,7 @@ def test_graph_map_contractions(contractions):
 
 
 def test_rank_check_contractions(contractions):
-    immersion_rank_check(10.0, StrategicGameForm(3, (2, 2, 2)), 5, 0)
+    immersion_rank_check(10.0, StrategicGameForm((2, 2, 2)), 5, 0)
     assert contractions[0] == 48
 
 
