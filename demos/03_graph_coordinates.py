@@ -23,7 +23,7 @@ with open("demos/games/matching_pennies.json", "rb") as handle:
     pennies = parse_game(handle.read())
 point = GraphPoint.nash(pennies, MixedProfile.uniform(pennies.form))
 target = phi(point)
-print("matching pennies at uniform maps to y_bar:", [b.tolist() for b in target.y_bar])
+print("matching pennies at uniform maps to y_bar:", [b.tolist() for b in target.bar_u])
 
 # Backward: any target reconstructs to a game plus an exact equilibrium.
 # The water-filling split of each y_bar hands over both the probabilities and
@@ -42,7 +42,7 @@ t = sample_target_points(form, 1, seed=12, bound_box=5.0)[0]
 for n in (1.0, 10.0):
     p = phi_n_inv(n, t, tol=1e-12)
     back = phi(p)  # maps at the point's own n
-    err = max(float(np.abs(a - b).max()) for a, b in zip(back.y_bar, t.y_bar))
+    err = max(float(np.abs(a - b).max()) for a, b in zip(back.bar_u, t.bar_u))
     print(f"n={n:4g}: logit residual {p.residual:.2e}, round-trip error {err:.2e}")
     print(f"        min probability {min(v.min() for v in p.profile.vectors):.3e}")
 

@@ -26,8 +26,8 @@ _EXPORTS = {
         "softmax",
     ),
     "graph_maps": (
-        "GraphPoint", "TargetPoint", "approximation_gap", "graph_point_gap", "phi", "phi_inv",
-        "phi_n_inv", "z_logit", "z_nash",
+        "GraphPoint", "approximation_gap", "graph_point_gap", "phi", "phi_inv", "phi_n_inv",
+        "z_logit", "z_nash",
     ),
     "io": (
         "game_to_json", "parse_game", "parse_target_point", "target_point_to_json",

@@ -10,6 +10,7 @@ This is the bottom layer: it imports no other, and every other layer sits on it.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -240,15 +241,20 @@ def softmax(v):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _check_real(name, value, sign="positive"):
+    """InvalidInputError unless ``value`` is a real number, not a bool, finite and ``sign``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (value > 0 if sign == "positive" else value >= 0) and math.isfinite(value)):
+        raise InvalidInputError(f"{name} must be {sign} and finite, got {value}")
+
+
 def _check_n(n):
-    if not (n > 0 and math.isfinite(n)):
-        raise InvalidInputError(f"n must be positive and finite, got {n}")
+    _check_real("n", n)
 
 
 def _check_n_tol(n, tol):
-    _check_n(n)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
+    _check_real("n", n)
+    _check_real("tol", tol)
 
 
 def _cross_blocks(form, payoffs, vectors):
@@ -327,42 +333,36 @@ class KMRepresentation(Record):
     ``bar_u[i][a_i]`` is the mean of player ``i``'s payoff to ``a_i`` over all
     opponent profiles; ``tilde_u[i]`` is the flat remainder, whose mean over
     opponent profiles is zero for every own action. The split is a linear
-    bijection on payoff space. ``form`` is read off the sizes of ``bar_u``.
+    bijection on payoff space, and the split coordinates are also where the
+    graph maps land: ``phi`` returns one, with ``bar_u`` the paper's ``y_bar``.
+    ``form`` is read off the sizes of ``bar_u``.
+
+    Per player, ``tilde_u[i]`` must have ``|A|`` entries; both parts must be
+    finite, and ``tilde_u[i]``'s opponent means must vanish within ZERO_MEAN_TOL.
     """
 
     tilde_u: tuple[np.ndarray, ...]
     bar_u: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        _checked_split(self, self.tilde_u, self.bar_u, "bar_u")
-
-
-def _checked_split(record, tilde_u, vectors, name):
-    """Check and freeze a split-coordinate record's ``tilde_u`` and ``vectors``, and set its ``form``.
-
-    ``vectors`` are the per-action field ``name``; their sizes fix the form. Per
-    player, ``tilde_u[i]`` must have ``|A|`` entries; both must be finite, and
-    ``tilde_u[i]``'s opponent means (the bar part of ``_split_payoff``) must
-    vanish within ZERO_MEAN_TOL.
-    """
-    tilde = tuple(_freeze(t) for t in tilde_u)
-    vectors = tuple(_freeze(v) for v in vectors)
-    form = StrategicGameForm(tuple(v.size for v in vectors))
-    if len(tilde) != form.num_players:
-        raise InvalidInputError("component count does not match the number of players")
-    size = form.profile_count
-    for i, (t, v) in enumerate(zip(tilde, vectors)):
-        if t.size != size:
-            raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise InvalidInputError(f"components[{i}] must be finite")
-        worst = float(np.abs(_split_payoff(form, t.ravel(), i)[1]).max())
-        if worst > ZERO_MEAN_TOL:
-            raise InvalidInputError(
-                f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
-            )
-    for field, value in (("form", form), ("tilde_u", tilde), (name, vectors)):
-        object.__setattr__(record, field, value)
+        tilde = tuple(_freeze(t) for t in self.tilde_u)
+        bar = tuple(_freeze(b) for b in self.bar_u)
+        form = StrategicGameForm(tuple(b.size for b in bar))
+        if len(tilde) != form.num_players:
+            raise InvalidInputError("component count does not match the number of players")
+        size = form.profile_count
+        for i, (t, b) in enumerate(zip(tilde, bar)):
+            if t.size != size:
+                raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(b))):
+                raise InvalidInputError(f"components[{i}] must be finite")
+            worst = float(np.abs(_split_payoff(form, t.ravel(), i)[1]).max())
+            if worst > ZERO_MEAN_TOL:
+                raise InvalidInputError(
+                    f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
+                )
+        for field, value in (("form", form), ("tilde_u", tilde), ("bar_u", bar)):
+            object.__setattr__(self, field, value)
 
 
 def _split_payoff(form, flat, player):

@@ -2,12 +2,12 @@
 
 ``phi`` sends a Nash graph point, or a logit graph point at its own precision
 ``n``, to split payoff coordinates; ``phi_inv`` and ``phi_n_inv`` reconstruct
-the unique Nash and logit graph point from any target. Both inverses work one
-player at a time: the profile comes straight out of the player's ``y_bar``
-coordinate, then the mean payoffs are back-solved, so there is no fixed-point
-coupling anywhere in the inverse direction. The reconstructions run on arrays
-with a leading sample axis; the public inverses are batches of one. The
-coordinates (``TargetPoint``) and the graph points (``GraphPoint``) live here.
+the unique Nash and logit graph point from any target: a game in split
+coordinates, a ``KMRepresentation`` whose ``bar_u`` is the paper's ``y_bar``.
+Both inverses work one player at a time: the profile comes straight out of the
+player's ``y_bar``, then the mean payoffs are back-solved, so there is no
+fixed-point coupling anywhere in the inverse direction. The reconstructions run
+on arrays with a leading sample axis; the public inverses are batches of one.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 from .errors import InvalidInputError, NotOnGraphError
 from .games import (
     Game,
+    KMRepresentation,
     MixedProfile,
     Record,
     _check_n,
     _check_n_tol,
-    _checked_split,
     _deviation_rows,
     _lift_bar,
     _logit_gap,
@@ -36,21 +36,6 @@ from .games import (
 from .maps import _check_below_2_53, _invert_rows, _stall_error, _water_level
 
 GRAPH_RESIDUAL_TOL = 1e-8
-
-
-class TargetPoint(Record):
-    """A payoff-space point in split coordinates: zero-mean part plus free per-action vectors.
-
-    ``y_bar`` is unconstrained; ``tilde_u`` must satisfy the same zero-mean
-    invariant as in KMRepresentation. These are the coordinates the graph maps
-    below land in and invert from. ``form`` is read off the sizes of ``y_bar``.
-    """
-
-    tilde_u: tuple[np.ndarray, ...]
-    y_bar: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        _checked_split(self, self.tilde_u, self.y_bar, "y_bar")
 
 
 class GraphPoint(Record):
@@ -129,12 +114,11 @@ def z_logit(n, game, x):
 
 
 def phi(point):
-    """Split coordinates of a graph point: Nash, or logit at ``point.n``; its residual is re-verified."""
+    """The target of a graph point: Nash, or logit at ``point.n``; its residual is re-verified."""
     game = point.game
     _graph_residual(game, point.profile, point.n)
-    rep = km_decompose(game)
     y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), point.n)
-    return TargetPoint(tilde_u=rep.tilde_u, y_bar=tuple(z[0] for z in y_bar))
+    return KMRepresentation(km_decompose(game).tilde_u, tuple(z[0] for z in y_bar))
 
 
 def _payoff_rows(form, tilde_u, values, x_vectors):
@@ -193,30 +177,34 @@ def _logit_rows(n, form, tilde_u, y_bar, tol):
 
 
 def phi_inv(t):
-    """Reconstruct the Nash graph point mapped to ``t``.
+    """Reconstruct the Nash graph point mapped to the target ``t``, a KMRepresentation.
 
-    Per player, the water-filling split of ``y_bar`` gives the equilibrium
-    probabilities (the simplex projection) and the deviation-payoff values
-    (the clipped vector); the construction is total and the result's residual
-    is exactly zero up to rounding. A ``y_bar`` vector whose top entry is past
-    2**53 in magnitude raises InvalidInputError.
+    Per player, the water-filling split of ``y_bar = t.bar_u`` gives the
+    equilibrium probabilities (the simplex projection) and the deviation-payoff
+    values (the clipped vector); the construction is total and the result's
+    residual is exactly zero up to rounding. A ``y_bar`` vector whose top entry
+    is past 2**53 in magnitude raises InvalidInputError.
+
+    ``phi_inv(km_decompose(v))`` is the Nash point that ``phi`` maps to the game
+    ``v``, not a point of ``v``'s own graph: the point's game shares ``v``'s
+    ``tilde_u``, but its ``bar_u`` is ``y_bar - x - dev(tilde_u; x)``.
     """
-    _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.y_bar))
-    payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.y_bar))
+    _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.bar_u))
+    payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.bar_u))
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
     return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile)
 
 
 def phi_n_inv(n, t, tol=1e-12):
-    """Reconstruct the logit graph point at precision ``n`` mapped to ``t``.
+    """Reconstruct the logit graph point at precision ``n`` mapped to the target ``t``.
 
-    Per player, the softmax-displacement inverse of ``y_bar`` (the row kernel
-    of ``h_numeric``) gives the deviation-payoff values; their softmax is the
-    (strictly positive) probability vector. A failed inversion raises the
+    Per player, the softmax-displacement inverse of ``y_bar = t.bar_u`` (the row
+    kernel of ``h_numeric``) gives the deviation-payoff values; their softmax is
+    the (strictly positive) probability vector. A failed inversion raises the
     ConvergenceError ``h_numeric`` would raise for the first failing player.
     """
     _check_n_tol(n, tol)
-    payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.y_bar), tol)
+    payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)
     if failure:
         raise failure[1]
     profile = MixedProfile(tuple(x[0] for x in x_vectors))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .games import Game, StrategicGameForm, _split_payoff
+from .games import Game, KMRepresentation, StrategicGameForm, _split_payoff
 
 
 def _load_json(data):
@@ -91,14 +91,12 @@ def game_to_json(game):
 
 
 def parse_target_point(data, project_tilde=False):
-    """Parse a target document and validate the zero-mean component.
+    """Parse a target document into a KMRepresentation, ``y_bar`` as its ``bar_u``.
 
     Residual means up to 1e-6 are treated as serialization noise and removed;
     larger means are rejected unless ``project_tilde`` is set, in which case
     they are removed too.
     """
-    from .graph_maps import TargetPoint  # imported here, so game commands never load graph_maps
-
     obj = _load_json(data)
     if not isinstance(obj, dict):
         raise ParseError("top level: expected an object")
@@ -128,11 +126,11 @@ def parse_target_point(data, project_tilde=False):
                 "(pass project_tilde to remove them)"
             )
         tilde.append(zero_mean)
-    return TargetPoint(tilde_u=tuple(tilde), y_bar=tuple(y_bar))
+    return KMRepresentation(tilde_u=tuple(tilde), bar_u=tuple(y_bar))
 
 
 def target_point_to_json(t):
-    return json.dumps({"tilde_u": _vectors(t.tilde_u), "y_bar": _vectors(t.y_bar)})
+    return json.dumps({"tilde_u": _vectors(t.tilde_u), "y_bar": _vectors(t.bar_u)})
 
 
 def trace_to_dict(trace):

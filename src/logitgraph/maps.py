@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .games import Record, _check_n, _check_n_tol, softmax
+from .games import Record, _check_n, _check_n_tol, _check_real, _freeze, softmax
 
 MAX_INVERSE_ITER = 200  # Newton iterations per row of the softmax-displacement inverse
 
@@ -116,6 +116,10 @@ class SimplexProjection(Record):
 
     h_value: np.ndarray
     residual: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "h_value", _freeze(self.h_value))
+        object.__setattr__(self, "residual", _freeze(self.residual))
 
     @property
     def alpha_star(self):
@@ -253,8 +257,7 @@ def epsilon_bound(n):
     is strictly increasing in ``eps``, so bisection converges; the bracket is
     refined to full double precision. ``n = 0`` gives exactly 0.5.
     """
-    if n < 0 or not math.isfinite(n):
-        raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
+    _check_real("n", n, "nonnegative")
     if n == 0:
         return 0.5
     # f(1/(n+2)) < 1 for every n > 0, and f((1 + log n)/n) > e for n > 1

@@ -21,6 +21,7 @@ from .games import (
     MixedProfile,
     Record,
     _check_n_tol,
+    _check_real,
     _cross_blocks,
     _deviation_rows,
     _logit_gap,
@@ -37,8 +38,7 @@ def logit_response(n, game, x):
     ``n = 0`` returns the uniform profile for any game. The output is strictly
     positive and on the simplex.
     """
-    if not (n >= 0 and math.isfinite(n)):
-        raise InvalidInputError(f"n must be nonnegative and finite, got {n}")
+    _check_real("n", n, "nonnegative")
     w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(_profile_vectors(game.form, x)))
     return MixedProfile(tuple(softmax(n * d[0]) for d in w))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
 from .games import (
+    KMRepresentation,
     Record,
     StrategicGameForm,
     _check_n,
@@ -26,7 +27,7 @@ from .games import (
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import TargetPoint, _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
+from .graph_maps import _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
 from .maps import _check_below_2_53, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
@@ -79,8 +80,8 @@ def _target_blocks(form, samples, seed, bound_box, block):
     form and ``samples``.
     """
     _check_seed(seed)
-    if samples < 1:
-        raise InvalidInputError(f"samples must be >= 1, got {samples}")
+    if not _is_integer(samples) or samples < 1:
+        raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
     if not bound_box > 0:
         raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
     size, k = form.profile_count, form.num_players
@@ -103,11 +104,11 @@ def sample_target_points(form, samples, seed, bound_box):
     """Draw targets with entries uniform in [-bound_box, bound_box].
 
     The zero-mean components are projected exactly after sampling, so every
-    draw is a valid TargetPoint. Deterministic in ``seed``.
+    draw is a valid KMRepresentation. Deterministic in ``seed``.
     """
     _, tilde, y_bar = next(_target_blocks(form, samples, seed, bound_box, samples))
     return [
-        TargetPoint(tilde_u=tuple(t[s] for t in tilde), y_bar=tuple(b[s] for b in y_bar))
+        KMRepresentation(tilde_u=tuple(t[s] for t in tilde), bar_u=tuple(b[s] for b in y_bar))
         for s in range(samples)
     ]
 
@@ -174,11 +175,12 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     ConvergenceError naming the seed, ``n`` and the first failing sample, with its best
     iterate; else the profile check for its first sample.
     """
-    n_list = [float(n) for n in n_list]
+    n_list = list(n_list)
     if not n_list:
         raise InvalidInputError("n_list must be nonempty")
     for n in n_list:
         _check_n(n)
+    n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("n_list must be strictly ascending")
     sup_x = [0.0] * len(n_list)

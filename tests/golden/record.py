@@ -46,8 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from logitgraph.cli import run_cli  # noqa: E402
-from logitgraph.games import StrategicGameForm, _split_payoff  # noqa: E402
-from logitgraph.graph_maps import TargetPoint  # noqa: E402
+from logitgraph.games import KMRepresentation, StrategicGameForm, _split_payoff  # noqa: E402
 from logitgraph.io import target_point_to_json  # noqa: E402
 
 DEMO_GAMES = ("coordination", "matching_pennies", "one_player")
@@ -102,7 +101,7 @@ def target_point(seed, shape):
     raw = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(1, k * size + sum(shape)))
     tilde = tuple(_split_payoff(form, raw[:, i * size : (i + 1) * size], i)[0][0] for i in range(k))
     edges = np.cumsum((k * size,) + shape)
-    return TargetPoint(tilde_u=tilde, y_bar=tuple(raw[0, a:b] for a, b in zip(edges, edges[1:])))
+    return KMRepresentation(tilde_u=tilde, bar_u=tuple(raw[0, a:b] for a, b in zip(edges, edges[1:])))
 
 
 def game_paths(directory=HERE):

@@ -122,7 +122,7 @@ def test_criterion_5_graph_round_trips():
             back = phi(nash_point)
             defect = max(
                 max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, back.tilde_u)),
-                max(float(np.abs(a - b).max()) for a, b in zip(t.y_bar, back.y_bar)),
+                max(float(np.abs(a - b).max()) for a, b in zip(t.bar_u, back.bar_u)),
             )
             worst = max(worst, defect)
             ok = ok and defect <= 1e-9
@@ -134,7 +134,7 @@ def test_criterion_5_graph_round_trips():
             back_n = phi(logit_point)
             defect = max(
                 max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, back_n.tilde_u)),
-                max(float(np.abs(a - b).max()) for a, b in zip(t.y_bar, back_n.y_bar)),
+                max(float(np.abs(a - b).max()) for a, b in zip(t.bar_u, back_n.bar_u)),
             )
             worst = max(worst, defect)
             ok = ok and defect <= 1e-9

@@ -20,7 +20,6 @@ from logitgraph import (
     KMRepresentation,
     MixedProfile,
     StrategicGameForm,
-    TargetPoint,
     convergence_study,
     deviation_payoffs,
     epsilon_bound,
@@ -82,14 +81,14 @@ def reference_reconstruct(t, values, x_vectors):
 
 
 def reference_phi_inv(t):
-    splits = [h_exact(b) for b in t.y_bar]
+    splits = [h_exact(b) for b in t.bar_u]
     x_vectors = tuple(s.residual for s in splits)
     game = reference_reconstruct(t, tuple(s.h_value for s in splits), x_vectors)
     return game, MixedProfile(x_vectors)
 
 
 def reference_phi_n_inv(n, t):
-    values = tuple(reference_h_numeric(n, b) for b in t.y_bar)
+    values = tuple(reference_h_numeric(n, b) for b in t.bar_u)
     x_vectors = tuple(softmax(n * w) for w in values)
     return reference_reconstruct(t, values, x_vectors), MixedProfile(x_vectors)
 
@@ -103,7 +102,7 @@ def reference_targets(form, samples, seed, bound_box):
             for i in range(form.num_players)
         )
         y_bar = tuple(uniform_draws(rng, -bound_box, bound_box, m) for m in form.action_counts)
-        points.append(TargetPoint(tilde_u=tilde, y_bar=y_bar))
+        points.append(KMRepresentation(tilde_u=tilde, bar_u=y_bar))
     return points
 
 
@@ -130,7 +129,7 @@ def test_sampling_matches_per_sample_draws(form):
         batched = sample_target_points(form, samples, seed, 3.0)
         reference = reference_targets(form, samples, seed, 3.0)
         for a, b in zip(batched, reference):
-            for u, v in zip(a.tilde_u + a.y_bar, b.tilde_u + b.y_bar):
+            for u, v in zip(a.tilde_u + a.bar_u, b.tilde_u + b.bar_u):
                 assert np.array_equal(u, v)
 
 

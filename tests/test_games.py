@@ -359,6 +359,8 @@ class TestKMDecomposition:
             KMRepresentation((np.zeros(4), np.zeros(4)), (np.array([np.inf, 0.0]), np.zeros(2)))
 
     def test_representation_messages_name_the_field(self):
+        with pytest.raises(InvalidInputError, match="component count"):
+            KMRepresentation((np.zeros(4),), (np.zeros(2), np.zeros(2)))
         # the form comes from bar_u, so a bar_u of another width is a tilde_u of the wrong length
         with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: length 4 != expected 6"):
             KMRepresentation((np.zeros(4), np.zeros(4)), (np.zeros(2), np.zeros(3)))

@@ -5,10 +5,10 @@ from logitgraph import (
     Game,
     GraphPoint,
     InvalidInputError,
+    KMRepresentation,
     MixedProfile,
     NotOnGraphError,
     StrategicGameForm,
-    TargetPoint,
     approximation_gap,
     epsilon_bound,
     g_jacobian,
@@ -44,7 +44,7 @@ FORMS = [
 
 
 def one_player_target(y_bar):
-    return TargetPoint(tilde_u=(np.zeros(len(y_bar)),), y_bar=(np.asarray(y_bar, dtype=float),))
+    return KMRepresentation(tilde_u=(np.zeros(len(y_bar)),), bar_u=(np.asarray(y_bar, dtype=float),))
 
 
 def assert_same_arrays(got, want):
@@ -56,7 +56,7 @@ def assert_same_arrays(got, want):
 def max_target_diff(a, b):
     return max(
         max(float(np.abs(s - t).max()) for s, t in zip(a.tilde_u, b.tilde_u)),
-        max(float(np.abs(s - t).max()) for s, t in zip(a.y_bar, b.y_bar)),
+        max(float(np.abs(s - t).max()) for s, t in zip(a.bar_u, b.bar_u)),
     )
 
 
@@ -117,21 +117,21 @@ class TestPhi:
         target = phi(point)
         for i in range(2):
             assert np.array_equal(target.tilde_u[i], game.payoffs[i])
-            assert np.allclose(target.y_bar[i], [0.5, 0.5], atol=1e-15)
+            assert np.allclose(target.bar_u[i], [0.5, 0.5], atol=1e-15)
 
     def test_one_player_tie(self):
         game = one_player_game([0.5, 0.5])
         point = GraphPoint.nash(game, MixedProfile((np.array([1.0, 0.0]),)))
         target = phi(point)
         assert np.allclose(target.tilde_u[0], 0.0, atol=1e-15)
-        assert np.allclose(target.y_bar[0], [1.5, 0.5], atol=1e-15)
+        assert np.allclose(target.bar_u[0], [1.5, 0.5], atol=1e-15)
 
     def test_zero_game(self):
         game = one_player_game([0.0, 0.0])
         point = GraphPoint.nash(game, MixedProfile((np.array([0.5, 0.5]),)))
         target = phi(point)
         assert np.allclose(target.tilde_u[0], 0.0)
-        assert np.allclose(target.y_bar[0], [0.5, 0.5])
+        assert np.allclose(target.bar_u[0], [0.5, 0.5])
 
     def test_rejects_non_equilibrium(self):
         game = matching_pennies()
@@ -147,7 +147,7 @@ class TestPhi:
             point = phi_inv(t)
             target = phi(point)
             assert_same_arrays(target.tilde_u, km_decompose(point.game).tilde_u)
-            assert_same_arrays(target.y_bar, z_nash(point.game, point.profile))
+            assert_same_arrays(target.bar_u, z_nash(point.game, point.profile))
 
     @pytest.mark.parametrize("form", PIN_FORMS, ids=str)
     @pytest.mark.parametrize("n", [0.5, 10.0, 1000.0])
@@ -156,7 +156,7 @@ class TestPhi:
             point = phi_n_inv(n, t)
             target = phi(point)
             assert_same_arrays(target.tilde_u, km_decompose(point.game).tilde_u)
-            assert_same_arrays(target.y_bar, z_logit(point.n, point.game, point.profile))
+            assert_same_arrays(target.bar_u, z_logit(point.n, point.game, point.profile))
 
     def test_takes_no_tolerance(self):
         game = matching_pennies()
@@ -239,7 +239,7 @@ class TestPhiN:
         x = MixedProfile((np.array([E / (1 + E), 1 / (1 + E)]),))
         target = phi(GraphPoint.logit(game, x, 1.0))
         assert np.allclose(target.tilde_u[0], 0.0, atol=1e-15)
-        assert target.y_bar[0] == pytest.approx(
+        assert target.bar_u[0] == pytest.approx(
             [1.7310585786300049, 0.2689414213699951], abs=1e-12
         )
 
@@ -250,15 +250,15 @@ class TestPhiN:
             target = phi(point)
             for i in range(2):
                 assert np.array_equal(target.tilde_u[i], game.payoffs[i])
-                assert np.allclose(target.y_bar[i], [0.5, 0.5], atol=1e-15)
+                assert np.allclose(target.bar_u[i], [0.5, 0.5], atol=1e-15)
 
     def test_zero_game_uniform(self):
         form = StrategicGameForm((3, 2))
         game = Game(form, (np.zeros(6), np.zeros(6)))
         point = GraphPoint.logit(game, MixedProfile.uniform(form), 1.0)
         target = phi(point)
-        assert np.allclose(target.y_bar[0], 1.0 / 3.0, atol=1e-15)
-        assert np.allclose(target.y_bar[1], 0.5, atol=1e-15)
+        assert np.allclose(target.bar_u[0], 1.0 / 3.0, atol=1e-15)
+        assert np.allclose(target.bar_u[1], 0.5, atol=1e-15)
 
     def test_rejects_non_equilibrium(self):
         game = one_player_game([1.0, 0.0])
@@ -328,9 +328,9 @@ class TestPhiNInv:
 
 class TestApproximationGap:
     def test_symmetric_targets_have_zero_gap(self):
-        target = TargetPoint(
+        target = KMRepresentation(
             tilde_u=(matching_pennies().payoffs[0], matching_pennies().payoffs[1]),
-            y_bar=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+            bar_u=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
         )
         for n in (1.0, 10.0, 100.0):
             assert approximation_gap(n, target) <= 1e-9
@@ -353,18 +353,19 @@ class TestApproximationGap:
             graph_point_gap(a, b)
 
 
-class TestTargetPoint:
-    def test_zero_mean_enforced(self):
-        biased = np.array([0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(InvalidInputError, match="tilde_u"):
-            TargetPoint(tilde_u=(biased, np.zeros(4)), y_bar=(np.zeros(2), np.zeros(2)))
+class TestChart:
+    """A target is a game in split coordinates: ``phi`` sends every reconstruction back to it."""
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError, match="component count"):
-            TargetPoint(tilde_u=(np.zeros(4),), y_bar=(np.zeros(2), np.zeros(2)))
-        # the form comes from y_bar, so a y_bar of another width is a tilde_u of the wrong length
-        with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: length 4 != expected 6"):
-            TargetPoint(tilde_u=(np.zeros(4), np.zeros(4)), y_bar=(np.zeros(3), np.zeros(2)))
+    # at n = 100 the one-player game's worse action has a probability below the
+    # smallest double, so phi scores a boundary profile, which logit_residual warns of
+    @pytest.mark.filterwarnings("ignore:logit residual evaluated at a boundary profile")
+    @pytest.mark.parametrize("form", FORMS, ids=str)
+    def test_phi_inverts_the_reconstructions_of_a_game(self, form):
+        v = random_game(np.random.default_rng(29), form)
+        target = km_decompose(v)
+        assert max_target_diff(phi(phi_inv(target)), target) <= 1e-9
+        for n in (1.0, 10.0, 100.0):
+            assert max_target_diff(phi(phi_n_inv(n, target)), target) <= 1e-9
 
     def test_tilde_recovered_by_decompose(self, rng):
         # the zero-mean part of a reconstructed game equals the target's

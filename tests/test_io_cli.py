@@ -10,10 +10,10 @@ import pytest
 
 from logitgraph import (
     Game,
+    KMRepresentation,
     MixedProfile,
     ParseError,
     StrategicGameForm,
-    TargetPoint,
     convergence_study,
     deviation_payoffs,
     immersion_rank_check,
@@ -117,7 +117,7 @@ class TestParseTargetPoint:
     def test_valid(self):
         t = parse_target_point(TARGET_JSON)
         assert t.form == StrategicGameForm((2,))
-        assert t.y_bar[0].tolist() == [1.5, 0.5]
+        assert t.bar_u[0].tolist() == [1.5, 0.5]
 
     def test_zero_mean_violation_rejected(self):
         bad = '{"tilde_u": [[0.5, 0.5, 0.5, 0.5], [0, 0, 0, 0]], "y_bar": [[0, 0], [0, 0]]}'
@@ -132,7 +132,7 @@ class TestParseTargetPoint:
     def test_round_trip(self):
         t = parse_target_point(TARGET_JSON)
         again = parse_target_point(target_point_to_json(t))
-        assert np.array_equal(t.y_bar[0], again.y_bar[0])
+        assert np.array_equal(t.bar_u[0], again.bar_u[0])
         assert np.array_equal(t.tilde_u[0], again.tilde_u[0])
 
     def test_shape_mismatch_named(self):
@@ -463,7 +463,7 @@ class TestCli:
         path = tmp_path / "target.json"
         for box in (1e100, 1e15):
             y_bar = tuple(rng.uniform(-box, box, size=m) for m in form.action_counts)
-            path.write_text(target_point_to_json(TargetPoint(tilde, y_bar)))
+            path.write_text(target_point_to_json(KMRepresentation(tilde, y_bar)))
             code, out, err = invoke(["invert-nash", str(path)])
             if box == 1e100:
                 assert code == 1 and out == ""

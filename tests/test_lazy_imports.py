@@ -141,11 +141,12 @@ def test_unknown_name_raises_attribute_error():
 
 
 @pytest.mark.parametrize(
-    "name", ["phi_n", "ConvergenceBound", "approximate_nash", "deviation_payoff"]
+    "name", ["phi_n", "ConvergenceBound", "approximate_nash", "deviation_payoff", "TargetPoint"]
 )
 def test_removed_name_raises_attribute_error(name):
     # phi maps logit points at their own n, epsilon_bound returns the number, and
-    # trace_logit_path and deviation_payoffs give what the two wrappers returned
+    # trace_logit_path and deviation_payoffs give what the two wrappers returned, and a
+    # target is a KMRepresentation
     with pytest.raises(AttributeError, match=name):
         getattr(logitgraph, name)
-    assert name not in logitgraph.__all__ and len(logitgraph.__all__) == 50
+    assert name not in logitgraph.__all__ and len(logitgraph.__all__) == 49

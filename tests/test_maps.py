@@ -202,6 +202,13 @@ class TestHExact:
         split = h_exact([3.0])
         assert split.h_value.tolist() == [2.0] and split.residual.tolist() == [1.0]
 
+    def test_arrays_are_frozen(self):
+        split = h_exact([1.5, 0.5])
+        for array in (split.h_value, split.residual):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        assert split.alpha_star == 0.5
+
     def test_residual_is_probability_vector(self, rng):
         for _ in range(100):
             d = int(rng.integers(1, 9))

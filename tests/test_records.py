@@ -25,7 +25,6 @@ from logitgraph import (
     ReportRow,
     SimplexProjection,
     StrategicGameForm,
-    TargetPoint,
     alpha_star,
     h_exact,
     km_decompose,
@@ -61,7 +60,6 @@ RECORDS = {
     MixedProfile: (("vectors",), lambda: (UNIFORM,)),
     KMRepresentation: (("tilde_u", "bar_u"), lambda: (_km().tilde_u, _km().bar_u)),
     SimplexProjection: (("h_value", "residual"), lambda: (np.array([0.5, 0.2]), np.array([0.5, 0.0]))),
-    TargetPoint: (("tilde_u", "y_bar"), lambda: (_target().tilde_u, _target().y_bar)),
     GraphPoint: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 3.0)),
     PathEntry: (("n", "profile", "residual"), lambda: (2.0, MixedProfile(UNIFORM), 0.0)),
     PathTrace: (("entries", "game"), lambda: (_trace().entries, _trace().game)),
@@ -173,12 +171,11 @@ class TestDerivedFacts:
             lambda: StrategicGameForm(2, (2, 2)),
             lambda: StrategicGameForm((2, 2), num_players=2),
             lambda: KMRepresentation(FORM, _km().tilde_u, _km().bar_u),
-            lambda: TargetPoint(_target().tilde_u, _target().y_bar, form=_target().form),
             lambda: SimplexProjection(0.5, np.array([0.5, 0.2]), np.array([0.5, 0.0])),
         ],
         ids=[
             "point-kind", "point-residual", "trace-terminal", "row-bound", "rank-expected",
-            "rank-threshold", "form-players", "form-players-keyword", "km-form", "target-form",
+            "rank-threshold", "form-players", "form-players-keyword", "km-form",
             "projection-level",
         ],
     )
@@ -250,7 +247,6 @@ class TestPostInitChecks:
             lambda: Game(FORM, (np.array([1.0, np.inf, 0.0, 0.0]), np.zeros(4))),
             lambda: MixedProfile((np.array([0.5, 0.6]),)),
             lambda: KMRepresentation((np.ones(4), np.zeros(4)), _km().bar_u),
-            lambda: TargetPoint((np.ones(4), np.zeros(4)), _km().bar_u),
             lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), -3.0),
             lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies()),
             lambda: ConvergenceReport(FORM, 3, 5, _rows()[::-1]),
@@ -260,7 +256,7 @@ class TestPostInitChecks:
         ],
         ids=[
             "form-players", "form-counts", "game-tensors", "game-finite", "profile-sum",
-            "km-zero-mean", "target-zero-mean", "point-n", "trace-residual",
+            "km-zero-mean", "point-n", "trace-residual",
             "report-order", "report-bound", "report-nan-gap-x", "report-nan-gap-full",
         ],
     )

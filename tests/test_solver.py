@@ -7,13 +7,15 @@ import pytest
 from logitgraph import (
     ConvergenceError,
     Game,
+    GraphPoint,
     InvalidInputError,
+    KMRepresentation,
     MixedProfile,
     PathEntry,
     PathFailureError,
     PathTrace,
     StrategicGameForm,
-    TargetPoint,
+    epsilon_bound,
     h_numeric,
     logit_residual,
     logit_response,
@@ -93,7 +95,7 @@ class TestInfiniteTolerance:
         # a tol of inf would accept any iterate, such as the start of a solve
         game = coordination_2x2()
         x = MixedProfile.uniform(game.form)
-        target = TargetPoint((np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
+        target = KMRepresentation((np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
         for call in (
             lambda: h_numeric(10.0, [1.5, 0.5], tol=np.inf),
             lambda: phi_n_inv(10.0, target, tol=np.inf),
@@ -102,6 +104,52 @@ class TestInfiniteTolerance:
         ):
             with pytest.raises(InvalidInputError, match="tol must be positive and finite"):
                 call()
+
+
+class TestPrecisionIsARealNumber:
+    """A precision or a tolerance is a real number: a bool, a string or None is rejected."""
+
+    @pytest.mark.parametrize("value", [True, "5", None], ids=repr)
+    def test_rejected_at_every_boundary(self, value):
+        # True used to run as 1 and render as "n": true; "5" and None raised a bare TypeError
+        game = coordination_2x2()
+        x = MixedProfile.uniform(game.form)
+        target = KMRepresentation((np.zeros(4), np.zeros(4)), (np.ones(2), np.ones(2)))
+        calls = {
+            "n must be positive": (
+                lambda: trace_logit_path(game, value),
+                lambda: solve_newton(value, game, x),
+                lambda: h_numeric(value, [1.5, 0.5]),
+                lambda: phi_n_inv(value, target),
+                lambda: logit_residual(game, x, value),
+            ),
+            "n must be nonnegative": (
+                lambda: logit_response(value, game, x),
+                lambda: epsilon_bound(value),
+            ),
+            "tol must be positive": (
+                lambda: trace_logit_path(game, 5.0, tol=value),
+                lambda: solve_newton(5.0, game, x, tol=value),
+                lambda: h_numeric(10.0, [1.5, 0.5], tol=value),
+                lambda: phi_n_inv(10.0, target, tol=value),
+            ),
+        }
+        for start, group in calls.items():
+            for call in group:
+                with pytest.raises(InvalidInputError, match=f"^{start} and finite, got {value}$"):
+                    call()
+
+    def test_graph_point_rejects_a_bool_precision(self):
+        # None is a Nash point's precision, so only the bool is checked here
+        game = coordination_2x2()
+        with pytest.raises(InvalidInputError, match="^n must be positive and finite, got True$"):
+            GraphPoint(game, MixedProfile.uniform(game.form), True)
+
+    def test_numpy_scalars_are_real_numbers(self):
+        game = coordination_2x2()
+        x = MixedProfile.uniform(game.form)
+        assert trace_logit_path(game, np.int64(5), tol=np.float32(1e-6)).entries[-1].n == 5.0
+        assert logit_response(np.float32(0), game, x).vectors[0].tolist() == [0.5, 0.5]
 
 
 class TestResponseJacobian:

@@ -14,10 +14,8 @@ from logitgraph import (
     ConvergenceReport,
     Game,
     InvalidInputError,
-    KMRepresentation,
     ReportRow,
     StrategicGameForm,
-    TargetPoint,
     convergence_study,
     epsilon_bound,
     immersion_rank_check,
@@ -41,12 +39,12 @@ class TestSampling:
         for ta, tb in zip(a, b):
             for ra, rb in zip(ta.tilde_u, tb.tilde_u):
                 assert np.array_equal(ra, rb)
-            for ra, rb in zip(ta.y_bar, tb.y_bar):
+            for ra, rb in zip(ta.bar_u, tb.bar_u):
                 assert np.array_equal(ra, rb)
 
     def test_entries_in_box(self):
         for t in sample_target_points(FORM_2X2, 5, 1, 2.0):
-            assert all(np.abs(b).max() <= 2.0 for b in t.y_bar)
+            assert all(np.abs(b).max() <= 2.0 for b in t.bar_u)
             # zero-mean projection can push tilde entries slightly past the box
             assert all(np.abs(row).max() <= 4.0 for row in t.tilde_u)
 
@@ -88,7 +86,7 @@ class TestUniform:
 
     def test_first_targets_are_pinned(self):
         t = sample_target_points(FORM_2X2, 1, 0, 1.0)[0]
-        assert [v.tolist() for v in t.y_bar] == [
+        assert [v.tolist() for v in t.bar_u] == [
             [-0.28390125209624095, 0.7833213175569576],
             [-0.5631145416255516, -0.7214525814611992],
         ]
@@ -165,8 +163,26 @@ class TestSeed:
     def test_numpy_integer_draws_as_the_python_integer(self):
         # random.Random rejects a NumPy integer seed, so the draws seed with int(seed)
         for a, b in zip(*(sample_target_points(FORM_2X2, 2, s, 1.0) for s in (7, np.uint8(7)))):
-            assert all(np.array_equal(u, v) for u, v in zip(a.y_bar + a.tilde_u, b.y_bar + b.tilde_u))
+            assert all(np.array_equal(u, v) for u, v in zip(a.bar_u + a.tilde_u, b.bar_u + b.tilde_u))
         assert run_property_suite(seed=np.int64(3)) == run_property_suite(seed=3)
+
+
+class TestSampleCount:
+    """Every seeded draw takes an integer count of at least one sample, and nothing else."""
+
+    DRAWS = {
+        "sample_target_points": lambda samples: sample_target_points(FORM_2X2, samples, 0, 1.0),
+        "convergence_study": lambda samples: convergence_study(FORM_2X2, [1.0], samples, 0),
+        "immersion_rank_check": lambda samples: immersion_rank_check(1.0, FORM_1X2, samples, 0),
+    }
+
+    @pytest.mark.parametrize("name", DRAWS)
+    @pytest.mark.parametrize("samples", [0, 2.5, True, None], ids=repr)
+    def test_rejects_what_is_not_a_positive_integer(self, name, samples):
+        # 2.5 and None used to raise a bare TypeError, and True drew one sample
+        message = f"samples must be an integer >= 1, got {samples!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            self.DRAWS[name](samples)
 
 
 class TestConvergenceStudy:
@@ -198,7 +214,9 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidInputError):
             convergence_study(FORM_2X2, [-1.0, 1.0], 1, seed=0)
 
-    @pytest.mark.parametrize("n_list", [[1.0, math.inf], [math.nan], [1.0, math.nan]], ids=str)
+    @pytest.mark.parametrize(
+        "n_list", [[1.0, math.inf], [math.nan], [1.0, math.nan], [1.0, True], ["5"]], ids=str
+    )
     def test_rejects_non_finite_precision_before_drawing(self, n_list, monkeypatch):
         def draw(*args):
             raise AssertionError("drew targets")
@@ -291,12 +309,12 @@ def test_reconstruction_jacobian_matches_finite_differences(counts, n):
 
     def reconstruct(u):
         rep = km_decompose(Game(form, tuple(u[i * size : (i + 1) * size] for i in range(len(counts)))))
-        point = phi_n_inv(n, TargetPoint(tilde_u=rep.tilde_u, y_bar=rep.bar_u), tol=1e-13)
+        point = phi_n_inv(n, rep, tol=1e-13)
         return np.concatenate(point.game.payoffs + point.profile.vectors)
 
     t = sample_target_points(form, 1, 0, RANK_SAMPLE_BOX)[0]
     # the payoff coordinates that split into t: y_bar lifted onto the zero-mean part
-    base = np.concatenate(km_recompose(KMRepresentation(t.tilde_u, t.y_bar)).payoffs)
+    base = np.concatenate(km_recompose(t).payoffs)
     exact = _reconstruction_jacobian(n, form, t.tilde_u, phi_n_inv(n, t).profile.vectors)
     assert exact.shape == (form.payoff_coordinate_count + sum(counts), form.payoff_coordinate_count)
     assert np.abs(fd_jacobian(reconstruct, base) - exact).max() <= 1e-6
