@@ -14,7 +14,6 @@ from types import SimpleNamespace
 
 from .errors import ConvergenceError, InvalidInputError, ParseError
 from .games import StrategicGameForm, _check_n_tol, km_decompose
-from .io import parse_game, parse_target_point, render
 
 # The command line, declared once: each flag and positional with its argparse keywords,
 # the global ones here and each command's in _COMMANDS, below the functions that run them.
@@ -131,11 +130,17 @@ def _parse_n_list(text):
 
 
 def _game(args):
-    return parse_game(_read(args.game))
+    data = _read(args.game)
+    from .io import parse_game
+
+    return parse_game(data)
 
 
 def _target(args):
-    return parse_target_point(_read(args.target), project_tilde=args.project_tilde)
+    data = _read(args.target)
+    from .io import parse_target_point
+
+    return parse_target_point(data, project_tilde=args.project_tilde)
 
 
 def _n(args):
@@ -143,7 +148,8 @@ def _n(args):
     return getattr(args, "n", getattr(args, "n_final", 1.0))
 
 
-# Each handler imports the layers it runs, so a process loads only those.
+# Each handler imports the layers it runs, so a process loads only those; the file-format
+# layer, io, loads only once a command has read its input or has a record to render.
 def _trace(args):
     from .solver import trace_logit_path
 
@@ -208,9 +214,12 @@ def _dispatch(args):
     # invert-logit, and --tol, which only they read but every command rejects
     _check_n_tol(_n(args), args.tol)
     _, _, run, default_format = _COMMANDS[args.command]
-    if default_format is None:
-        return run(args)
-    return render(run(args), args.format or default_format), 0
+    result = run(args)
+    if default_format is None:  # the command's own text and exit code
+        return result
+    from .io import render
+
+    return render(result, args.format or default_format), 0
 
 
 def run_cli(argv, stdout=None, stderr=None):

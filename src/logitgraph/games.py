@@ -119,10 +119,10 @@ class Game(Record):
             )
         size = self.form.profile_count
         for i, p in enumerate(payoffs):
-            if p.ndim != 1 or p.size != size:
-                raise InvalidInputError(
-                    f"payoffs[{i}]: length {p.size} != expected {size}"
-                )
+            if p.ndim != 1:
+                raise InvalidInputError(f"payoffs[{i}]: expected a vector, got shape {p.shape}")
+            if p.size != size:
+                raise InvalidInputError(f"payoffs[{i}]: length {p.size} != expected {size}")
             if not np.all(np.isfinite(p)):
                 raise InvalidInputError(f"payoffs[{i}]: entries must be finite")
         object.__setattr__(self, "payoffs", payoffs)
@@ -242,9 +242,13 @@ def softmax(v):
 
 
 def _check_real(name, value, sign="positive"):
-    """InvalidInputError unless ``value`` is a real number, not a bool, finite and ``sign``."""
+    """InvalidInputError unless ``value`` is a real number, not a bool, a finite double and ``sign``."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (value > 0 if sign == "positive" else value >= 0) and math.isfinite(value)):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int past the double range, too long to print
+        finite, value = False, "an integer past the double range"
+    if not (finite and (value > 0 if sign == "positive" else value >= 0)):
         raise InvalidInputError(f"{name} must be {sign} and finite, got {value}")
 
 
@@ -337,8 +341,8 @@ class KMRepresentation(Record):
     graph maps land: ``phi`` returns one, with ``bar_u`` the paper's ``y_bar``.
     ``form`` is read off the sizes of ``bar_u``.
 
-    Per player, ``tilde_u[i]`` must have ``|A|`` entries; both parts must be
-    finite, and ``tilde_u[i]``'s opponent means must vanish within ZERO_MEAN_TOL.
+    Per player, both parts must be finite vectors, ``tilde_u[i]`` with ``|A|``
+    entries, and ``tilde_u[i]``'s opponent means must vanish within ZERO_MEAN_TOL.
     """
 
     tilde_u: tuple[np.ndarray, ...]
@@ -347,6 +351,10 @@ class KMRepresentation(Record):
     def __post_init__(self):
         tilde = tuple(_freeze(t) for t in self.tilde_u)
         bar = tuple(_freeze(b) for b in self.bar_u)
+        for field, parts in (("tilde_u", tilde), ("bar_u", bar)):
+            for i, part in enumerate(parts):
+                if part.ndim != 1:
+                    raise InvalidInputError(f"{field}[{i}]: expected a vector, got shape {part.shape}")
         form = StrategicGameForm(tuple(b.size for b in bar))
         if len(tilde) != form.num_players:
             raise InvalidInputError("component count does not match the number of players")
@@ -356,7 +364,7 @@ class KMRepresentation(Record):
                 raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(b))):
                 raise InvalidInputError(f"components[{i}] must be finite")
-            worst = float(np.abs(_split_payoff(form, t.ravel(), i)[1]).max())
+            worst = float(np.abs(_split_payoff(form, t, i)[1]).max())
             if worst > ZERO_MEAN_TOL:
                 raise InvalidInputError(
                     f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"

@@ -200,8 +200,11 @@ def phi_n_inv(n, t, tol=1e-12):
 
     Per player, the softmax-displacement inverse of ``y_bar = t.bar_u`` (the row
     kernel of ``h_numeric``) gives the deviation-payoff values; their softmax is
-    the (strictly positive) probability vector. A failed inversion raises the
-    ConvergenceError ``h_numeric`` would raise for the first failing player.
+    the probability vector. It is positive in exact arithmetic, but once ``n`` times
+    a payoff gap passes about 745 an entry underflows to exactly 0.0, and ``phi`` of
+    the point then warns, as ``logit_residual`` does at a boundary profile. A failed
+    inversion raises the ConvergenceError ``h_numeric`` would raise for the first
+    failing player.
     """
     _check_n_tol(n, tol)
     payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)

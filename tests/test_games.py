@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,17 @@ from logitgraph import (
     MixedProfile,
     NotOnGraphError,
     StrategicGameForm,
+    convergence_study,
     deviation_payoffs,
+    epsilon_bound,
     evaluate_mixed,
     graph_point_gap,
+    h_numeric,
     km_decompose,
     km_recompose,
     logit_residual,
     nash_residual,
+    trace_logit_path,
 )
 from logitgraph.games import _contract, _nash_gap_rows
 from logitgraph.graph_maps import _gap_rows
@@ -76,6 +82,9 @@ class TestTypes:
             Game(form, (np.zeros(4), np.zeros(3)))
         with pytest.raises(InvalidInputError, match="finite"):
             Game(form, (np.zeros(4), np.array([1.0, np.inf, 0.0, 0.0])))
+        # a 2x2 tensor has the expected four entries, so its length is not what is wrong
+        with pytest.raises(InvalidInputError, match=re.escape("payoffs[0]: expected a vector, got shape (2, 2)")):
+            Game(form, (np.zeros((2, 2)), np.zeros(4)))
 
     def test_flat_layout_player0_fastest(self):
         # tensor[a0, a1] must land at flat index a0 + 2*a1
@@ -364,6 +373,11 @@ class TestKMDecomposition:
         # the form comes from bar_u, so a bar_u of another width is a tilde_u of the wrong length
         with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: length 4 != expected 6"):
             KMRepresentation((np.zeros(4), np.zeros(4)), (np.zeros(2), np.zeros(3)))
+        # a 2-D part of the right size would reach phi_inv, phi_n_inv and km_recompose
+        with pytest.raises(InvalidInputError, match=re.escape("tilde_u[1]: expected a vector, got shape (2, 2)")):
+            KMRepresentation((np.zeros(4), np.zeros((2, 2))), (np.zeros(2), np.zeros(2)))
+        with pytest.raises(InvalidInputError, match=re.escape("bar_u[0]: expected a vector, got shape (2, 1)")):
+            KMRepresentation((np.zeros(4), np.zeros(4)), (np.zeros((2, 1)), np.zeros(2)))
 
 
 class TestGraphPoint:
@@ -398,3 +412,21 @@ class TestGraphPoint:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NotOnGraphError, match="logit residual nan"):
                 GraphPoint.logit(game, uniform(game), 1e308)
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: trace_logit_path(matching_pennies(), 10**400), "n"),
+            (lambda: epsilon_bound(10**400), "n"),
+            (lambda: epsilon_bound(-(10**5000)), "n"),  # past the digit limit of str(int)
+            (lambda: h_numeric(1.0, [0.5, 0.5], tol=10**400), "tol"),
+            (lambda: convergence_study(StrategicGameForm((2, 2)), [1.0, 10**400], 3, 0), "n"),
+        ],
+        ids=["trace_logit_path", "epsilon_bound", "epsilon_bound_negative", "h_numeric", "convergence_study"],
+    )
+    def test_an_int_past_the_double_range_is_invalid_input(self, call, name):
+        # math.isfinite cannot convert such an int and raises OverflowError
+        with pytest.raises(InvalidInputError, match=f"^{name} must be .* got an integer past the double range$"):
+            call()

@@ -325,6 +325,13 @@ class TestPhiNInv:
         with pytest.raises(InvalidInputError):
             phi_n_inv(0.0, one_player_target([0.5, 0.5]))
 
+    def test_underflowed_entry_is_exactly_zero_and_phi_warns(self):
+        # positive in exact arithmetic, but the softmax of 100 times these payoffs underflows
+        point = phi_n_inv(100.0, one_player_target([10.0, -10.0]))
+        assert point.profile.vectors[0].tolist() == [1.0, 0.0]
+        with pytest.warns(RuntimeWarning, match="boundary profile"):
+            phi(point)
+
 
 class TestApproximationGap:
     def test_symmetric_targets_have_zero_gap(self):

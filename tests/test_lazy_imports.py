@@ -4,7 +4,6 @@ The module sets are read in a fresh interpreter, since this process has
 imported every layer already.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -13,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import logitgraph
+from logitgraph.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 GAME_JSON = '{"players": 2, "actions": [2, 2], "payoffs": [[1, -1, -1, 1], [-1, 1, 1, -1]]}'
 TARGET_JSON = '{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}'
 UNLOADED = ("dataclasses", "copy", "numpy.random")  # modules no CLI process needs
 ARGPARSE = ("argparse", "gettext", "locale")  # loaded for help and usage errors only
+FILE_FORMAT = {"io", "json"}  # loaded only to parse an input file or render a record
 
 
 def fresh(code):
@@ -34,19 +35,20 @@ def fresh(code):
     return result.stdout
 
 
-def loaded_layers(argv):
+def loaded_layers(argv, exit_code=0):
     """The logitgraph submodules a fresh process holds after running the CLI on ``argv``.
 
-    The set also names each module of ``UNLOADED`` and ``ARGPARSE`` that the process loaded.
+    The set also names each module of ``UNLOADED`` and ``ARGPARSE``, and ``json``,
+    that the process loaded.
     """
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "from logitgraph.cli import run_cli\n"
-        f"assert run_cli({argv!r}) == 0\n"
-        "print(json.dumps(sorted(m[11:] for m in sys.modules if m.startswith('logitgraph.'))\n"
-        f"                 + [m for m in {UNLOADED + ARGPARSE!r} if m in sys.modules]))\n"
+        f"assert run_cli({argv!r}) == {exit_code}\n"
+        "print(' '.join([m[11:] for m in sys.modules if m.startswith('logitgraph.')]\n"
+        f"               + [m for m in {UNLOADED + ARGPARSE + ('json',)!r} if m in sys.modules]))\n"
     )
-    return set(json.loads(fresh(code).splitlines()[-1]))
+    return set(fresh(code).splitlines()[-1].split())
 
 
 @pytest.fixture
@@ -74,7 +76,8 @@ def inputs(tmp_path):
             "studies",
             {"solver", "verification"},
         ),
-        (["verify", "none"], "verification", set()),
+        (["verify", "none"], "verification", FILE_FORMAT),  # prints its own text
+        (["verify", "GAME"], "verification", set()),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
@@ -84,6 +87,25 @@ def test_command_loads_only_its_layers(inputs, command, runs, skips):
     assert runs in layers
     assert not layers & skips
     assert not layers & set(UNLOADED + ARGPARSE)
+    # a command that parses a file or renders a record loads the file-format layer
+    assert FILE_FORMAT <= layers | skips
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [
+        *(([command, "-h"], 0) for command in _COMMANDS),
+        (["solve", "GAME"], 1),  # usage error: --n is required
+        (["solve", "--n", "-1", "GAME"], 1),
+        (["solve", "--n", "5", "--tol", "nan", "GAME"], 1),
+        (["decompose", "MISSING"], 1),  # an unreadable input
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_and_errors_load_no_file_format_layer(inputs, tmp_path, command, exit_code):
+    paths = {"GAME": inputs[0], "MISSING": str(tmp_path / "missing.json")}
+    layers = loaded_layers([paths.get(a, a) for a in command], exit_code)
+    assert not layers & FILE_FORMAT
 
 
 def test_help_loads_only_the_front_end_and_core():
@@ -98,9 +120,8 @@ def test_help_loads_only_the_front_end_and_core():
     assert result.returncode == 0 and result.stdout.startswith("usage: logitgraph")
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
     assert not imported & set(UNLOADED)
-    assert {m for m in imported if m.startswith("logitgraph.")} == {
-        "logitgraph.errors", "logitgraph.games", "logitgraph.io",
-    }
+    assert {m for m in imported if m.startswith("logitgraph.")} == {"logitgraph.errors", "logitgraph.games"}
+    assert "json" not in imported
 
 
 def test_bare_import_loads_no_layer_and_submodules_stay_reachable():
