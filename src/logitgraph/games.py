@@ -342,7 +342,8 @@ class KMRepresentation(Record):
     ``form`` is read off the sizes of ``bar_u``.
 
     Per player, both parts must be finite vectors, ``tilde_u[i]`` with ``|A|``
-    entries, and ``tilde_u[i]``'s opponent means must vanish within ZERO_MEAN_TOL.
+    entries, and ``tilde_u[i]``'s opponent means must vanish within ZERO_MEAN_TOL times
+    ``max(1, max|tilde_u[i]|)``, so that the rounding of a split passes at any payoff scale.
     """
 
     tilde_u: tuple[np.ndarray, ...]
@@ -364,11 +365,10 @@ class KMRepresentation(Record):
                 raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(b))):
                 raise InvalidInputError(f"components[{i}] must be finite")
+            tol = ZERO_MEAN_TOL * max(1.0, float(np.abs(t).max()))
             worst = float(np.abs(_split_payoff(form, t, i)[1]).max())
-            if worst > ZERO_MEAN_TOL:
-                raise InvalidInputError(
-                    f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {ZERO_MEAN_TOL}"
-                )
+            if worst > tol:
+                raise InvalidInputError(f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {tol:g}")
         for field, value in (("form", form), ("tilde_u", tilde), ("bar_u", bar)):
             object.__setattr__(self, field, value)
 

@@ -143,37 +143,36 @@ def _nash_rows(form, tilde_u, y_bar):
     return payoffs, x_vectors
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a failed inversion's softmax may overflow
-def _logit_values(n, y_bar, tol):
-    """Invert every sample's ``y_bar``: returns (deviation-payoff values, profiles, failure).
+def _logit_rows(ns, form, tilde_u, y_bar, tol):
+    """Yield ``phi_n_inv`` of every sample at each ``n`` of ``ns`` in turn: (payoffs, profile vectors).
 
-    ``n`` is a scalar or one precision per sample; players of equal width are inverted
-    in one kernel call. ``failure`` is None when every inversion reached ``tol``, else
-    ``(sample, error)`` for the first failing sample, with the ConvergenceError
-    ``h_numeric`` raises for its first failing player. The displacement
-    ``y_bar - w`` equals ``softmax(n*w)`` up to the solve tolerance; the
+    Every precision and every player of one width are inverted in one kernel call. Before
+    yielding the first precision with a failed inversion, it raises the ConvergenceError
+    ``h_numeric`` would raise for that precision's first failing sample and that sample's
+    first failing player, naming the sample's row as ``sample`` and the precision as ``n``.
+    The displacement ``y_bar - w`` equals ``softmax(n*w)`` up to the solve tolerance; the
     softmax form avoids cancellation and keeps tiny probabilities positive.
     """
-    n, solved = np.broadcast_to(np.asarray(n, dtype=float), y_bar[0].shape[:1]), [None] * len(y_bar)
+    size, solved = len(y_bar[0]), [None] * len(y_bar)
+    rates = np.repeat(np.asarray(ns, dtype=float), size)  # every sample at the first n, then the next
     for m in {b.shape[1] for b in y_bar}:
         players = [i for i, b in enumerate(y_bar) if b.shape[1] == m]
-        stacked = _invert_rows(np.tile(n, len(players)), np.concatenate([y_bar[i] for i in players]), tol)
+        rows = np.concatenate([np.tile(y_bar[i], (len(ns), 1)) for i in players])
+        stacked = _invert_rows(np.tile(rates, len(players)), rows, tol)
         for i, *part in zip(players, *(np.split(a, len(players)) for a in stacked)):
             solved[i] = part
-    failure = None
-    failed = np.array([r > tol for _, r, _ in solved])  # (players, samples)
-    if failed.any():
-        row = int(np.flatnonzero(failed.any(axis=0))[0])
-        w, r, iterations = solved[int(np.flatnonzero(failed[:, row])[0])]
-        failure = (row, _stall_error(w[row], r[row], tol, iterations[row]))
-    values = tuple(w for w, _, _ in solved)
-    return values, tuple(softmax(n[:, None] * w) for w in values), failure
-
-
-def _logit_rows(n, form, tilde_u, y_bar, tol):
-    """``phi_n_inv`` of every sample: (payoffs, profile vectors, failure) as in ``_logit_values``."""
-    values, x_vectors, failure = _logit_values(n, y_bar, tol)
-    return _payoff_rows(form, tilde_u, values, x_vectors), x_vectors, failure
+    for j, n in enumerate(ns):
+        w, r, iterations = (tuple(s[k][j * size : (j + 1) * size] for s in solved) for k in range(3))
+        failed = np.array(r) > tol  # (players, samples)
+        if failed.any():
+            row = int(np.flatnonzero(failed.any(axis=0))[0])
+            i = int(np.flatnonzero(failed[:, row])[0])
+            stall = _stall_error(w[i][row], r[i][row], tol, iterations[i][row])
+            stall.sample, stall.n = row, n
+            raise stall
+        with np.errstate(over="ignore"):  # n*w may overflow to -inf, whose softmax entry is 0
+            x = tuple(softmax(float(n) * v) for v in w)
+        yield _payoff_rows(form, tilde_u, w, x), x
 
 
 def phi_inv(t):
@@ -207,9 +206,7 @@ def phi_n_inv(n, t, tol=1e-12):
     failing player.
     """
     _check_n_tol(n, tol)
-    payoffs, x_vectors, failure = _logit_rows(n, t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)
-    if failure:
-        raise failure[1]
+    [(payoffs, x_vectors)] = _logit_rows([n], t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)
     profile = MixedProfile(tuple(x[0] for x in x_vectors))
     return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile, float(n))
 

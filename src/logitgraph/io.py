@@ -93,9 +93,9 @@ def game_to_json(game):
 def parse_target_point(data, project_tilde=False):
     """Parse a target document into a KMRepresentation, ``y_bar`` as its ``bar_u``.
 
-    Residual means up to 1e-6 are treated as serialization noise and removed;
-    larger means are rejected unless ``project_tilde`` is set, in which case
-    they are removed too.
+    Residual means up to 1e-6 times ``max(1, max|tilde_u[i]|)`` are treated as
+    serialization noise and removed; larger means are rejected unless
+    ``project_tilde`` is set, in which case they are removed too.
     """
     obj = _load_json(data)
     if not isinstance(obj, dict):
@@ -119,10 +119,10 @@ def parse_target_point(data, project_tilde=False):
         if flat.size != size:
             raise ParseError(f"tilde_u[{i}]: length {flat.size} != expected {size}")
         zero_mean, means = _split_payoff(form, flat, i)
-        worst = float(np.abs(means).max())
-        if worst > 1e-6 and not project_tilde:
+        worst, tol = float(np.abs(means).max()), 1e-6 * max(1.0, float(np.abs(flat).max()))
+        if worst > tol and not project_tilde:
             raise ParseError(
-                f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed 1e-6 "
+                f"tilde_u[{i}]: opponent means up to {worst:.3e} exceed {tol:g} "
                 "(pass project_tilde to remove them)"
             )
         tilde.append(zero_mean)

@@ -202,9 +202,10 @@ def trace_logit_path(game, n_final, tol=1e-10):
     sum_{j != i} |dx_j|_1``. From there pseudo-arclength continuation of ``H(x, log n) = 0``
     (Turocy's QRE homotopy) sets off along that solve's tangent and passes folds where ``n``
     turns back: a rejected step halves the arclength step ``h``, an accepted one grows it by
-    1.3 up to 1. The last two accepted points bracket the first crossing of ``n_final``, solved
-    from their chord. Raises PathFailureError (partial trace, last accepted point as ``best``)
-    when ``h`` underflows 1e-12 or a solve at fixed ``n`` fails.
+    1.3 up to 1. The last accepted point and a step past ``n_final`` bracket its first crossing,
+    solved from their chord; a landing solve that fails rejects that step. Raises PathFailureError
+    (partial trace) when the first solve fails, or when ``h`` underflows 1e-12: with the last
+    failed landing's best iterate as ``best`` if a landing failed, else the last accepted point.
     """
     _check_n_tol(n_final, tol)
     form, entries, scale = game.form, [], max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
@@ -221,33 +222,32 @@ def trace_logit_path(game, n_final, tol=1e-10):
         gap = _logit_gap(game, vectors, n)  # the gap logit_residual reports
         entries.append(PathEntry(n=n, profile=MixedProfile(tuple(vectors)), residual=gap))
 
-    def solve(n, x):
-        try:
-            x, tangent = _newton_at(game, n, x, tol)
-        except ConvergenceError as exc:
-            raise fail(f"correction failed at n={n}", exc.best, exc.residual) from exc
-        record(n, x)
-        return x, tangent
-
-    x, t = solve(start, np.concatenate(MixedProfile.uniform(form).vectors))
+    try:
+        x, t = _newton_at(game, start, np.concatenate(MixedProfile.uniform(form).vectors), tol)
+    except ConvergenceError as exc:
+        raise fail(f"correction failed at n={start}", exc.best, exc.residual) from exc
+    record(start, x)
     if n_final == start:
         return partial()
     y, t = np.append(x, math.log(start)), t / np.linalg.norm(t)
-    h, lam_final = 1.0, math.log(n_final)
+    h, lam_final, landing = 1.0, math.log(n_final), None
     while True:
         step = _arclength_step(game, y, t, h, tol)
+        if step is not None and step[0][-1] >= lam_final:  # land on n_final from the chord
+            ahead = step[0]
+            chord = y + (lam_final - y[-1]) / (ahead[-1] - y[-1]) * (ahead - y)
+            try:
+                record(n_final, _newton_at(game, n_final, chord[:-1], tol)[0])
+                return partial()
+            except ConvergenceError as exc:  # a failed landing rejects the step
+                landing, step = exc, None
         if step is None:
             h *= 0.5
             if h < 1e-12:
+                if landing is not None:
+                    raise fail(f"correction failed at n={n_final}", landing.best, landing.residual) from landing
                 e = entries[-1]
                 raise fail(f"step size underflow near n={e.n}", e.profile.vectors, e.residual)
             continue
-        if step[0][-1] >= lam_final:
-            break
         (y, t), h = step, min(1.3 * h, 1.0)
         record(math.exp(y[-1]), y[:-1])
-    ahead = step[0]
-    chord = y + (lam_final - y[-1]) / (ahead[-1] - y[-1]) * (ahead - y)
-    solve(n_final, chord[:-1])
-    return partial()
-

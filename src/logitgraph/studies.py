@@ -27,7 +27,7 @@ from .games import (
     _lift_bar,
     _split_payoff,
 )
-from .graph_maps import _gap_rows, _logit_rows, _logit_values, _nash_rows, _payoff_rows
+from .graph_maps import _gap_rows, _logit_rows, _nash_rows
 from .maps import _check_below_2_53, _g_solve, epsilon_bound
 
 RANK_SAMPLE_BOX = 2.0  # coordinate box for rank-check sampling
@@ -113,12 +113,13 @@ def sample_target_points(form, samples, seed, bound_box):
     ]
 
 
-def _raise_failure(failure, seed, first, n):
-    """Raise the ConvergenceError of a failed ``_logit_rows`` batch; samples count from ``first``."""
-    if failure:
-        row, stall = failure
+def _seeded_rows(ns, form, tilde, y_bar, seed, first):
+    """``_logit_rows`` at ``STUDY_TOL``, a failure re-raised naming ``seed``; samples count from ``first``."""
+    try:
+        yield from _logit_rows(ns, form, tilde, y_bar, STUDY_TOL)
+    except ConvergenceError as stall:
         raise ConvergenceError(
-            f"logit reconstruction failed (seed={seed}, sample={first + row}, n={n})",
+            f"logit reconstruction failed (seed={seed}, sample={first + stall.sample}, n={stall.n})",
             best=stall.best,
             residual=stall.residual,
             iterations=stall.iterations,
@@ -185,18 +186,11 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
         raise InvalidInputError("n_list must be strictly ascending")
     sup_x = [0.0] * len(n_list)
     sup_full = [0.0] * len(n_list)
-    count = len(n_list)
-    for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, max(1, STUDY_BLOCK // count)):
+    block = max(1, STUDY_BLOCK // len(n_list))
+    for start, tilde, y_bar in _target_blocks(form, samples, seed, bound_box, block):
         nash_payoffs, nash_x = _nash_rows(form, tilde, y_bar)
         _check_rows(nash_payoffs, nash_x, start)
-        size = len(y_bar[0])  # the batch holds every sample at the first n, then at the next
-        tiled = tuple(np.tile(b, (count, 1)) for b in y_bar)
-        *logit, failure = _logit_values(np.repeat(n_list, size), tiled, STUDY_TOL)
-        for j, n in enumerate(n_list):
-            if failure and failure[0] // size == j:
-                _raise_failure((failure[0] % size, failure[1]), seed, start, n)
-            values, x = (tuple(a[j * size : (j + 1) * size] for a in rows) for rows in logit)
-            payoffs = _payoff_rows(form, tilde, values, x)  # one precision's payoffs at a time
+        for j, (payoffs, x) in enumerate(_seeded_rows(n_list, form, tilde, y_bar, seed, start)):
             _check_rows(payoffs, x, start)
             gap_x = np.max([np.abs(a - b).max(axis=1) for a, b in zip(nash_x, x)], axis=0)
             gap_full = _gap_rows(nash_payoffs + nash_x, payoffs + x)
@@ -264,8 +258,7 @@ def immersion_rank_check(n, form, sample_points, seed):
     """
     _check_n_tol(n, STUDY_TOL)
     _, tilde, y_bar = next(_target_blocks(form, sample_points, seed, RANK_SAMPLE_BOX, sample_points))
-    payoffs, x, failure = _logit_rows(n, form, tilde, y_bar, STUDY_TOL)
-    _raise_failure(failure, seed, 0, n)
+    [(payoffs, x)] = _seeded_rows([n], form, tilde, y_bar, seed, 0)
     _check_rows(payoffs, x)
     smallest = min(  # zip(*tilde), zip(*x): per sample, one row per player
         np.linalg.svd(_reconstruction_jacobian(n, form, *sample), compute_uv=False).min()

@@ -24,7 +24,7 @@ from .games import (
     nash_residual,
     softmax,
 )
-from .graph_maps import _logit_values, _nash_rows, _payoff_rows, _z_rows, z_logit, z_nash
+from .graph_maps import _logit_rows, _nash_rows, _z_rows, z_logit, z_nash
 from .maps import _cl_rows, _invert_rows, _jacobian_rows, _stall_error, _water_level, epsilon_bound
 from .solver import logit_response, trace_logit_path
 from .studies import _check_seed, _rng, _target_blocks, _uniform
@@ -229,14 +229,7 @@ def check_logit_round_trip(seed=9):
     worst, ns, samples = 0.0, (1.0, 10.0), 8
     for form in _SUITE_FORMS:
         _, tilde, y_bar = next(_target_blocks(form, samples, seed, 10.0, samples))
-        # both precisions in one inversion, every sample at the first n, then at the second
-        tiled = tuple(np.tile(b, (len(ns), 1)) for b in y_bar)
-        *logit, failure = _logit_values(np.repeat(ns, samples), tiled, 1e-12)
-        for j, n in enumerate(ns):
-            if failure and failure[0] // samples == j:
-                raise failure[1]
-            values, x = (tuple(a[j * samples : (j + 1) * samples] for a in rows) for rows in logit)
-            payoffs = _payoff_rows(form, tilde, values, x)
+        for n, (payoffs, x) in zip(ns, _logit_rows(ns, form, tilde, y_bar, 1e-12)):  # both n in one batch
             _check_rows(payoffs, x)
             w = _deviation_rows(form, payoffs, x)
             s = tuple(softmax(n * d) for d in w)

@@ -26,6 +26,7 @@ from logitgraph import (
     g_jacobian,
     g_map,
     h_exact,
+    h_numeric,
     km_recompose,
     phi_inv,
     phi_n_inv,
@@ -238,3 +239,32 @@ def test_study_failure_names_a_failing_sample():
         phi_n_inv(1e6, target)
     with pytest.raises(ConvergenceError):
         reference_phi_n_inv(1e6, target)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])  # failing players (1,), (0, 1) and (1,) of widths 2, 3
+def test_reconstruction_failure_is_h_numerics_for_the_first_failing_sample(seed):
+    # the study and phi_n_inv raise the stall of the first failing sample's first failing player,
+    # although each width's players are inverted in their own batch
+    form, n, tol = StrategicGameForm((2, 3)), 1e6, 1e-12
+    with pytest.raises(ConvergenceError) as study:
+        convergence_study(form, [1.0, n], 20, seed)
+    sample = int(re.fullmatch(rf"logit reconstruction failed \(seed={seed}, sample=(\d+), n=1000000\.0\)",
+                              str(study.value)).group(1))
+    targets = sample_target_points(form, 20, seed, 10.0)
+    for t in targets[:sample]:
+        phi_n_inv(n, t, tol)
+    with pytest.raises(ConvergenceError) as direct:
+        phi_n_inv(n, targets[sample], tol)
+    expected = None
+    for y_bar in targets[sample].bar_u:
+        try:
+            h_numeric(n, y_bar, tol)
+        except ConvergenceError as exc:
+            expected = exc
+            break
+    assert expected is not None
+    assert str(study.value.__cause__) == str(direct.value) == str(expected)
+    for err in (study.value, direct.value):
+        assert err.iterations == expected.iterations
+        assert abs(err.residual - expected.residual) <= 1e-14
+        assert np.abs(err.best - expected.best).max() <= 1e-14

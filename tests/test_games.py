@@ -21,6 +21,7 @@ from logitgraph import (
     km_recompose,
     logit_residual,
     nash_residual,
+    sample_target_points,
     trace_logit_path,
 )
 from logitgraph.games import _contract, _nash_gap_rows
@@ -359,6 +360,26 @@ class TestKMDecomposition:
         biased = np.array([0.5, 0.5, 0.5, 0.5])  # opponent mean 0.5, not 0
         with pytest.raises(InvalidInputError, match="tilde_u"):
             KMRepresentation((biased, np.zeros(4)), (np.zeros(2), np.zeros(2)))
+
+    @pytest.mark.parametrize("scale", [1e8, 1e11, 1e14])
+    def test_split_of_large_payoffs_is_accepted(self, scale):
+        # the split's own rounding leaves opponent means near 1e-16 of the payoffs: 3.3e-9 at
+        # 1e8, past an absolute ZERO_MEAN_TOL of 1e-9
+        form = StrategicGameForm((3, 3, 3))
+        for seed in range(10):
+            game = random_game(np.random.default_rng(seed), form, box=scale)
+            rebuilt = km_recompose(km_decompose(game))
+            for a, b in zip(game.payoffs, rebuilt.payoffs):
+                assert np.abs(a - b).max() <= 1e-12 * scale
+        targets = sample_target_points(form, 5, 0, scale)
+        assert all(t.form == form for t in targets)
+
+    def test_relative_opponent_mean_is_still_rejected(self):
+        # an opponent mean of 1e-6 of the payoffs is a thousand times the scaled ZERO_MEAN_TOL
+        for scale in (1.0, 1e8):
+            tilde = scale * np.array([1.0, -1.0, -1.0, 1.0]) + 1e-6 * scale
+            with pytest.raises(InvalidInputError, match=r"tilde_u\[0\]: opponent means up to"):
+                KMRepresentation((tilde, np.zeros(4)), (np.zeros(2), np.zeros(2)))
 
     def test_non_finite_representation_rejected(self):
         # a NaN remainder has NaN opponent means, which no "> tol" test catches

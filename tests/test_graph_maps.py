@@ -332,6 +332,13 @@ class TestPhiNInv:
         with pytest.warns(RuntimeWarning, match="boundary profile"):
             phi(point)
 
+    def test_converged_row_whose_rate_times_payoff_overflows_is_silent(self):
+        # 1e308 * -1e10 overflows to -inf, a softmax weight of exactly 0; the suite turns
+        # RuntimeWarnings into errors
+        point = phi_n_inv(1e308, one_player_target([1.5, -1e10]))
+        assert point.profile.vectors[0].tolist() == [1.0, 0.0]
+        assert point.game.payoffs[0].tolist() == [0.5, -1e10]
+
 
 class TestApproximationGap:
     def test_symmetric_targets_have_zero_gap(self):

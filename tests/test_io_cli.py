@@ -129,6 +129,22 @@ class TestParseTargetPoint:
         t = parse_target_point(bad, project_tilde=True)
         assert np.abs(t.tilde_u[0]).max() <= 1e-15
 
+    @pytest.mark.parametrize("scale", [1e8, 1e11])
+    def test_large_target_round_trip(self, scale):
+        # the written zero-mean parts re-split with means near 1e-16 of their entries
+        for t in sample_target_points(StrategicGameForm((3, 3, 3)), 20, 1, scale):
+            again = parse_target_point(target_point_to_json(t))
+            assert all(np.array_equal(a, b) for a, b in zip(t.bar_u, again.bar_u))
+            assert max(float(np.abs(a - b).max()) for a, b in zip(t.tilde_u, again.tilde_u)) <= 1e-15 * scale
+
+    def test_relative_mean_past_the_noise_floor_rejected(self):
+        # opponent means of 1e-6 of the payoffs are noise; ten times that is not
+        for scale in (1.0, 1e8):
+            row = [scale * (v + 1e-5) for v in (1.0, -1.0, -1.0, 1.0)]
+            bad = json.dumps({"tilde_u": [row, [0, 0, 0, 0]], "y_bar": [[0, 0], [0, 0]]})
+            with pytest.raises(ParseError, match=r"tilde_u\[0\]: opponent means up to"):
+                parse_target_point(bad)
+
     def test_round_trip(self):
         t = parse_target_point(TARGET_JSON)
         again = parse_target_point(target_point_to_json(t))
@@ -321,6 +337,19 @@ class TestCli:
         data = json.loads(out)
         assert data["bar_u"] == [[0.0, 0.0], [0.0, 0.0]]
         assert data["tilde_u"][0] == [1.0, -1.0, -1.0, 1.0]
+
+    def test_large_payoffs_split_and_invert(self, tmp_path):
+        # payoffs in +-1e8: the split's rounding used to fail the absolute zero-mean checks
+        game = random_game(np.random.default_rng(0), StrategicGameForm((3, 3, 3)), box=1e8)
+        game_path, target_path = tmp_path / "game.json", tmp_path / "target.json"
+        game_path.write_text(game_to_json(game))
+        code, out, err = invoke(["decompose", str(game_path)])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        target_path.write_text(json.dumps({"tilde_u": data["tilde_u"], "y_bar": data["bar_u"]}))
+        for flags in ([], ["--project-tilde"]):
+            code, out, err = invoke(["invert-nash", *flags, str(target_path)])
+            assert (code, err) == (0, "")
 
     def test_solve_one_player(self, tmp_path):
         path = tmp_path / "one.json"

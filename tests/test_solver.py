@@ -331,6 +331,22 @@ class TestZeroSumTracesPassTheBenchmarkChecks:
             assert min(float(v.min()) for e in entries for v in e.profile.vectors) >= -1e-9
 
 
+    @pytest.mark.parametrize("n_final", [390.0, 400.0, 410.0])
+    def test_failed_landing_is_a_rejected_step(self, n_final):
+        # the benchmark corpus's trace-zerosum seed 3006, round 9, 3x3 game: the chord from
+        # n = 281 to the step past n_final started a landing solve that did not converge
+        u = np.array([-0.6801068493177995, -0.3602719469831408, -0.4839930615996155,
+                      0.5210120324032739, 0.4785068763135816, -0.5552644965616822,
+                      0.6484870151483075, -0.35776953502411013, -0.11219318146287005])
+        game = Game(StrategicGameForm((3, 3)), (u, -u))
+        entries = trace_logit_path(game, n_final).entries
+        ns = [e.n for e in entries]
+        assert all(b > a for a, b in zip(ns, ns[1:]))
+        assert ns[-1] == n_final and len(ns) == 12
+        assert _tensordot_gap(game, entries[-1].profile.vectors, n_final) <= 1e-8
+        assert min(float(v.min()) for e in entries for v in e.profile.vectors) >= -1e-9
+
+
 class TestSolveFixedPoint:
     def test_one_player_single_step(self):
         game = one_player_game([1.0, 0.0])

@@ -136,6 +136,23 @@ def test_property_suite_inversions(inversions):
     assert inversions[0] == 21
 
 
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: convergence_study(StrategicGameForm((2, 3)), [1.0, 10.0], 20, 0), 2),
+        (lambda: convergence_study(StrategicGameForm((5, 5, 5)), [1.0, 10.0, 100.0, 1000.0], 600, 7), 3),
+        (lambda: phi_n_inv(10.0, sample_target_points(StrategicGameForm((2, 3)), 1, 0, 10.0)[0]), 2),
+        (lambda: immersion_rank_check(10.0, StrategicGameForm((2, 3)), 5, 0), 2),
+    ],
+    ids=["study-2x3", "study-5x5x5-blocks", "phi_n_inv-2x3", "rank-check-2x3"],
+)
+def test_reconstruction_inversions(inversions, run, expected):
+    # one batch per action width: every precision of a block, and every player of one width
+    # (a 600-sample study at four precisions runs in three blocks of 256 samples)
+    run()
+    assert inversions[0] == expected
+
+
 def test_study_contractions(contractions):
     # one block: the Nash payoffs and residual (3 + 3), then each n's payoffs (4 * 3)
     convergence_study(StrategicGameForm((3, 3, 3)), [1.0, 10.0, 100.0, 1000.0], 200, 7)
