@@ -13,7 +13,7 @@ import sys
 from types import SimpleNamespace
 
 from .errors import ConvergenceError, InvalidInputError, ParseError
-from .games import StrategicGameForm, _check_n_tol, km_decompose
+from .games import StrategicGameForm, _check_real, km_decompose
 
 # The command line, declared once: each flag and positional with its argparse keywords,
 # the global ones here and each command's in _COMMANDS, below the functions that run them.
@@ -212,7 +212,7 @@ _COMMANDS = {
 def _dispatch(args):
     # checked before any input file is read: the precision of solve, trace and
     # invert-logit, and --tol, which only they read but every command rejects
-    _check_n_tol(_n(args), args.tol)
+    _check_real(n=_n(args), tol=args.tol)
     _, _, run, default_format = _COMMANDS[args.command]
     result = run(args)
     if default_format is None:  # the command's own text and exit code

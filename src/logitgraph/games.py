@@ -32,6 +32,24 @@ def _freeze(arr, dtype=float):
     return out
 
 
+def _vectors(name, parts, size=None, count=None):
+    """The parts frozen, each a nonempty finite vector; InvalidInputError names ``name[i]``.
+
+    ``size`` fixes every part's length and ``count`` the number of parts.
+    """
+    parts = tuple(_freeze(p) for p in parts)
+    if count is not None and len(parts) != count:
+        raise InvalidInputError(f"{name}: component count {len(parts)} != expected {count}")
+    for i, p in enumerate(parts):
+        if p.ndim != 1 or p.size == 0:
+            raise InvalidInputError(f"{name}[{i}]: expected a vector, got shape {p.shape}")
+        if size is not None and p.size != size:
+            raise InvalidInputError(f"{name}[{i}]: length {p.size} != expected {size}")
+        if not np.all(np.isfinite(p)):
+            raise InvalidInputError(f"{name}[{i}]: entries must be finite")
+    return parts
+
+
 class Record:
     """Base of the frozen result records: the fields are the class's own annotations, in order.
 
@@ -112,19 +130,7 @@ class Game(Record):
     payoffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        payoffs = tuple(_freeze(p) for p in self.payoffs)
-        if len(payoffs) != self.form.num_players:
-            raise InvalidInputError(
-                f"expected {self.form.num_players} payoff tensors, got {len(payoffs)}"
-            )
-        size = self.form.profile_count
-        for i, p in enumerate(payoffs):
-            if p.ndim != 1:
-                raise InvalidInputError(f"payoffs[{i}]: expected a vector, got shape {p.shape}")
-            if p.size != size:
-                raise InvalidInputError(f"payoffs[{i}]: length {p.size} != expected {size}")
-            if not np.all(np.isfinite(p)):
-                raise InvalidInputError(f"payoffs[{i}]: entries must be finite")
+        payoffs = _vectors("payoffs", self.payoffs, self.form.profile_count, self.form.num_players)
         object.__setattr__(self, "payoffs", payoffs)
 
     @classmethod
@@ -152,12 +158,8 @@ class MixedProfile(Record):
     vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vectors = tuple(_freeze(v) for v in self.vectors)
+        vectors = _vectors("profile", self.vectors)
         for i, v in enumerate(vectors):
-            if v.ndim != 1 or v.size == 0:
-                raise InvalidInputError(f"profile[{i}] must be a nonempty vector")
-            if not np.all(np.isfinite(v)):
-                raise InvalidInputError(f"profile[{i}] must be finite")
             if v.min() < -PROBABILITY_TOL:
                 raise InvalidInputError(f"profile[{i}] has negative entry {v.min()}")
             if abs(v.sum() - 1.0) > PROBABILITY_TOL:
@@ -173,6 +175,11 @@ class MixedProfile(Record):
 
     def __len__(self):
         return len(self.vectors)
+
+
+def _as_profile(x):
+    """``x`` if it is a MixedProfile, else its per-player vectors checked as one."""
+    return x if isinstance(x, MixedProfile) else MixedProfile(x)
 
 
 def _check_rows(payoffs, vectors, first=0):
@@ -241,24 +248,16 @@ def softmax(v):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_real(name, value, sign="positive"):
-    """InvalidInputError unless ``value`` is a real number, not a bool, a finite double and ``sign``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        finite = real and math.isfinite(value)
-    except OverflowError:  # an int past the double range, too long to print
-        finite, value = False, "an integer past the double range"
-    if not (finite and (value > 0 if sign == "positive" else value >= 0)):
-        raise InvalidInputError(f"{name} must be {sign} and finite, got {value}")
-
-
-def _check_n(n):
-    _check_real("n", n)
-
-
-def _check_n_tol(n, tol):
-    _check_real("n", n)
-    _check_real("tol", tol)
+def _check_real(sign="positive", /, **values):
+    """InvalidInputError unless each named value is a real number, not a bool, a finite double and ``sign``."""
+    for name, value in values.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            finite = real and math.isfinite(value)
+        except OverflowError:  # an int past the double range, too long to print
+            finite, value = False, "an integer past the double range"
+        if not (finite and (value > 0 if sign == "positive" else value >= 0)):
+            raise InvalidInputError(f"{name} must be {sign} and finite, got {value}")
 
 
 def _cross_blocks(form, payoffs, vectors):
@@ -315,7 +314,7 @@ def logit_residual(game, x, n):
     boundary entries are still scored but raise a RuntimeWarning because the
     gap no longer certifies an interior fixed point.
     """
-    _check_n(n)
+    _check_real(n=n)
     vectors = _profile_vectors(game.form, x)
     if any(v.min() <= 0.0 for v in vectors):
         warnings.warn(
@@ -350,21 +349,10 @@ class KMRepresentation(Record):
     bar_u: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        tilde = tuple(_freeze(t) for t in self.tilde_u)
-        bar = tuple(_freeze(b) for b in self.bar_u)
-        for field, parts in (("tilde_u", tilde), ("bar_u", bar)):
-            for i, part in enumerate(parts):
-                if part.ndim != 1:
-                    raise InvalidInputError(f"{field}[{i}]: expected a vector, got shape {part.shape}")
+        bar = _vectors("bar_u", self.bar_u)
         form = StrategicGameForm(tuple(b.size for b in bar))
-        if len(tilde) != form.num_players:
-            raise InvalidInputError("component count does not match the number of players")
-        size = form.profile_count
-        for i, (t, b) in enumerate(zip(tilde, bar)):
-            if t.size != size:
-                raise InvalidInputError(f"tilde_u[{i}]: length {t.size} != expected {size}")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(b))):
-                raise InvalidInputError(f"components[{i}] must be finite")
+        tilde = _vectors("tilde_u", self.tilde_u, form.profile_count, form.num_players)
+        for i, t in enumerate(tilde):
             tol = ZERO_MEAN_TOL * max(1.0, float(np.abs(t).max()))
             worst = float(np.abs(_split_payoff(form, t, i)[1]).max())
             if worst > tol:

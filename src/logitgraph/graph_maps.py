@@ -20,8 +20,8 @@ from .games import (
     KMRepresentation,
     MixedProfile,
     Record,
-    _check_n,
-    _check_n_tol,
+    _as_profile,
+    _check_real,
     _deviation_rows,
     _lift_bar,
     _logit_gap,
@@ -44,7 +44,8 @@ class GraphPoint(Record):
     ``kind`` (``"nash"`` or ``"logit"``) and ``residual`` are read off the
     fields: the residual is recomputed on each read, as ``nash_residual`` or
     the logit gap at ``n``, so a point cannot misreport it. Use the
-    ``nash``/``logit`` factories to have the residual verified.
+    ``nash``/``logit`` factories to have the residual verified. A profile given
+    as raw per-player vectors is checked and stored as a MixedProfile.
     """
 
     game: Game
@@ -52,9 +53,10 @@ class GraphPoint(Record):
     n: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "profile", _as_profile(self.profile))
         _profile_vectors(self.game.form, self.profile)
         if self.n is not None:
-            _check_n(self.n)
+            _check_real(n=self.n)
 
     @property
     def kind(self):
@@ -68,23 +70,21 @@ class GraphPoint(Record):
 
     @classmethod
     def nash(cls, game, profile):
-        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        _graph_residual(game, profile, None)
-        return cls(game=game, profile=profile)
+        return _on_graph(cls(game, profile))
 
     @classmethod
     def logit(cls, game, profile, n):
-        profile = profile if isinstance(profile, MixedProfile) else MixedProfile(tuple(profile))
-        _graph_residual(game, profile, n)
-        return cls(game=game, profile=profile, n=float(n))
+        _check_real(n=n)  # before float(n), which would take True for 1.0
+        return _on_graph(cls(game, profile, float(n)))
 
 
-def _graph_residual(game, profile, n):
-    """NotOnGraphError if the Nash (``n`` None) or logit residual at ``n`` exceeds GRAPH_RESIDUAL_TOL."""
+def _on_graph(point):
+    """``point``, once its Nash or logit residual is at most GRAPH_RESIDUAL_TOL; else NotOnGraphError."""
+    game, profile, n = point.game, point.profile, point.n
     residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
     if not residual <= GRAPH_RESIDUAL_TOL:
-        kind = "nash" if n is None else "logit"
-        raise NotOnGraphError(f"{kind} residual {residual:.3e} exceeds {GRAPH_RESIDUAL_TOL:.1e}")
+        raise NotOnGraphError(f"{point.kind} residual {residual:.3e} exceeds {GRAPH_RESIDUAL_TOL:.1e}")
+    return point
 
 
 def _z_rows(form, payoffs, vectors, n=None):
@@ -108,15 +108,14 @@ def z_logit(n, game, x):
     point the added term equals the player's own probabilities and this map
     coincides with ``z_nash``.
     """
-    _check_n(n)
+    _check_real(n=n)
     vectors = _profile_vectors(game.form, x)
     return tuple(z[0] for z in _z_rows(game.form, _one_row(game.payoffs), _one_row(vectors), n))
 
 
 def phi(point):
     """The target of a graph point: Nash, or logit at ``point.n``; its residual is re-verified."""
-    game = point.game
-    _graph_residual(game, point.profile, point.n)
+    game = _on_graph(point).game
     y_bar = _z_rows(game.form, _one_row(game.payoffs), _one_row(point.profile.vectors), point.n)
     return KMRepresentation(km_decompose(game).tilde_u, tuple(z[0] for z in y_bar))
 
@@ -190,8 +189,7 @@ def phi_inv(t):
     """
     _check_below_2_53("y_bar entry", max(abs(float(b.max())) for b in t.bar_u))
     payoffs, x_vectors = _nash_rows(t.form, _one_row(t.tilde_u), _one_row(t.bar_u))
-    profile = MixedProfile(tuple(x[0] for x in x_vectors))
-    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile)
+    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), [x[0] for x in x_vectors])
 
 
 def phi_n_inv(n, t, tol=1e-12):
@@ -205,10 +203,9 @@ def phi_n_inv(n, t, tol=1e-12):
     inversion raises the ConvergenceError ``h_numeric`` would raise for the first
     failing player.
     """
-    _check_n_tol(n, tol)
+    _check_real(n=n, tol=tol)
     [(payoffs, x_vectors)] = _logit_rows([n], t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)
-    profile = MixedProfile(tuple(x[0] for x in x_vectors))
-    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), profile, float(n))
+    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), [x[0] for x in x_vectors], float(n))
 
 
 def _gap_rows(a, b):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .games import Record, _check_n, _check_n_tol, _check_real, _freeze, softmax
+from .games import Record, _check_real, _freeze, softmax
 
 MAX_INVERSE_ITER = 200  # Newton iterations per row of the softmax-displacement inverse
 
@@ -35,7 +35,7 @@ def g_map(n, v):
     norm at most 1 (it is a probability vector).
     """
     v = _as_vector(v)
-    _check_n(n)
+    _check_real(n=n)
     return v + softmax(n * v)
 
 
@@ -45,7 +45,7 @@ def g_jacobian(n, v):
     Symmetric positive definite; every column sums to 1.
     """
     v = _as_vector(v)
-    _check_n(n)
+    _check_real(n=n)
     return _jacobian_rows(v[None], np.array([n], dtype=float))[0]
 
 
@@ -161,7 +161,7 @@ def h_numeric(n, y, tol=1e-10):
     iterations it ran) if the tolerance is not reached.
     """
     y = _as_vector(y, "y")
-    _check_n_tol(n, tol)
+    _check_real(n=n, tol=tol)
     x, residual, iterations = _invert_rows(n, y[None], tol)
     if residual[0] > tol:
         raise _stall_error(x[0], residual[0], tol, iterations[0])
@@ -257,7 +257,7 @@ def epsilon_bound(n):
     is strictly increasing in ``eps``, so bisection converges; the bracket is
     refined to full double precision. ``n = 0`` gives exactly 0.5.
     """
-    _check_real("n", n, "nonnegative")
+    _check_real("nonnegative", n=n)
     if n == 0:
         return 0.5
     # f(1/(n+2)) < 1 for every n > 0, and f((1 + log n)/n) > e for n > 1

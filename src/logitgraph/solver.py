@@ -20,7 +20,7 @@ from .games import (
     Game,
     MixedProfile,
     Record,
-    _check_n_tol,
+    _as_profile,
     _check_real,
     _cross_blocks,
     _deviation_rows,
@@ -38,7 +38,7 @@ def logit_response(n, game, x):
     ``n = 0`` returns the uniform profile for any game. The output is strictly
     positive and on the simplex.
     """
-    _check_real("n", n, "nonnegative")
+    _check_real("nonnegative", n=n)
     w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(_profile_vectors(game.form, x)))
     return MixedProfile(tuple(softmax(n * d[0]) for d in w))
 
@@ -52,11 +52,15 @@ def _unstack(form, flat):
 
 
 class PathEntry(Record):
-    """One solved point along a continuation path."""
+    """One solved point along a continuation path; a raw profile is checked as a MixedProfile."""
 
     n: float
     profile: MixedProfile
     residual: float
+
+    def __post_init__(self):
+        _check_real(n=self.n)
+        object.__setattr__(self, "profile", _as_profile(self.profile))
 
 
 class PathTrace(Record):
@@ -186,9 +190,9 @@ def solve_newton(n, game, x0, tol=1e-10):
     trace entry, and does not solve from scratch; ``trace_logit_path(game, n)`` does.
     Raises ConvergenceError with the best iterate when the budget runs out.
     """
-    _check_n_tol(n, tol)
+    _check_real(n=n, tol=tol)
     x, _ = _newton_at(game, n, np.concatenate(_profile_vectors(game.form, x0)), tol)
-    return MixedProfile(tuple(_unstack(game.form, x)))
+    return MixedProfile(_unstack(game.form, np.maximum(x, 0.0)))  # x is within tol of a positive response
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as solve_newton
@@ -207,7 +211,7 @@ def trace_logit_path(game, n_final, tol=1e-10):
     (partial trace) when the first solve fails, or when ``h`` underflows 1e-12: with the last
     failed landing's best iterate as ``best`` if a landing failed, else the last accepted point.
     """
-    _check_n_tol(n_final, tol)
+    _check_real(n=n_final, tol=tol)
     form, entries, scale = game.form, [], max(1.0, max(float(np.abs(u).max()) for u in game.payoffs))
     start = min(n_final, START_CONTRACTION / (max(form.num_players - 1, 1) * scale))
 
@@ -217,10 +221,10 @@ def trace_logit_path(game, n_final, tol=1e-10):
     def fail(message, best, residual):
         return PathFailureError(message, partial_trace=partial(), best=best, residual=residual)
 
-    def record(n, x):
-        vectors = _unstack(form, x)
+    def record(n, x):  # clipped at 0 as in solve_newton; the continuation keeps x itself
+        vectors = _unstack(form, np.maximum(x, 0.0))
         gap = _logit_gap(game, vectors, n)  # the gap logit_residual reports
-        entries.append(PathEntry(n=n, profile=MixedProfile(tuple(vectors)), residual=gap))
+        entries.append(PathEntry(n=n, profile=vectors, residual=gap))
 
     try:
         x, t = _newton_at(game, start, np.concatenate(MixedProfile.uniform(form).vectors), tol)

@@ -18,8 +18,7 @@ from .games import (
     KMRepresentation,
     Record,
     StrategicGameForm,
-    _check_n,
-    _check_n_tol,
+    _check_real,
     _check_rows,
     _contract,
     _cross_blocks,
@@ -180,7 +179,7 @@ def convergence_study(form, n_list, samples, seed, bound_box=10.0):
     if not n_list:
         raise InvalidInputError("n_list must be nonempty")
     for n in n_list:
-        _check_n(n)
+        _check_real(n=n)
     n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidInputError("n_list must be strictly ascending")
@@ -256,7 +255,7 @@ def immersion_rank_check(n, form, sample_points, seed):
     reconstruction raises ConvergenceError naming the seed, the sample and
     ``n``. Deterministic in ``seed``.
     """
-    _check_n_tol(n, STUDY_TOL)
+    _check_real(n=n)
     _, tilde, y_bar = next(_target_blocks(form, sample_points, seed, RANK_SAMPLE_BOX, sample_points))
     [(payoffs, x)] = _seeded_rows([n], form, tilde, y_bar, seed, 0)
     _check_rows(payoffs, x)

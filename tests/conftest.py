@@ -13,7 +13,7 @@ from logitgraph import (
     logit_response,
     solve_newton,
 )
-from logitgraph.games import _check_n_tol, _profile_vectors
+from logitgraph.games import _check_real, _profile_vectors
 from logitgraph.solver import _homotopy
 
 
@@ -118,7 +118,7 @@ def solve_fixed_point(n, game, x0, damping=0.5, tol=1e-10, max_iter=5000):
     """
     if not (0.0 < damping <= 1.0):
         raise InvalidInputError(f"damping must be in (0, 1], got {damping}")
-    _check_n_tol(n, tol)
+    _check_real(n=n, tol=tol)
     if not max_iter > 0:
         raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
     vectors = [np.array(v, dtype=float) for v in _profile_vectors(game.form, x0)]

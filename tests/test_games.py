@@ -102,6 +102,29 @@ class TestTypes:
         profile = MixedProfile.uniform(StrategicGameForm((3, 2)))
         assert [v.tolist() for v in profile] == [[1 / 3] * 3, [0.5, 0.5]]
 
+    @pytest.mark.parametrize(
+        "build, name, fixed",
+        [
+            (lambda parts: Game(StrategicGameForm((2, 2)), parts), "payoffs", True),
+            (lambda parts: MixedProfile(parts), "profile", False),
+            (lambda parts: KMRepresentation(parts, (np.zeros(2), np.zeros(2))), "tilde_u", True),
+            (lambda parts: KMRepresentation((np.zeros(4), np.zeros(4)), parts), "bar_u", False),
+        ],
+        ids=["Game.payoffs", "MixedProfile.vectors", "KMRepresentation.tilde_u", "KMRepresentation.bar_u"],
+    )
+    def test_every_per_player_vector_field_has_one_check(self, build, name, fixed):
+        # each field's own valid parts: full-length payoff vectors, or 2-vectors on the simplex
+        good = (np.zeros(4), np.zeros(4)) if fixed else (np.full(2, 0.5), np.full(2, 0.5))
+        bad = {
+            "expected a vector, got shape (2, 2)": np.full((2, 2), 0.25),
+            "entries must be finite": np.array([np.nan, *good[1][1:]]),
+        }
+        if fixed:
+            bad["length 3 != expected 4"] = np.zeros(3)
+        for message, part in bad.items():
+            with pytest.raises(InvalidInputError, match=re.escape(f"{name}[1]: {message}")):
+                build((good[0], part))
+
     def test_payoffs_are_immutable(self):
         game = matching_pennies()
         with pytest.raises(ValueError):
@@ -423,6 +446,14 @@ class TestGraphPoint:
         for n in (None, 2.0):
             with pytest.raises(InvalidInputError, match=r"profile\[0\]: length 3 != action count 2"):
                 GraphPoint(game, three, n)
+
+    def test_a_raw_profile_is_checked_as_a_mixed_profile(self):
+        game = matching_pennies()
+        for n in (None, 1.0):
+            point = GraphPoint(game, [np.array([0.5, 0.5]), np.array([0.5, 0.5])], n)
+            assert isinstance(point.profile, MixedProfile) and point.residual == 0.0
+        with pytest.raises(InvalidInputError, match=r"profile\[0\] sums to 1.8"):
+            GraphPoint(game, [np.array([0.9, 0.9]), np.array([0.5, 0.5])], 1.0)
 
     def test_logit_factory_rejects_a_nan_residual(self):
         # at n = 1e308 the response overflows and logit_residual is NaN, which

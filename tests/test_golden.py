@@ -119,6 +119,7 @@ def _check_trace(command, ext, got, want, argv):
     for g, w in zip(got, want):
         for u, v in zip(g["x"], w["x"]):
             assert np.abs(np.array(u) - np.array(v)).max() <= 1e-9
+            assert min(u) >= 0.0
         assert g["residual"] <= TOL
         with warnings.catch_warnings():
             # profiles near n = 400 carry entries that round to zero, which

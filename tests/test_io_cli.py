@@ -26,7 +26,7 @@ from logitgraph import (
 )
 from logitgraph import InvalidInputError, cli, graph_maps
 from logitgraph.cli import run_cli
-from logitgraph.games import _check_n_tol
+from logitgraph.games import _check_real
 from logitgraph.io import (
     _RECORDS,
     _load_json,
@@ -529,7 +529,7 @@ class TestCli:
         paths = {"GAME": str(tmp_path / "game.json"), "TARGET": str(tmp_path / "target.json")}
         code, out, err = invoke([paths.get(arg, arg) for arg in argv])
         with pytest.raises(InvalidInputError) as library:
-            _check_n_tol(1.0, float(argv[-1]))
+            _check_real(n=1.0, tol=float(argv[-1]))
         assert code == 1 and out == ""
         assert err == f"error: {library.value}\n"
 
@@ -540,7 +540,7 @@ class TestCli:
     def test_bad_precision_exits_one_before_reading_input(self, command, flag, value):
         code, out, err = invoke([command, flag, value, "/nonexistent/input.json"])
         with pytest.raises(InvalidInputError) as library:
-            _check_n_tol(float(value), 1e-10)
+            _check_real(n=float(value), tol=1e-10)
         assert code == 1 and out == ""
         assert err == f"error: {library.value}\n"
 

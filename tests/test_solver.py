@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from logitgraph import (
     solve_newton,
     trace_logit_path,
 )
+from logitgraph.io import render
 from logitgraph.solver import START_CONTRACTION, _homotopy, _newton_iterates, _unstack
 from conftest import (
     coordination_2x2,
@@ -433,6 +435,15 @@ class TestSolveNewton:
             for va, vb in zip(a.vectors, b.vectors):
                 assert np.abs(va - vb).max() <= 1e-10
 
+    @pytest.mark.parametrize("shape, seed", [((2, 2), 1007), ((3, 3), 1007)], ids=_case_id)
+    def test_no_probability_is_negative(self, shape, seed):
+        # on these games the corrector's last update leaves entries down to -2.9e-11
+        game = _seeded(shape, seed)
+        trace = trace_logit_path(game, 400.0)
+        solved = solve_newton(400.0, game, trace.entries[-1].profile)
+        assert min(v.min() for e in trace.entries for v in e.profile) >= 0.0
+        assert min(v.min() for v in solved) >= 0.0
+
 
 class TestTraceLogitPath:
     def test_matching_pennies_constant_uniform(self):
@@ -602,6 +613,19 @@ class TestPathTrace:
         entries = (PathEntry(n=1.0, profile=MixedProfile.uniform(game.form), residual=math.nan),)
         with pytest.raises(InvalidInputError, match="stored residual nan"):
             PathTrace(entries=entries, game=game)
+
+    def test_entry_checks_its_precision(self):
+        with pytest.raises(InvalidInputError, match="n must be positive and finite, got -3.0"):
+            PathEntry(n=-3.0, profile=[np.array([0.5, 0.5]), np.array([0.5, 0.5])], residual=0.0)
+
+    def test_entry_checks_a_raw_profile_as_a_mixed_profile(self):
+        game = matching_pennies()
+        entry = PathEntry(n=2.0, profile=[np.array([0.5, 0.5]), np.array([0.5, 0.5])], residual=0.0)
+        assert isinstance(entry.profile, MixedProfile)
+        assert PathTrace((entry,), game).terminal_nash_residual == 0.0
+        assert json.loads(render(entry, "json"))["x"] == [[0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(InvalidInputError, match=r"profile\[1\] has negative entry"):
+            PathEntry(n=2.0, profile=[np.array([0.5, 0.5]), np.array([1.5, -0.5])], residual=0.0)
 
     def test_rejects_a_profile_of_another_form(self):
         game = matching_pennies()
