@@ -21,13 +21,12 @@ _EXPORTS = {
         "PathFailureError",
     ),
     "games": (
-        "Game", "KMRepresentation", "MixedProfile", "StrategicGameForm", "deviation_payoffs",
-        "evaluate_mixed", "km_decompose", "km_recompose", "logit_residual", "nash_residual",
-        "softmax",
+        "Game", "GraphPoint", "KMRepresentation", "MixedProfile", "StrategicGameForm",
+        "deviation_payoffs", "evaluate_mixed", "km_decompose", "km_recompose", "logit_residual",
+        "nash_residual", "softmax",
     ),
     "graph_maps": (
-        "GraphPoint", "approximation_gap", "graph_point_gap", "phi", "phi_inv", "phi_n_inv",
-        "z_logit", "z_nash",
+        "approximation_gap", "graph_point_gap", "phi", "phi_inv", "phi_n_inv", "z_logit", "z_nash",
     ),
     "io": (
         "game_to_json", "parse_game", "parse_target_point", "target_point_to_json",

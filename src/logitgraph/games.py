@@ -1,4 +1,4 @@
-"""Finite normal-form games: payoffs, residuals, the softmax response and the payoff-space split.
+"""Finite normal-form games: payoffs, residuals, graph points, the softmax response, the payoff split.
 
 Payoff tensors are stored flat, one per player, in column-major order: the
 flat index of the pure profile ``a`` is ``a[0] + m0*(a[1] + m1*(a[2] + ...))``
@@ -15,10 +15,11 @@ import warnings
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NotOnGraphError
 
 PROBABILITY_TOL = 1e-9
 ZERO_MEAN_TOL = 1e-9
+GRAPH_RESIDUAL_TOL = 1e-8
 
 
 def _is_integer(value):
@@ -51,15 +52,18 @@ def _vectors(name, parts, size=None, count=None):
 
 
 class Record:
-    """Base of the frozen result records: the fields are the class's own annotations, in order.
+    """Base of the frozen result records: the fields are the parent's, then the class's own annotations.
 
-    A class attribute of the same name is a field's default. ``class R(Record, eq=True)``
+    A class attribute of the same name is a field's default; a subclass keeps its
+    parent's defaults, except for a field it annotates again. ``class R(Record, eq=True)``
     compares and hashes by field values; other records compare by identity.
     """
 
     def __init_subclass__(cls, eq=False):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(dict.fromkeys(getattr(cls, "_fields", ()) + own))
+        inherited = {name: v for name, v in getattr(cls, "_defaults", {}).items() if name not in own}
+        cls._defaults = {**inherited, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
         if eq:
             cls.__eq__ = lambda a, b: a._asdict() == b._asdict() if type(b) is type(a) else NotImplemented
             cls.__hash__ = lambda a: hash(tuple(a._asdict().values()))
@@ -328,6 +332,56 @@ def logit_residual(game, x, n):
 def _logit_gap(game, vectors, n):
     w = _deviation_rows(game.form, _one_row(game.payoffs), _one_row(vectors))
     return max(float(np.abs(v - softmax(n * d[0])).max()) for v, d in zip(vectors, w))
+
+
+class GraphPoint(Record):
+    """A (game, profile) pair on the Nash graph, or on the logit graph at precision ``n``.
+
+    ``kind`` (``"nash"`` or ``"logit"``) and ``residual`` are read off the
+    fields: the residual is recomputed on each read, as ``nash_residual`` or
+    the logit gap at ``n``, so a point cannot misreport it. Use the
+    ``nash``/``logit`` factories to have the residual verified. A profile given
+    as raw per-player vectors is checked and stored as a MixedProfile, and ``n``
+    is stored as a float.
+    """
+
+    game: Game
+    profile: MixedProfile
+    n: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "profile", _as_profile(self.profile))
+        _profile_vectors(self.game.form, self.profile)
+        if self.n is not None:
+            _check_real(n=self.n)  # before float(n), which would take True for 1.0
+            object.__setattr__(self, "n", float(self.n))
+
+    @property
+    def kind(self):
+        return "nash" if self.n is None else "logit"
+
+    @property
+    def residual(self):
+        if self.n is None:
+            return nash_residual(self.game, self.profile)
+        return _logit_gap(self.game, self.profile.vectors, self.n)
+
+    @classmethod
+    def nash(cls, game, profile):
+        return _on_graph(cls(game, profile))
+
+    @classmethod
+    def logit(cls, game, profile, n):
+        return _on_graph(cls(game, profile, n))
+
+
+def _on_graph(point):
+    """``point``, once its Nash or logit residual is at most GRAPH_RESIDUAL_TOL; else NotOnGraphError."""
+    game, profile, n = point.game, point.profile, point.n
+    residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
+    if not residual <= GRAPH_RESIDUAL_TOL:
+        raise NotOnGraphError(f"{point.kind} residual {residual:.3e} exceeds {GRAPH_RESIDUAL_TOL:.1e}")
+    return point
 
 
 class KMRepresentation(Record):

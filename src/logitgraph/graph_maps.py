@@ -8,6 +8,7 @@ Both inverses work one player at a time: the profile comes straight out of the
 player's ``y_bar``, then the mean payoffs are back-solved, so there is no
 fixed-point coupling anywhere in the inverse direction. The reconstructions run
 on arrays with a leading sample axis; the public inverses are batches of one.
+The points themselves are ``games.GraphPoint`` records.
 """
 
 from __future__ import annotations
@@ -17,75 +18,19 @@ import numpy as np
 from .errors import InvalidInputError, NotOnGraphError
 from .games import (
     Game,
+    GraphPoint,
     KMRepresentation,
-    MixedProfile,
-    Record,
-    _as_profile,
     _check_real,
     _deviation_rows,
     _lift_bar,
-    _logit_gap,
     _nash_gap_rows,
+    _on_graph,
     _one_row,
     _profile_vectors,
     km_decompose,
-    logit_residual,
-    nash_residual,
     softmax,
 )
 from .maps import _check_below_2_53, _invert_rows, _stall_error, _water_level
-
-GRAPH_RESIDUAL_TOL = 1e-8
-
-
-class GraphPoint(Record):
-    """A (game, profile) pair on the Nash graph, or on the logit graph at precision ``n``.
-
-    ``kind`` (``"nash"`` or ``"logit"``) and ``residual`` are read off the
-    fields: the residual is recomputed on each read, as ``nash_residual`` or
-    the logit gap at ``n``, so a point cannot misreport it. Use the
-    ``nash``/``logit`` factories to have the residual verified. A profile given
-    as raw per-player vectors is checked and stored as a MixedProfile.
-    """
-
-    game: Game
-    profile: MixedProfile
-    n: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "profile", _as_profile(self.profile))
-        _profile_vectors(self.game.form, self.profile)
-        if self.n is not None:
-            _check_real(n=self.n)
-
-    @property
-    def kind(self):
-        return "nash" if self.n is None else "logit"
-
-    @property
-    def residual(self):
-        if self.n is None:
-            return nash_residual(self.game, self.profile)
-        return _logit_gap(self.game, self.profile.vectors, self.n)
-
-    @classmethod
-    def nash(cls, game, profile):
-        return _on_graph(cls(game, profile))
-
-    @classmethod
-    def logit(cls, game, profile, n):
-        _check_real(n=n)  # before float(n), which would take True for 1.0
-        return _on_graph(cls(game, profile, float(n)))
-
-
-def _on_graph(point):
-    """``point``, once its Nash or logit residual is at most GRAPH_RESIDUAL_TOL; else NotOnGraphError."""
-    game, profile, n = point.game, point.profile, point.n
-    residual = nash_residual(game, profile) if n is None else logit_residual(game, profile, n)
-    if not residual <= GRAPH_RESIDUAL_TOL:
-        raise NotOnGraphError(f"{point.kind} residual {residual:.3e} exceeds {GRAPH_RESIDUAL_TOL:.1e}")
-    return point
-
 
 def _z_rows(form, payoffs, vectors, n=None):
     """``z_nash`` of every sample, or ``z_logit`` when ``n`` is given; one array per player."""
@@ -205,7 +150,7 @@ def phi_n_inv(n, t, tol=1e-12):
     """
     _check_real(n=n, tol=tol)
     [(payoffs, x_vectors)] = _logit_rows([n], t.form, _one_row(t.tilde_u), _one_row(t.bar_u), tol)
-    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), [x[0] for x in x_vectors], float(n))
+    return GraphPoint(Game(t.form, tuple(p[0] for p in payoffs)), [x[0] for x in x_vectors], n)
 
 
 def _gap_rows(a, b):

@@ -161,9 +161,10 @@ def _entry_dict(e):
 
 
 def _entry_rows(e):
+    residual = e.residual  # derived on each read, so read once per entry
     for player, vector in enumerate(e.profile.vectors):
         for action, probability in enumerate(vector):
-            yield e.n, player, action, probability, e.residual
+            yield e.n, player, action, probability, residual
 
 
 def _point_dict(point):

@@ -18,13 +18,12 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError, PathFailureError
 from .games import (
     Game,
+    GraphPoint,
     MixedProfile,
     Record,
-    _as_profile,
     _check_real,
     _cross_blocks,
     _deviation_rows,
-    _logit_gap,
     _one_row,
     _profile_vectors,
     nash_residual,
@@ -51,16 +50,10 @@ def _unstack(form, flat):
     return out
 
 
-class PathEntry(Record):
-    """One solved point along a continuation path; a raw profile is checked as a MixedProfile."""
+class PathEntry(GraphPoint):
+    """One solved point along a continuation path: a logit graph point, whose ``n`` is required."""
 
     n: float
-    profile: MixedProfile
-    residual: float
-
-    def __post_init__(self):
-        _check_real(n=self.n)
-        object.__setattr__(self, "profile", _as_profile(self.profile))
 
 
 class PathTrace(Record):
@@ -70,14 +63,10 @@ class PathTrace(Record):
     game: Game
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         for e in self.entries:
-            _profile_vectors(self.game.form, e.profile)
-            recomputed = _logit_gap(self.game, e.profile.vectors, e.n)
-            if not abs(recomputed - e.residual) <= 1e-12:
-                raise InvalidInputError(
-                    f"entry at n={e.n}: stored residual {e.residual:.3e} "
-                    f"!= recomputed {recomputed:.3e}"
-                )
+            if e.game is not self.game:
+                raise InvalidInputError(f"entry at n={e.n} is a point of another game")
 
     @property
     def terminal_nash_residual(self):
@@ -222,9 +211,7 @@ def trace_logit_path(game, n_final, tol=1e-10):
         return PathFailureError(message, partial_trace=partial(), best=best, residual=residual)
 
     def record(n, x):  # clipped at 0 as in solve_newton; the continuation keeps x itself
-        vectors = _unstack(form, np.maximum(x, 0.0))
-        gap = _logit_gap(game, vectors, n)  # the gap logit_residual reports
-        entries.append(PathEntry(n=n, profile=vectors, residual=gap))
+        entries.append(PathEntry(game, _unstack(form, np.maximum(x, 0.0)), n))
 
     try:
         x, t = _newton_at(game, start, np.concatenate(MixedProfile.uniform(form).vectors), tol)

@@ -75,14 +75,13 @@ def _target_blocks(form, samples, seed, bound_box, block):
     The raw tensors are projected to zero opponent means. The draws come from
     ``_rng(seed)`` through ``_uniform``, so blocks of any size give the same samples.
     A ``seed`` that is not a nonnegative integer raises InvalidInputError; so does a
-    ``bound_box`` above 2**53 or a draw numpy cannot shape or allocate, naming the
-    form and ``samples``.
+    ``bound_box`` that is not a positive finite real, and one above 2**53 or a draw
+    numpy cannot shape or allocate, naming the form and ``samples``.
     """
     _check_seed(seed)
     if not _is_integer(samples) or samples < 1:
         raise InvalidInputError(f"samples must be an integer >= 1, got {samples!r}")
-    if not bound_box > 0:
-        raise InvalidInputError(f"bound_box must be positive, got {bound_box}")
+    _check_real(bound_box=bound_box)
     size, k = form.profile_count, form.num_players
     cannot = f"cannot draw {samples} samples of form {k}:{','.join(map(str, form.action_counts))}: "
     _check_below_2_53(f"{cannot}bound_box", bound_box)

@@ -26,6 +26,7 @@ from logitgraph import (
 )
 from logitgraph.games import _contract, _nash_gap_rows
 from logitgraph.graph_maps import _gap_rows
+from logitgraph.io import render
 from conftest import (
     brute_force_expected_payoff,
     matching_pennies,
@@ -454,6 +455,12 @@ class TestGraphPoint:
             assert isinstance(point.profile, MixedProfile) and point.residual == 0.0
         with pytest.raises(InvalidInputError, match=r"profile\[0\] sums to 1.8"):
             GraphPoint(game, [np.array([0.9, 0.9]), np.array([0.5, 0.5])], 1.0)
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.float32(3)], ids=["int", "int64", "float32"])
+    def test_precision_is_stored_as_a_float(self, n):
+        point = GraphPoint(matching_pennies(), uniform(matching_pennies()), n)
+        assert type(point.n) is float and render(point, "json").endswith('"n": 3.0}\n')
+        assert type(GraphPoint.logit(matching_pennies(), uniform(matching_pennies()), n).n) is float
 
     def test_logit_factory_rejects_a_nan_residual(self):
         # at n = 1e308 the response overflows and logit_residual is NaN, which

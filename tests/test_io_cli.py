@@ -439,13 +439,20 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot draw 1 samples of form 2:4611686018427387905,4: ")
 
-    @pytest.mark.parametrize("box", ["inf", "1e308"])
-    def test_study_box_too_wide_to_draw_exits_one(self, box):
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("inf", "bound_box must be positive and finite, got inf\n"),
+            ("1e308", "cannot draw 2 samples of form 2:2,2: "),
+        ],
+        ids=["inf", "1e308"],
+    )
+    def test_study_box_too_wide_to_draw_exits_one(self, box, message):
         # run_cli returns instead of raising, so the CLI prints no traceback
         argv = ["study", "--form", "2:2,2", "--n-list", "1", "--samples", "2", "--seed", "0"]
         code, out, err = invoke(argv + ["--bound-box", box])
         assert code == 1 and out == ""
-        assert err.startswith("error: cannot draw 2 samples of form 2:2,2: ")
+        assert err.startswith(f"error: {message}")
 
     def test_study_box_past_2_to_the_53_exits_one_without_blaming_a_sample(self):
         argv = ["study", "--form", "3:3,3,3", "--n-list", "1", "--samples", "200", "--seed", "0"]

@@ -7,6 +7,8 @@ keyword from the same values. Three records compare by value (``StrategicGameFor
 file holds a ``RankReport``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from conftest import matching_pennies
@@ -45,6 +47,7 @@ def _target():
     return parse_target_point('{"tilde_u": [[0, 0]], "y_bar": [[1.5, 0.5]]}')
 
 
+@functools.cache  # one trace, so its entries are points of its game
 def _trace():
     return trace_logit_path(matching_pennies(), 2.0)
 
@@ -61,7 +64,7 @@ RECORDS = {
     KMRepresentation: (("tilde_u", "bar_u"), lambda: (_km().tilde_u, _km().bar_u)),
     SimplexProjection: (("h_value", "residual"), lambda: (np.array([0.5, 0.2]), np.array([0.5, 0.0]))),
     GraphPoint: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 3.0)),
-    PathEntry: (("n", "profile", "residual"), lambda: (2.0, MixedProfile(UNIFORM), 0.0)),
+    PathEntry: (("game", "profile", "n"), lambda: (matching_pennies(), MixedProfile(UNIFORM), 2.0)),
     PathTrace: (("entries", "game"), lambda: (_trace().entries, _trace().game)),
     ReportRow: (("n", "sup_gap_x", "sup_gap_full"), lambda: (1.0, 0.125, 0.25)),
     ConvergenceReport: (("form", "seed", "samples", "rows"), lambda: (FORM, 3, 5, _rows())),
@@ -99,7 +102,7 @@ class TestConstruction:
     def test_fields_read_back_in_order(self, cls):
         fields, values = RECORDS[cls]
         record = cls(*values())
-        assert tuple(cls.__annotations__) == fields
+        assert cls._fields == fields
         for name, value in zip(fields, values()):
             assert _same(getattr(record, name), value)
 
@@ -148,6 +151,11 @@ class TestDefaults:
         point = GraphPoint(matching_pennies(), MixedProfile(UNIFORM))
         assert point.n is None and GraphPoint.n is None
         assert GraphPoint(game=point.game, profile=point.profile).n is None
+
+    def test_path_entry_requires_n(self):
+        assert PathEntry._fields == GraphPoint._fields and "n" not in PathEntry._defaults
+        with pytest.raises(TypeError):
+            PathEntry(matching_pennies(), MixedProfile(UNIFORM))
 
     def test_rank_report_threshold_defaults(self):
         report = RankReport(2.0, StrategicGameForm((2,)), 2, 0.5)
@@ -248,7 +256,7 @@ class TestPostInitChecks:
             lambda: MixedProfile((np.array([0.5, 0.6]),)),
             lambda: KMRepresentation((np.ones(4), np.zeros(4)), _km().bar_u),
             lambda: GraphPoint(matching_pennies(), MixedProfile(UNIFORM), -3.0),
-            lambda: PathTrace((PathEntry(2.0, MixedProfile(UNIFORM), 0.5),), matching_pennies()),
+            lambda: PathTrace(_trace().entries, matching_pennies()),
             lambda: ConvergenceReport(FORM, 3, 5, _rows()[::-1]),
             lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, 0.9, 0.25),)),
             lambda: ConvergenceReport(FORM, 3, 5, (ReportRow(1.0, np.nan, 0.25),)),
@@ -256,7 +264,7 @@ class TestPostInitChecks:
         ],
         ids=[
             "form-players", "form-counts", "game-tensors", "game-finite", "profile-sum",
-            "km-zero-mean", "point-n", "trace-residual",
+            "km-zero-mean", "point-n", "trace-game",
             "report-order", "report-bound", "report-nan-gap-x", "report-nan-gap-full",
         ],
     )

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from logitgraph import (
     logit_residual,
     logit_response,
     nash_residual,
+    phi,
     phi_n_inv,
     solve_newton,
     trace_logit_path,
@@ -144,8 +144,9 @@ class TestPrecisionIsARealNumber:
     def test_graph_point_rejects_a_bool_precision(self):
         # None is a Nash point's precision, so only the bool is checked here
         game = coordination_2x2()
-        with pytest.raises(InvalidInputError, match="^n must be positive and finite, got True$"):
-            GraphPoint(game, MixedProfile.uniform(game.form), True)
+        for build in (GraphPoint, GraphPoint.logit):
+            with pytest.raises(InvalidInputError, match="^n must be positive and finite, got True$"):
+                build(game, MixedProfile.uniform(game.form), True)
 
     def test_numpy_scalars_are_real_numbers(self):
         game = coordination_2x2()
@@ -586,10 +587,7 @@ class TestPathTrace:
     def test_accepts_precisions_that_fall_at_a_fold(self):
         game = matching_pennies()
         x = MixedProfile.uniform(game.form)
-        entries = (
-            PathEntry(n=2.0, profile=x, residual=0.0),
-            PathEntry(n=1.0, profile=x, residual=0.0),
-        )
+        entries = (PathEntry(game, x, 2.0), PathEntry(game, x, 1.0))
         trace = PathTrace(entries=entries, game=game)
         assert [e.n for e in trace.entries] == [2.0, 1.0]
 
@@ -598,38 +596,58 @@ class TestPathTrace:
         # with no entry the branch has not left its start, the uniform profile
         assert PathTrace(entries=(), game=game).terminal_nash_residual == 0.5
         profiles = [MixedProfile.uniform(game.form), MixedProfile((np.array([0.75, 0.25]),))]
-        entries = tuple(PathEntry(n, x, logit_residual(game, x, n)) for n, x in zip((1.0, 2.0), profiles))
+        entries = tuple(PathEntry(game, x, n) for n, x in zip((1.0, 2.0), profiles))
         assert PathTrace(entries=entries, game=game).terminal_nash_residual == 0.25
 
-    def test_rejects_inconsistent_residual(self):
+    def test_entry_is_a_logit_graph_point_with_a_derived_residual(self):
         game = one_player_game([1.0, 0.0])
         x = MixedProfile((np.array([0.5, 0.5]),))
-        entries = (PathEntry(n=1.0, profile=x, residual=0.0),)
-        with pytest.raises(InvalidInputError, match="residual"):
-            PathTrace(entries=entries, game=game)
+        entry = PathEntry(game, x, 1.0)
+        assert isinstance(entry, GraphPoint) and entry.kind == "logit"
+        assert entry.residual == logit_residual(game, x, 1.0) > 0.0
 
-    def test_rejects_a_nan_stored_residual(self):
+    def test_rejects_an_entry_of_another_game(self):
         game = matching_pennies()
-        entries = (PathEntry(n=1.0, profile=MixedProfile.uniform(game.form), residual=math.nan),)
-        with pytest.raises(InvalidInputError, match="stored residual nan"):
-            PathTrace(entries=entries, game=game)
+        entry = PathEntry(matching_pennies(), MixedProfile.uniform(game.form), 1.0)
+        with pytest.raises(InvalidInputError, match="entry at n=1.0 is a point of another game"):
+            PathTrace((entry,), game)
+
+    def test_a_list_of_entries_is_held_as_a_tuple(self):
+        trace = trace_logit_path(matching_pennies(), 2.0)
+        held = PathTrace(list(trace.entries), trace.game)
+        assert isinstance(held.entries, tuple) and held.entries == trace.entries
 
     def test_entry_checks_its_precision(self):
         with pytest.raises(InvalidInputError, match="n must be positive and finite, got -3.0"):
-            PathEntry(n=-3.0, profile=[np.array([0.5, 0.5]), np.array([0.5, 0.5])], residual=0.0)
+            PathEntry(matching_pennies(), [np.array([0.5, 0.5]), np.array([0.5, 0.5])], -3.0)
 
     def test_entry_checks_a_raw_profile_as_a_mixed_profile(self):
         game = matching_pennies()
-        entry = PathEntry(n=2.0, profile=[np.array([0.5, 0.5]), np.array([0.5, 0.5])], residual=0.0)
+        entry = PathEntry(game, [np.array([0.5, 0.5]), np.array([0.5, 0.5])], 2.0)
         assert isinstance(entry.profile, MixedProfile)
         assert PathTrace((entry,), game).terminal_nash_residual == 0.0
         assert json.loads(render(entry, "json"))["x"] == [[0.5, 0.5], [0.5, 0.5]]
         with pytest.raises(InvalidInputError, match=r"profile\[1\] has negative entry"):
-            PathEntry(n=2.0, profile=[np.array([0.5, 0.5]), np.array([1.5, -0.5])], residual=0.0)
+            PathEntry(game, [np.array([0.5, 0.5]), np.array([1.5, -0.5])], 2.0)
 
     def test_rejects_a_profile_of_another_form(self):
         game = matching_pennies()
         three = MixedProfile((np.full(3, 1 / 3), np.full(2, 0.5)))
-        entries = (PathEntry(n=1.0, profile=three, residual=0.0),)
         with pytest.raises(InvalidInputError, match=r"profile\[0\]: length 3 != action count 2"):
-            PathTrace(entries=entries, game=game)
+            PathEntry(game, three, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (8, 8), (3, 3, 3), (4, 4, 4)], ids=str)
+    def test_phi_maps_a_traced_entry_as_its_logit_point(self, shape):
+        # at n = 10 no terminal entry of these 60 games holds an exact zero, which phi would warn of
+        for seed in range(1000, 1012):
+            game = random_game(np.random.default_rng(seed), StrategicGameForm(shape), box=1.0)
+            entry = trace_logit_path(game, 10.0).entries[-1]
+            mapped, point = phi(entry), phi(GraphPoint.logit(game, entry.profile, entry.n))
+            for a, b in zip(mapped.tilde_u + mapped.bar_u, point.tilde_u + point.bar_u):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_final", [5, np.int64(5), np.float32(5)], ids=["int", "int64", "float32"])
+    def test_precision_is_stored_as_a_float(self, n_final):
+        trace = trace_logit_path(matching_pennies(), n_final)
+        assert type(trace.entries[-1].n) is float
+        assert '"n": 5.0, ' in render(trace, "json")  # an int64 raised TypeError, an int printed 5

@@ -54,9 +54,22 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             sample_target_points(FORM_2X2, 1, 1, 0.0)
 
-    @pytest.mark.parametrize("box", [math.inf, 1e308])
-    def test_box_too_wide_to_draw(self, box):
-        with pytest.raises(InvalidInputError, match="cannot draw 2 samples of form 2:2,2"):
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            (math.inf, "bound_box must be positive and finite, got inf"),
+            (1e308, "cannot draw 2 samples of form 2:2,2"),
+        ],
+        ids=["inf", "1e308"],
+    )
+    def test_box_too_wide_to_draw(self, box, message):
+        with pytest.raises(InvalidInputError, match=message):
+            sample_target_points(FORM_2X2, 2, 0, box)
+
+    @pytest.mark.parametrize("box", [True, "3", None], ids=repr)
+    def test_box_that_is_not_a_real_number_is_invalid_input(self, box):
+        # True used to draw in [-1, 1]; "3" and None raised a bare TypeError
+        with pytest.raises(InvalidInputError, match=f"^bound_box must be positive and finite, got {box}$"):
             sample_target_points(FORM_2X2, 2, 0, box)
 
     def test_box_past_2_to_the_53_is_rejected_before_any_sample(self):

@@ -29,6 +29,7 @@ from logitgraph import (
     approximation_gap,
     convergence_study,
     immersion_rank_check,
+    parse_game,
     phi,
     phi_inv,
     phi_n_inv,
@@ -37,6 +38,7 @@ from logitgraph import (
     trace_logit_path,
 )
 from logitgraph.games import _contract
+from logitgraph.io import render
 from logitgraph.maps import _invert_rows
 from conftest import (
     ZERO_SUM_SHAPES,
@@ -96,18 +98,26 @@ def _seeded(shape, seed):
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (coordination_2x2, 50),
-        (matching_pennies, 50),
-        (lambda: one_player_game([1.0, 0.0]), 16),
-        (lambda: _seeded((3, 3, 3), 1007), 1122),
-        (lambda: _seeded((4, 4, 4), 1000), 1110),
+        (coordination_2x2, 18),
+        (matching_pennies, 18),
+        (lambda: one_player_game([1.0, 0.0]), 0),
+        (lambda: _seeded((3, 3, 3), 1007), 876),
+        (lambda: _seeded((4, 4, 4), 1000), 858),
     ],
     ids=["coordination", "pennies", "one-player", "3x3x3-1007", "4x4x4-1000"],
 )
 def test_trace_contractions(contractions, make, expected):
+    # the tracer scores no entry: an entry's residual is derived when it is read
     game = make()
     trace_logit_path(game, 400.0)
     assert contractions[0] == expected
+
+
+def test_trace_csv_render_contractions(contractions):
+    # the CSV reads each entry's residual once, not once per printed row (678)
+    game = parse_game((Path(__file__).parent / "golden" / "zerosum_4x4x4.json").read_text())
+    render(trace_logit_path(game, 400.0), "csv")
+    assert contractions[0] == 348
 
 
 # pairwise zero-sum games drawn in form order from one default_rng(1000), as the
@@ -127,7 +137,7 @@ def test_trace_jacobians(jacobians, shape, final):
 def test_property_suite_contractions(contractions):
     # the residual-relabeling check draws its 8 forms from the seed's stream
     run_property_suite(None)
-    assert contractions[0] == 149
+    assert contractions[0] == 125
 
 
 def test_property_suite_inversions(inversions):
@@ -188,7 +198,7 @@ def test_rank_check_contractions(contractions):
 
 def test_property_suite_with_a_game_contractions(contractions):
     run_property_suite(matching_pennies())
-    assert contractions[0] == 201
+    assert contractions[0] == 157
 
 
 # run by a fresh interpreter: numpy is imported before the hook, so only the
